@@ -42,6 +42,7 @@ SETUP_PROBES = 4  # extra set-up-only processes per loop run, for a median
 BLAS_THREADS = "1"  # pinned for every child; no more than nproc
 CHILD_TIMEOUT = 150.0
 TAIL_WINDOW = 400  # operations per window of the tail statistic
+SHORT_ROUNDS = 2  # rounds of the suites other than consistency after each full pass
 
 END_TO_END = {
     "setup_s": "s",
@@ -255,6 +256,8 @@ def layer_metrics(unit: dict, setup: dict) -> dict:
         "posterior.map_estimate_l1.s": one("posterior.map_estimate_l1", 1),
         "posterior.map_estimate_l1.iterations": ct.get("posterior.map_estimate_l1.iterations", 0),
         "config.decode.s": setup["layers"].get("config", 0.0),
+        # set by run_suites from its untraced pass; no suite runs elsewhere
+        **{f"experiments.run_{s}.peak_rss_mb": 0.0 for s in SUITES},
     }
     for name in ("hellinger_from_potentials", "total_variation_from_potentials"):
         m[f"posterior.{name}.s"] = one(f"posterior.{name}", 1)
@@ -324,10 +327,10 @@ def report_valid(name: str, seed: int, text: str) -> bool:
 # ---------------------------------------------------------------- workloads
 
 
-def suite_pass(seed: int, traced: bool, checks: Checks, outcome: dict) -> dict:
-    """Run the six suites once, each in a fresh process."""
+def suite_pass(seed: int, traced: bool, checks: Checks, outcome: dict, names: tuple = SUITES) -> dict:
+    """Run each of `names` once, each in a fresh process."""
     rec = {"op_s": {}, "digests": {}, "rss_mb": {}, "run_units": {}, "setup_units": {}}
-    for name in SUITES:
+    for name in names:
         child = run_child(["suite", name, "--seed", str(seed)] + (["--trace"] if traced else []), CHILD_TIMEOUT)
         outcome["attempted"] += 1
         done = child["done"]
@@ -362,12 +365,23 @@ def run_suites(seed: int, seconds: float, trace: bool, checks: Checks, outcome: 
         for traced in (False, True, True):
             passes.append((traced, suite_pass(seed, traced, checks, outcome)))
     else:
+        # Consistency takes about two thirds of a full pass, so each full
+        # pass is followed by SHORT_ROUNDS rounds of the other five suites:
+        # the short suites, whose latencies spread most on a shared
+        # machine, get more samples for their medians in the same time.
+        short = tuple(s for s in SUITES if s != "consistency")
+        rounds = [SUITES] + [short] * SHORT_ROUNDS
         start = time.perf_counter()
+        spent = {}
+        i = 0
         while True:
+            names = rounds[i % len(rounds)]
             t0 = time.perf_counter()
-            passes.append((False, suite_pass(seed, False, checks, outcome)))
-            spent = time.perf_counter() - t0
-            if time.perf_counter() - start + spent > seconds:
+            passes.append((False, suite_pass(seed, False, checks, outcome, names)))
+            spent[names] = time.perf_counter() - t0
+            i += 1
+            following = rounds[i % len(rounds)]
+            if time.perf_counter() - start + spent.get(following, spent[names]) > seconds:
                 break
     complete = [(t, p) for t, p in passes if len(p["op_s"]) == len(SUITES)]
     digests = [p["digests"] for _, p in passes]
@@ -586,6 +600,11 @@ def main() -> int:
                        for key in ("correct", "attempted", "failed")}
     except BenchError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
+        return 1
+    bad = sorted(set(units) ^ set(metrics)) + sorted(k for k, v in metrics.items() if not math.isfinite(v))
+    if bad:
+        print(f"benchmark failed: result metrics missing, unexpected or not finite: {', '.join(bad)}",
+              file=sys.stderr)
         return 1
     print(f"record written to {path.relative_to(ROOT)}")
     summary["metrics"] = {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}
