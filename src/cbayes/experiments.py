@@ -55,6 +55,7 @@ from .measures1d import (
 from .posterior import (
     PosteriorSpec,
     ProductPrior,
+    gap_check_from_potentials,
     hellinger,
     hellinger_from_potentials,
     map_estimate_l1,
@@ -296,28 +297,11 @@ def _subseed(seed: int, tag: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _normals(gen, shape) -> np.ndarray:
-    shape = tuple(shape)
-    flat = int(np.prod(shape))
-    pairs = (flat + 1) // 2
-    u = gen.random((pairs, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * math.pi * u[:, 1])
-    z[1::2] = r * np.sin(2.0 * math.pi * u[:, 1])
-    return z[:flat].reshape(shape)
-
-
 def _synthetic_data(prior, model, sigma2: float, seed: int, tag: str) -> np.ndarray:
     """One prior draw pushed through the model plus scaled noise."""
     truth = sample_coefficients(prior, model.truncation, 1, _subseed(seed, tag + ":truth"))[0]
-    eta = _normals(streams.substream(_subseed(seed, tag + ":noise"), streams.DATA, 0), (model.data_dim,))
+    eta = streams.normals(streams.substream(_subseed(seed, tag + ":noise"), streams.DATA, 0), (model.data_dim,))
     return model.apply(truth) + math.sqrt(sigma2) * eta
-
-
-def _gauss_potentials(fwd: np.ndarray, y: np.ndarray, sigma2: float) -> np.ndarray:
-    r = fwd - y[None, :]
-    return 0.5 * np.sum(r * r, axis=1) / sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +318,11 @@ def run_stability(cfg: dict) -> dict:
     m = model.data_dim
     N = model.truncation
 
-    y0 = _synthetic_data(prior, model, sigma2, seed, "stability")
+    phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "stability"))
     coeffs = sample_coefficients(prior, N, effort, seed)
     fwd = model.apply_many(coeffs)
     del coeffs
-    p0 = _gauss_potentials(fwd, y0, sigma2)
+    p0 = phi.misfit(fwd, phi.y)
 
     points = []
     zero_rep = hellinger_from_potentials(p0, p0)
@@ -350,7 +334,7 @@ def run_stability(cfg: dict) -> dict:
         e = np.zeros(m)
         e[i] = 1.0
         for d in deltas:
-            rep = hellinger_from_potentials(p0, _gauss_potentials(fwd, y0 + d * e, sigma2))
+            rep = hellinger_from_potentials(p0, phi.misfit(fwd, phi.y + d * e))
             points.append(_point(d, rep.value, rep.stderr, rep.method, rep.effort, f"direction_{i}"))
             ratios.append(rep.value / d)
             log_d.append(math.log(d))
@@ -415,10 +399,11 @@ def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
         snaps[N] = fwd.copy()
         prev_pos = pos
     del coeffs, fwd
-    p_ref = _gauss_potentials(snaps[int(n_ref)], y, sigma2)
+    phi = GaussianAdditive(model, sigma2, y)
+    p_ref = phi.misfit(snaps[int(n_ref)], y)
     out = []
     for N in levels:
-        rep = hellinger_from_potentials(p_ref, _gauss_potentials(snaps[N], y, sigma2))
+        rep = hellinger_from_potentials(p_ref, phi.misfit(snaps[N], y))
         out.append((N, rep))
     return out
 
@@ -644,10 +629,10 @@ def run_metrics(cfg: dict) -> dict:
     points = []
 
     # identical pair: weights cancel algebraically
-    y0 = _synthetic_data(prior, model, sigma2, seed, "metrics")
+    phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "metrics"))
     coeffs = sample_coefficients(prior, model.truncation, effort, seed)
     fwd = model.apply_many(coeffs)
-    p0 = _gauss_potentials(fwd, y0, sigma2)
+    p0 = phi.misfit(fwd, phi.y)
     same_h = hellinger_from_potentials(p0, p0)
     same_t = total_variation_from_potentials(p0, p0)
     points.append(_point(0, same_h.value, same_h.stderr, same_h.method, same_h.effort, "identical_hellinger"))
@@ -672,18 +657,18 @@ def run_metrics(cfg: dict) -> dict:
 
     # random data pairs: sandwich and expectation gap on shared draws
     gen = streams.substream(_subseed(seed, "pairs"), streams.DATA, 1)
-    shifts = float(cfg["pair_scale"]) * _normals(gen, (num_pairs, 2, model.data_dim))
+    shifts = float(cfg["pair_scale"]) * streams.normals(gen, (num_pairs, 2, model.data_dim))
     lower_ok, upper_ok, gap_ok = [], [], []
     for j in range(num_pairs):
-        pa = _gauss_potentials(fwd, y0 + shifts[j, 0], sigma2)
-        pb = _gauss_potentials(fwd, y0 + shifts[j, 1], sigma2)
+        pa = phi.misfit(fwd, phi.y + shifts[j, 0])
+        pb = phi.misfit(fwd, phi.y + shifts[j, 1])
         dh = hellinger_from_potentials(pa, pb)
         tv = total_variation_from_potentials(pa, pb)
         points.append(_point(j, dh.value, dh.stderr, dh.method, dh.effort, "random_pair_hellinger"))
         points.append(_point(j, tv.value, tv.stderr, tv.method, tv.effort, "random_pair_tv"))
         lower_ok.append(dh.value**2 <= tv.value + 3.0 * (tv.stderr + 2.0 * dh.value * dh.stderr))
         upper_ok.append(tv.value <= math.sqrt(2.0) * dh.value + 3.0 * (tv.stderr + math.sqrt(2.0) * dh.stderr))
-        gap_ok.append(_gap_check_arrays(coeffs[:, 0], pa, pb, dh))
+        gap_ok.append(gap_check_from_potentials(coeffs[:, 0], pa, pb, dh).passed)
     del coeffs, fwd
 
     verdicts = {
@@ -718,21 +703,6 @@ def run_metrics(cfg: dict) -> dict:
 
 def _std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _gap_check_arrays(hv, pa, pb, dh) -> bool:
-    """Expectation-gap inequality on precomputed potentials, h given as
-    its per-sample values."""
-    sa, sb = np.exp(-pa), np.exp(-pb)
-    za, zb = float(np.sum(sa)), float(np.sum(sb))
-    ea = float(np.sum(sa * hv)) / za
-    eb = float(np.sum(sb * hv)) / zb
-    se_a = math.sqrt(float(np.sum((sa * (hv - ea)) ** 2))) / za
-    se_b = math.sqrt(float(np.sum((sb * (hv - eb)) ** 2))) / zb
-    h2 = float(np.sum(sa * hv * hv)) / za + float(np.sum(sb * hv * hv)) / zb
-    bound = 2.0 * math.sqrt(max(h2, 0.0)) * dh.value
-    slack = 3.0 * (se_a + se_b + 2.0 * math.sqrt(max(h2, 0.0)) * dh.stderr)
-    return abs(ea - eb) <= bound + slack
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +754,8 @@ def run_map_demo(cfg: dict) -> dict:
     for p, v in zip(cfg["truth_positions"], cfg["truth_values"]):
         truth[int(p)] = float(v)
     gen = streams.substream(seed, streams.DATA, 2)
-    A = _normals(gen, (rows, cols)) / math.sqrt(rows)
-    eta = _normals(streams.substream(seed, streams.DATA, 3), (rows,))
+    A = streams.normals(gen, (rows, cols)) / math.sqrt(rows)
+    eta = streams.normals(streams.substream(seed, streams.DATA, 3), (rows,))
     y = A @ truth + float(cfg["noise_sigma"]) * eta
 
     weights = [float(w) for w in cfg["weights"]]

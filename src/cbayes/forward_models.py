@@ -11,7 +11,6 @@ evaluation with no smoothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,6 @@ class LinearModel:
     """Explicit matrix acting on coefficient vectors (sequence windows)."""
 
     matrix: np.ndarray
-    kind = "linear"
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.matrix, dtype=float))
@@ -108,7 +106,6 @@ class DeconvolutionModel:
     observation_points: np.ndarray
     truncation: int
     basis: object = field(default_factory=FourierCircle)
-    kind = "deconvolution"
 
     def __post_init__(self):
         pts = np.asarray(self.observation_points, dtype=float)
@@ -169,12 +166,7 @@ class DeconvolutionModel:
 
 
 def _ball_points(dim: int, num: int, radius: float, gen, on_sphere: bool) -> np.ndarray:
-    u = gen.random((num, 2 * ((dim + 1) // 2)))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, ::2]))
-    z = np.empty((num, 2 * ((dim + 1) // 2)))
-    z[:, ::2] = r * np.cos(2.0 * math.pi * u[:, 1::2])
-    z[:, 1::2] = r * np.sin(2.0 * math.pi * u[:, 1::2])
-    z = z[:, :dim]
+    z = streams.normals(gen, (num, 2 * ((dim + 1) // 2)))[:, :dim]
     norms = np.maximum(np.sqrt(np.sum(z * z, axis=1)), np.finfo(float).tiny)
     dirs = z / norms[:, None]
     if on_sphere:

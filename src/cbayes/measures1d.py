@@ -19,6 +19,10 @@ Samplers consume uniforms from an explicit generator (see streams) and use
 exact transforms only: inverse CDF for Uniform, Exponential, Laplace and
 Logistic, a Box-Muller transform for Gaussian, a sum of exponentials for
 integer shape Gamma, and a rejection sampler for non-integer shapes.
+Gaussian.sample keeps the cosine half of each uniform pair only, one
+variate per pair, and the Gamma rejection sampler draws its normals
+through it; streams.normals is the pair-layout generator that uses both
+halves.
 """
 
 from __future__ import annotations
@@ -110,8 +114,6 @@ def reg_lower_gamma(k: float, x: float) -> float:
 class Distribution1D:
     """Base for the one-dimensional laws; subclasses are frozen values."""
 
-    kind: str = ""
-
     def density(self, x):
         raise NotImplementedError
 
@@ -137,7 +139,6 @@ class Distribution1D:
 class Gaussian(Distribution1D):
     m: float = 0.0
     sigma: float = 1.0
-    kind = "gaussian"
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -177,7 +178,6 @@ class Gaussian(Distribution1D):
 @dataclass(frozen=True)
 class Exponential(Distribution1D):
     lam: float = 1.0
-    kind = "exponential"
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -215,7 +215,6 @@ class Exponential(Distribution1D):
 class Laplace(Distribution1D):
     m: float = 0.0
     sigma: float = 1.0
-    kind = "laplace"
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -252,7 +251,6 @@ class Laplace(Distribution1D):
 class Logistic(Distribution1D):
     m: float = 0.0
     s: float = 1.0
-    kind = "logistic"
 
     def __post_init__(self):
         if not self.s > 0:
@@ -293,7 +291,6 @@ class Gamma(Distribution1D):
 
     k: float = 1.0
     lam: float = 1.0
-    kind = "gamma"
 
     def __post_init__(self):
         if not self.k >= 1:
@@ -364,8 +361,7 @@ def _gamma_reject(gen, k, n):
     filled = 0
     while filled < n:
         m = int((n - filled) * 1.4) + 16
-        u2 = gen.random((m, 2))
-        z = np.sqrt(-2.0 * np.log1p(-u2[:, 0])) * np.cos(2.0 * math.pi * u2[:, 1])
+        z = Gaussian().sample(gen, m)
         u = gen.random(m)
         v = (1.0 + c * z) ** 3
         ok = v > 0
@@ -383,7 +379,6 @@ def _gamma_reject(gen, k, n):
 class Uniform(Distribution1D):
     a: float = 0.0
     b: float = 1.0
-    kind = "uniform"
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -403,10 +398,6 @@ class Uniform(Distribution1D):
         x = np.asarray(x, dtype=float)
         res = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
         return _maybe_scalar(x, res)
-
-    def ppf(self, q):
-        q = np.asarray(q, dtype=float)
-        return _maybe_scalar(q, self.a + (self.b - self.a) * q)
 
     def sample(self, gen, size=None):
         n = 1 if size is None else int(size)

@@ -44,6 +44,7 @@ __all__ = [
     "total_variation_from_potentials",
     "GapCheckReport",
     "expectation_gap_check",
+    "gap_check_from_potentials",
     "ProbabilityReport",
     "weighted_probability",
     "posterior_mean",
@@ -305,8 +306,9 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     return MetricReport(min(value, 1.0), stderr, "prior_mc", n, clamped)
 
 
-def _snis(spec: PosteriorSpec, values: np.ndarray, weights: np.ndarray):
-    total = float(np.sum(weights))
+def _snis(values: np.ndarray, weights: np.ndarray, total: float):
+    """Self-normalized estimate of E values and its standard error, with
+    total the sum of the weights."""
     if total == 0.0:
         raise RuntimeError("effective sample size zero: every weight underflowed")
     est = float(np.sum(weights * values)) / total
@@ -333,28 +335,37 @@ def expectation_gap_check(
     """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H.
 
     Both expectations are self-normalized importance estimates over a
-    shared batch of prior draws; the slack term is three combined
-    standard errors, so a pass means the inequality holds up to Monte
-    Carlo resolution.
+    shared batch of prior draws, and d_H is estimated on the same batch;
+    see gap_check_from_potentials.
     """
     _same_reference(spec1, spec2)
     c = spec1.prior_samples(num_samples, seed)
     p1 = spec1.potential.evaluate_many(c)
     p2 = spec2.potential.evaluate_many(c)
-    s1, s2 = np.exp(-p1), np.exp(-p2)
     hv = np.asarray(h(c), dtype=float)
     if hv.shape != (num_samples,):
         raise ValueError("h must map the sample batch to one value per row")
+    return gap_check_from_potentials(hv, p1, p2, hellinger_from_potentials(p1, p2))
 
-    e1, se1 = _snis(spec1, hv, s1)
-    e2, se2 = _snis(spec2, hv, s2)
+
+def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh: MetricReport) -> GapCheckReport:
+    """Expectation-gap inequality on two potential arrays evaluated on one
+    shared batch of draws, h given by its value hv per draw and dh the
+    Hellinger estimate on the same batch.
+
+    The slack term is three combined standard errors, so a pass means
+    the inequality holds up to Monte Carlo resolution.
+    """
+    hv = np.asarray(hv, dtype=float)
+    s1, s2 = np.exp(-np.asarray(p1, dtype=float)), np.exp(-np.asarray(p2, dtype=float))
+    z1, z2 = float(np.sum(s1)), float(np.sum(s2))
+    e1, se1 = _snis(hv, s1, z1)
+    e2, se2 = _snis(hv, s2, z2)
+    hv2 = hv * hv
+    root = math.sqrt(max(float(np.sum(s1 * hv2)) / z1 + float(np.sum(s2 * hv2)) / z2, 0.0))
     gap = abs(e1 - e2)
-    h2_1, _ = _snis(spec1, hv * hv, s1)
-    h2_2, _ = _snis(spec2, hv * hv, s2)
-
-    dh = hellinger(spec1, spec2, method="prior_mc", effort=num_samples, seed=seed)
-    bound = 2.0 * math.sqrt(max(h2_1 + h2_2, 0.0)) * dh.value
-    slack = 3.0 * (se1 + se2 + 2.0 * math.sqrt(max(h2_1 + h2_2, 0.0)) * dh.stderr)
+    bound = 2.0 * root * dh.value
+    slack = 3.0 * (se1 + se2 + 2.0 * root * dh.stderr)
     return GapCheckReport(gap, bound, dh.value, slack, gap <= bound + slack)
 
 
@@ -382,8 +393,8 @@ def weighted_probability(
     c = spec.prior_samples(num_samples, seed)
     w = np.exp(-spec.potential.evaluate_many(c))
     inside = np.all((c >= lower[None, :]) & (c <= upper[None, :]), axis=1).astype(float)
-    est, se = _snis(spec, inside, w)
     total = float(np.sum(w))
+    est, se = _snis(inside, w, total)
     ess = total * total / float(np.sum(w * w))
     return ProbabilityReport(est, se, ess)
 
@@ -392,10 +403,11 @@ def posterior_mean(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0)
     """Self-normalized posterior mean of the coefficients, with stderrs."""
     c = spec.prior_samples(num_samples, seed)
     w = np.exp(-spec.potential.evaluate_many(c))
+    total = float(np.sum(w))
     means = np.empty(spec.dim)
     errs = np.empty(spec.dim)
     for j in range(spec.dim):
-        means[j], errs[j] = _snis(spec, c[:, j], w)
+        means[j], errs[j] = _snis(c[:, j], w, total)
     return means, errs
 
 
@@ -444,16 +456,9 @@ def rw_metropolis(
     cur = spec.prior_samples(1, seed)[0]
     lp_cur = log_target(cur)
 
-    npairs = (dim + 1) // 2
     gen_prop = streams.substream(seed, streams.CHAIN, 1)
-    gen_acc = streams.substream(seed, streams.CHAIN, 2)
-    u = gen_prop.random((num_steps, 2 * npairs))
-    radii = np.sqrt(-2.0 * np.log1p(-u[:, ::2]))
-    normals = np.empty_like(u)
-    normals[:, ::2] = radii * np.cos(2.0 * math.pi * u[:, 1::2])
-    normals[:, 1::2] = radii * np.sin(2.0 * math.pi * u[:, 1::2])
-    normals = normals[:, :dim]
-    u_acc = gen_acc.random(num_steps)
+    normals = streams.normals(gen_prop, (num_steps, 2 * ((dim + 1) // 2)))[:, :dim]
+    u_acc = streams.substream(seed, streams.CHAIN, 2).random(num_steps)
 
     kept = np.empty((num_steps - burn_in, dim))
     accepts_post = 0

@@ -70,8 +70,6 @@ class FourierCircle:
     index -j is sqrt(2)*sin(2*pi*j*t); all have unit L2 norm on [0, 1).
     """
 
-    kind = "fourier_circle"
-
     def window_indices(self, N: int) -> np.ndarray:
         if N < 1:
             raise ValueError("window level must be at least 1")
@@ -106,7 +104,6 @@ class AbstractOrthonormal:
 
     evaluate_fn: Callable
     domain: tuple = (0.0, 1.0)
-    kind = "abstract_orthonormal"
 
     def window_indices(self, N: int) -> np.ndarray:
         if N < 1:
@@ -244,8 +241,16 @@ class FieldSample:
     norm_l2: float = 0.0
 
 
-def _slot_generator(prior, seed, k, component):
-    return streams.substream(seed, streams.COEFFS, prior.basis.slot_uid(int(k)), component)
+def _slot_draws(prior: SeriesPrior, seed: int, k: int, n: int) -> np.ndarray:
+    """n unweighted coefficient draws for the signed index k.  The mode
+    (or IID) law reads component 0 of the slot's stream, the scale law of
+    a hierarchical prior component 1."""
+    uid = prior.basis.slot_uid(int(k))
+    if isinstance(prior.law, IID):
+        return prior.law.dist.sample(streams.substream(seed, streams.COEFFS, uid, 0), n)
+    xi = prior.law.mode_law.sample(streams.substream(seed, streams.COEFFS, uid, 0), n)
+    zeta = prior.law.scale_law.sample(streams.substream(seed, streams.COEFFS, uid, 1), n)
+    return zeta * xi
 
 
 def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int) -> np.ndarray:
@@ -261,13 +266,7 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     out = np.empty((num_samples, len(idx)))
     for pos, k in enumerate(idx):
-        if isinstance(prior.law, IID):
-            draws = prior.law.dist.sample(_slot_generator(prior, seed, k, 0), num_samples)
-        else:
-            xi = prior.law.mode_law.sample(_slot_generator(prior, seed, k, 0), num_samples)
-            zeta = prior.law.scale_law.sample(_slot_generator(prior, seed, k, 1), num_samples)
-            draws = zeta * xi
-        out[:, pos] = weights[pos] * draws
+        out[:, pos] = weights[pos] * _slot_draws(prior, seed, k, num_samples)
     return out
 
 
@@ -484,15 +483,7 @@ def marginal_convexity_test(
 
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     index_pos = {int(k): i for i, k in enumerate(prior.basis.window_indices(N))}
-    cols = {}
-    for k in needed:
-        if isinstance(prior.law, IID):
-            draws = prior.law.dist.sample(_slot_generator(prior, seed, k, 0), num_samples)
-        else:
-            xi = prior.law.mode_law.sample(_slot_generator(prior, seed, k, 0), num_samples)
-            zeta = prior.law.scale_law.sample(_slot_generator(prior, seed, k, 1), num_samples)
-            draws = zeta * xi
-        cols[k] = weights[index_pos[k]] * draws
+    cols = {k: weights[index_pos[k]] * _slot_draws(prior, seed, k, num_samples) for k in needed}
 
     pts = np.zeros((num_samples, dim))
     for j, f in enumerate(funcs):

@@ -6,9 +6,16 @@ Distinct paths give statistically independent streams, and a stream's
 output depends only on (seed, path), never on how many other streams
 were opened.  All variates are produced from uniform doubles through
 explicit transforms, so results are reproducible bit for bit.
+
+normals() is the one pair-layout normal generator: the suites' synthetic
+data and design matrices, the probes' ball points and the Metropolis
+proposals all draw through it.  Gaussian.sample keeps its own cosine-only
+transform (one variate per uniform pair).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,6 +35,16 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def uniforms(gen: np.random.Generator, size) -> np.ndarray:
-    """Uniform doubles in [0, 1) from an open stream."""
-    return gen.random(size)
+def normals(gen: np.random.Generator, shape) -> np.ndarray:
+    """Standard normal variates by Box-Muller in the pair layout: uniform
+    pair i gives variates 2i (cosine) and 2i+1 (sine) of the flattened
+    C-order output."""
+    shape = tuple(shape)
+    flat = math.prod(shape)
+    pairs = (flat + 1) // 2
+    u = gen.random((pairs, 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(2.0 * math.pi * u[:, 1])
+    z[1::2] = r * np.sin(2.0 * math.pi * u[:, 1])
+    return z[:flat].reshape(shape)

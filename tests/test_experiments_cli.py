@@ -261,9 +261,11 @@ def test_cli_map_matches_library(tmp_path):
 
 
 def test_console_script_installed():
-    proc = subprocess.run([sys.executable, "-m", "cbayes.cli"],
+    proc = subprocess.run([sys.executable, "-m", "cbayes.cli", "--help"],
                           capture_output=True, text=True)
-    # module invocation lacks a prog name guard; use --help through the script
+    assert proc.returncode == 0
+    assert "run" in proc.stdout and "sample-prior" in proc.stdout
+    # the entry point exists only after `pip install -e .`
     proc = subprocess.run(["cbayes", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "sample-prior" in proc.stdout

@@ -83,10 +83,37 @@ def test_gaussian_potential_polarization_identity():
 def test_gaussian_potential_data_swap():
     phi, A, _ = small_gaussian_potential()
     u = np.array([0.3, 0.3, -0.3])
-    y2 = np.array([1.5, 0.5])
-    assert phi.evaluate_with_data(u, y2) == pytest.approx(
-        phi.with_data(y2).evaluate(u), abs=1e-15
-    )
+    for y2 in ([1.5, 0.5], [-0.2, 7.0], [0.0, 0.0]):
+        assert phi.evaluate_with_data(u, y2) == phi.with_data(y2).evaluate(u)
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 4.0])
+def test_misfit_scalar_noise_matches_plain_formula(sigma2):
+    # the formula the verification suites used before they called misfit
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    gen = np.random.default_rng(5)
+    y = gen.normal(size=8)
+    phi = GaussianAdditive(model, sigma2, y)
+    fwd = model.apply_many(gen.normal(size=(500, model.dim)))
+    expected = 0.5 * np.sum((fwd - y) ** 2, axis=1) / sigma2
+    assert np.array_equal(phi.misfit(fwd, y), expected)
+
+
+def test_misfit_dense_covariance_matches_solve():
+    gen = np.random.default_rng(6)
+    B = gen.normal(size=(4, 4))
+    cov = B @ B.T + 0.5 * np.eye(4)
+    A = gen.normal(size=(4, 3))
+    y = gen.normal(size=4)
+    phi = GaussianAdditive(LinearModel(A), cov, y)
+    coeffs = gen.normal(size=(50, 3))
+    fwd = coeffs @ A.T
+    expected = [0.5 * r @ np.linalg.solve(cov, r) for r in fwd - y]
+    assert np.allclose(phi.misfit(fwd, y), expected, rtol=0.0, atol=1e-12)
+    assert np.allclose(phi.evaluate_many(coeffs), expected, rtol=0.0, atol=1e-12)
+    y2 = gen.normal(size=4)
+    r = A @ coeffs[0] - y2
+    assert phi.evaluate_with_data(coeffs[0], y2) == pytest.approx(0.5 * r @ np.linalg.solve(cov, r), abs=1e-12)
 
 
 def test_gaussian_potential_projection_masks_input():
@@ -108,6 +135,8 @@ def test_gaussian_potential_validation():
         GaussianAdditive(model, -1.0, [1.0, 2.0])
     with pytest.raises(ValueError):
         GaussianAdditive(model, np.array([[1.0, 0.5], [0.4, 1.0]]), [1.0, 2.0])
+    with pytest.raises(ValueError):
+        GaussianAdditive(model, 1.0, [1.0, 2.0]).evaluate_with_data([0.0, 0.0], [1.0])
 
 
 # ---------------------------------------------------------- multiplicative
@@ -157,6 +186,18 @@ def test_audit_gaussian_additive_clean():
     assert math.isfinite(rep.empirical_K_r)
     assert math.isfinite(rep.empirical_L_r)
     assert rep.empirical_C is not None
+
+
+def test_audit_gaussian_far_data_not_flagged_lower_bound():
+    # Phi >= 0; with data far from G(0) the halving sequence falls by more
+    # than 15 toward Phi(0), by drops that halve at each step
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    y = 10.0 * np.array([0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0])
+    phi = GaussianAdditive(model, 0.1, y)
+    for seed in range(20):
+        rep = assumption_audit(phi, r=1.0, num_samples=200, seed=seed)
+        assert rep.lower_bound_ok
+        assert rep.violations == ()
 
 
 def test_audit_gaussian_identity_lipschitz_bound():

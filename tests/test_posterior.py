@@ -31,6 +31,7 @@ from cbayes import (
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
     expectation_gap_check,
+    gap_check_from_potentials,
     hellinger_from_potentials,
     map_estimate_l1_cd,
     posterior_mean,
@@ -256,6 +257,17 @@ def test_expectation_gap_check_indicator_below_tv():
     assert rep.passed
     tv = total_variation(spec1, spec2, effort=50000, seed=2)
     assert rep.gap <= tv.value + 3 * tv.stderr
+
+
+def test_expectation_gap_check_matches_kernel_on_same_draws():
+    spec1, spec2 = series_pair(delta=0.3)
+    rep = expectation_gap_check(spec1, spec2, lambda c: c[:, 0], num_samples=20000, seed=4)
+    c = spec1.prior_samples(20000, 4)
+    p1 = spec1.potential.evaluate_many(c)
+    p2 = spec2.potential.evaluate_many(c)
+    dh = hellinger(spec1, spec2, effort=20000, seed=4)
+    assert gap_check_from_potentials(c[:, 0], p1, p2, dh) == rep
+    assert rep.hellinger == dh.value
 
 
 def test_expectation_gap_check_validates_h():

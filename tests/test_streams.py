@@ -1,6 +1,9 @@
-"""Counter-based substreams: determinism and path separation."""
+"""Counter-based substreams and the pair-layout normal generator."""
+
+import math
 
 import numpy as np
+import pytest
 
 from cbayes import streams
 
@@ -25,11 +28,35 @@ def test_substream_seed_separation():
     assert not np.array_equal(a, b)
 
 
-def test_uniforms_in_unit_interval():
-    gen = streams.substream(0, streams.PROBES, 0)
-    u = streams.uniforms(gen, 10000)
-    assert u.shape == (10000,)
-    assert np.all(u >= 0.0) and np.all(u < 1.0)
+def _ball_points_box_muller(gen, num, dim):
+    # the per-row transform forward_models._ball_points wrote out before
+    # it called streams.normals
+    u = gen.random((num, 2 * ((dim + 1) // 2)))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, ::2]))
+    z = np.empty((num, 2 * ((dim + 1) // 2)))
+    z[:, ::2] = r * np.cos(2.0 * math.pi * u[:, 1::2])
+    z[:, 1::2] = r * np.sin(2.0 * math.pi * u[:, 1::2])
+    return z[:, :dim]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_normals_per_row_layout_matches_written_out_box_muller(dim):
+    gen = streams.substream(5, streams.PROBES, 11)
+    got = streams.normals(gen, (257, 2 * ((dim + 1) // 2)))[:, :dim]
+    want = _ball_points_box_muller(streams.substream(5, streams.PROBES, 11), 257, dim)
+    assert got.shape == (257, dim)
+    assert np.array_equal(got, want)
+
+
+def test_normals_pair_layout_and_odd_count():
+    # pair i gives variates 2i and 2i+1; an odd count drops the last sine
+    full = streams.normals(streams.substream(0, streams.DATA, 0), (4, 3))
+    odd = streams.normals(streams.substream(0, streams.DATA, 0), (11,))
+    assert np.array_equal(full.ravel()[:11], odd)
+    u = streams.substream(0, streams.DATA, 0).random((6, 2))
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    assert np.array_equal(full.ravel()[0::2], r * np.cos(2.0 * math.pi * u[:, 1]))
+    assert np.array_equal(full.ravel()[1::2], r * np.sin(2.0 * math.pi * u[:, 1]))
 
 
 def test_domain_constants_distinct():
