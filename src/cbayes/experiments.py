@@ -69,6 +69,7 @@ from .series_prior import (
     FourierCircle,
     IID,
     SeriesPrior,
+    coefficient_chunks,
     marginal_convexity_test,
     sample_coefficients,
 )
@@ -319,9 +320,9 @@ def run_stability(cfg: dict) -> dict:
     N = model.truncation
 
     phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "stability"))
-    coeffs = sample_coefficients(prior, N, effort, seed)
-    fwd = model.apply_many(coeffs)
-    del coeffs
+    fwd = np.empty((effort, m))
+    for start, block in coefficient_chunks(prior, N, effort, seed):
+        fwd[start : start + len(block)] = model.apply_many(block)
     p0 = phi.misfit(fwd, phi.y)
 
     points = []
@@ -385,27 +386,29 @@ def _window_tail_norm(schedule_s: float, coeff_var: float, N: int, cutoff: int) 
 
 def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
     """Paired-seed d_H between the reference posterior and each window
-    truncation, sharing one batch of reference draws."""
+    truncation, sharing one batch of reference draws.
+
+    Each block of draws is pushed through the levels in increasing order,
+    adding only the slots a level brings to the forward sum, and only the
+    per-level potentials are kept.
+    """
     levels = sorted(set(int(n) for n in n_grid) | {int(n_ref)})
-    coeffs = sample_coefficients(prior, n_ref, effort, seed)
     design = model.design_matrix()
-    fwd = np.zeros((effort, model.data_dim))
-    snaps = {}
+    added = []
     prev_pos = np.array([], dtype=int)
     for N in levels:
         pos = model.window_positions(N)
-        added = np.setdiff1d(pos, prev_pos, assume_unique=True)
-        fwd += coeffs[:, added] @ design[:, added].T
-        snaps[N] = fwd.copy()
+        added.append(np.setdiff1d(pos, prev_pos, assume_unique=True))
         prev_pos = pos
-    del coeffs, fwd
     phi = GaussianAdditive(model, sigma2, y)
-    p_ref = phi.misfit(snaps[int(n_ref)], y)
-    out = []
-    for N in levels:
-        rep = hellinger_from_potentials(p_ref, phi.misfit(snaps[N], y))
-        out.append((N, rep))
-    return out
+    pots = np.empty((len(levels), effort))
+    for start, block in coefficient_chunks(prior, n_ref, effort, seed):
+        fwd = np.zeros((len(block), model.data_dim))
+        for i, cols in enumerate(added):
+            fwd += block[:, cols] @ design[:, cols].T
+            pots[i, start : start + len(block)] = phi.misfit(fwd, y)
+    p_ref = pots[levels.index(int(n_ref))]
+    return [(N, hellinger_from_potentials(p_ref, p)) for N, p in zip(levels, pots)]
 
 
 def run_consistency(cfg: dict) -> dict:
@@ -630,8 +633,11 @@ def run_metrics(cfg: dict) -> dict:
 
     # identical pair: weights cancel algebraically
     phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "metrics"))
-    coeffs = sample_coefficients(prior, model.truncation, effort, seed)
-    fwd = model.apply_many(coeffs)
+    fwd = np.empty((effort, model.data_dim))
+    hv = np.empty(effort)  # the test function of the expectation-gap check
+    for start, block in coefficient_chunks(prior, model.truncation, effort, seed):
+        fwd[start : start + len(block)] = model.apply_many(block)
+        hv[start : start + len(block)] = block[:, 0]
     p0 = phi.misfit(fwd, phi.y)
     same_h = hellinger_from_potentials(p0, p0)
     same_t = total_variation_from_potentials(p0, p0)
@@ -668,8 +674,8 @@ def run_metrics(cfg: dict) -> dict:
         points.append(_point(j, tv.value, tv.stderr, tv.method, tv.effort, "random_pair_tv"))
         lower_ok.append(dh.value**2 <= tv.value + 3.0 * (tv.stderr + 2.0 * dh.value * dh.stderr))
         upper_ok.append(tv.value <= math.sqrt(2.0) * dh.value + 3.0 * (tv.stderr + math.sqrt(2.0) * dh.stderr))
-        gap_ok.append(gap_check_from_potentials(coeffs[:, 0], pa, pb, dh).passed)
-    del coeffs, fwd
+        gap_ok.append(gap_check_from_potentials(hv, pa, pb, dh).passed)
+    del hv, fwd
 
     verdicts = {
         "identical_pair_exact": _verdict(

@@ -76,7 +76,7 @@ class GaussianAdditive:
             white = None
         else:
             G = np.asarray(self.noise, dtype=float)
-            if G.shape != (m, m) or not np.allclose(G, G.T, atol=1e-12):
+            if G.shape != (m, m) or np.max(np.abs(G - G.T)) > 1e-12 * np.max(np.abs(G)):
                 raise ValueError("noise covariance must be symmetric (m, m)")
             L = cholesky(G, lower=True)  # raises LinAlgError unless SPD
             s2, white = 1.0, solve_triangular(L, np.eye(m), lower=True)

@@ -22,6 +22,7 @@ estimates (proximal gradient, with a coordinate-descent cross-check).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -169,13 +170,23 @@ def _resolve_effort(method: str, effort: int | None) -> int:
     return 20000 if method == "prior_mc" else 200
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; the
+    eigensolve behind them runs once per node count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _quadrature_grid(spec: PosteriorSpec, nodes: int):
     laws = spec.coefficient_laws()
     if laws is None:
         raise ValueError("quadrature needs independent coordinate laws")
     if len(laws) > 2:
         raise ValueError("quadrature supports at most two coordinates")
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     axes = []
     for d in laws:
         a, b = quantile_interval(d, 1e-12, 1.0 - 1e-12)

@@ -9,6 +9,18 @@ are reproducible per index: each index draws from its own counter-based
 stream, so enlarging the window never changes the coefficients already
 present, and projection commutes with sampling exactly.
 
+Chunked sampling
+----------------
+coefficient_chunks yields the sample matrix a block of rows at a time,
+about 2^20 values per block.  Each slot opens its stream once and every
+block continues it, so the blocks stacked are bit-identical to one
+draw of all rows, whatever the block size: a slot's k-th draw is the
+same at every window level and every chunking.  This holds because
+every sampler reads a fixed number of uniforms per variate.  The one
+exception is Gamma with a non-integer shape, whose rejection sampler
+over-draws and discards; a slot with such a law draws its whole column
+at the first block and hands out slices of it.
+
 Enumeration contract
 --------------------
 Fourier indices are enumerated 0, 1, -1, 2, -2, ...  The truncation
@@ -30,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .measures1d import Distribution1D, abs_mean, second_moment
+from .measures1d import Distribution1D, Gamma, abs_mean, second_moment
 
 __all__ = [
     "FourierCircle",
@@ -45,6 +57,7 @@ __all__ = [
     "coefficient_weights",
     "sample_field",
     "sample_coefficients",
+    "coefficient_chunks",
     "project",
     "evaluate_field",
     "field_to_csv",
@@ -241,16 +254,63 @@ class FieldSample:
     norm_l2: float = 0.0
 
 
-def _slot_draws(prior: SeriesPrior, seed: int, k: int, n: int) -> np.ndarray:
-    """n unweighted coefficient draws for the signed index k.  The mode
-    (or IID) law reads component 0 of the slot's stream, the scale law of
-    a hierarchical prior component 1."""
+_CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
+
+
+def _law_dists(law) -> tuple:
+    """The slot's laws in stream-component order: the mode (or IID) law
+    reads component 0 of the slot's stream, a hierarchical scale law
+    component 1."""
+    return (law.dist,) if isinstance(law, IID) else (law.mode_law, law.scale_law)
+
+
+def _draws_continue(law) -> bool:
+    """Whether a slot stream continued call by call gives the draws of one
+    call.  True unless a law is Gamma with a non-integer shape, whose
+    rejection sampler reads a variable number of uniforms."""
+    return not any(isinstance(d, Gamma) and d.k != int(d.k) for d in _law_dists(law))
+
+
+def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
+    """The generators of the signed index k, one per law of the slot."""
     uid = prior.basis.slot_uid(int(k))
-    if isinstance(prior.law, IID):
-        return prior.law.dist.sample(streams.substream(seed, streams.COEFFS, uid, 0), n)
-    xi = prior.law.mode_law.sample(streams.substream(seed, streams.COEFFS, uid, 0), n)
-    zeta = prior.law.scale_law.sample(streams.substream(seed, streams.COEFFS, uid, 1), n)
+    return tuple(streams.substream(seed, streams.COEFFS, uid, c) for c in range(len(_law_dists(prior.law))))
+
+
+def _slot_draws(law, gens: tuple, n: int) -> np.ndarray:
+    """The next n unweighted coefficient draws of a slot whose generators
+    _slot_streams opened."""
+    if isinstance(law, IID):
+        return law.dist.sample(gens[0], n)
+    xi = law.mode_law.sample(gens[0], n)
+    zeta = law.scale_law.sample(gens[1], n)
     return zeta * xi
+
+
+def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
+    """Yield (start, block): rows start to start + len(block) of the
+    sample_coefficients matrix, as C-order (rows, window size) arrays of
+    max(1, _CHUNK_VALUES // window size) rows (fewer in the last block).
+
+    Stacked, the blocks equal sample_coefficients bit for bit; a caller
+    that reduces each block never holds the whole matrix.
+    """
+    if num_samples < 1:
+        raise ValueError("num_samples must be positive")
+    idx = prior.basis.window_indices(N)
+    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    slots = [_slot_streams(prior, seed, k) for k in idx]
+    whole = None
+    if not _draws_continue(prior.law):
+        whole = [_slot_draws(prior.law, gens, num_samples) for gens in slots]
+    rows = max(1, _CHUNK_VALUES // len(idx))
+    for start in range(0, num_samples, rows):
+        n = min(rows, num_samples - start)
+        block = np.empty((n, len(idx)))
+        for pos, gens in enumerate(slots):
+            draws = _slot_draws(prior.law, gens, n) if whole is None else whole[pos][start : start + n]
+            block[:, pos] = weights[pos] * draws
+        yield start, block
 
 
 def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int) -> np.ndarray:
@@ -260,13 +320,14 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
     window.  Each index has its own stream, so the first row equals the
     single sample for the same seed at any window level.
     """
-    if num_samples < 1:
-        raise ValueError("num_samples must be positive")
-    idx = prior.basis.window_indices(N)
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
-    out = np.empty((num_samples, len(idx)))
-    for pos, k in enumerate(idx):
-        out[:, pos] = weights[pos] * _slot_draws(prior, seed, k, num_samples)
+    chunks = coefficient_chunks(prior, N, num_samples, seed)
+    _, first = next(chunks)
+    if len(first) == num_samples:
+        return first
+    out = np.empty((num_samples, first.shape[1]))
+    out[: len(first)] = first
+    for start, block in chunks:
+        out[start : start + len(block)] = block
     return out
 
 
@@ -483,7 +544,10 @@ def marginal_convexity_test(
 
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     index_pos = {int(k): i for i, k in enumerate(prior.basis.window_indices(N))}
-    cols = {k: weights[index_pos[k]] * _slot_draws(prior, seed, k, num_samples) for k in needed}
+    cols = {
+        k: weights[index_pos[k]] * _slot_draws(prior.law, _slot_streams(prior, seed, k), num_samples)
+        for k in needed
+    }
 
     pts = np.zeros((num_samples, dim))
     for j, f in enumerate(funcs):

@@ -21,9 +21,8 @@ import numpy as np
 
 # Path-domain tags.  Keeping the first path component distinct per use
 # guarantees that, e.g., coefficient draws never collide with probe draws
-# made under the same user seed.
+# made under the same user seed.  Tag 1 is not used.
 COEFFS = 0
-SCALES = 1
 PROBES = 2
 CHAIN = 3
 DATA = 4

@@ -9,6 +9,7 @@ test runner; one subprocess test covers the installed console script.
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from cbayes import (
     run_experiment,
 )
 from cbayes.cli import main
-from cbayes.experiments import all_verdicts_pass, report_points_csv
+from cbayes.config import model_from_json, prior_from_json
+from cbayes.experiments import _synthetic_data, _truncation_distances, all_verdicts_pass, report_points_csv
 
 REPORT_CACHE = {}
 
@@ -120,6 +122,23 @@ def test_consistency_report_details():
     vals = [p["value"] for p in report["points"] if p["label"] == "laplace"]
     assert vals[0] > 10 * vals[-1]
     assert report["verdicts"]["hierarchical_monotone"]["passed"]
+
+
+def test_truncation_distances_never_hold_the_coefficient_matrix():
+    cfg = default_config("consistency")
+    prior, model = prior_from_json(cfg["prior"]), model_from_json(cfg["model"])
+    y = _synthetic_data(prior, model, 4.0, 0, "consistency")
+    effort, n_ref = 20000, 128
+    tracemalloc.start()
+    try:
+        pairs = _truncation_distances(prior, model, 4.0, y, cfg["n_grid"], n_ref, effort, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [N for N, _ in pairs] == [2, 4, 8, 16, 32, 128]
+    assert pairs[-1][1].value == 0.0
+    # one (effort, 2 * n_ref) coefficient matrix is 39 MB
+    assert peak < effort * 2 * n_ref * 8
 
 
 def test_audit_report_details():

@@ -116,6 +116,16 @@ def test_misfit_dense_covariance_matches_solve():
     assert phi.evaluate_with_data(coeffs[0], y2) == pytest.approx(0.5 * r @ np.linalg.solve(cov, r), abs=1e-12)
 
 
+def test_dense_covariance_must_be_symmetric_to_relative_1e12():
+    model = LinearModel(np.eye(2))
+    # within numpy's default allclose rtol, but not symmetric
+    with pytest.raises(ValueError):
+        GaussianAdditive(model, np.array([[1.0, 0.5], [0.500004, 1.0]]), [0.0, 0.0])
+    scale = 1e6
+    near = scale * np.array([[1.0, 0.5], [0.5 * (1.0 + 1e-14), 1.0]])
+    assert GaussianAdditive(model, near, [0.0, 0.0]).evaluate([1.0, -1.0]) > 0.0
+
+
 def test_gaussian_potential_projection_masks_input():
     model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(4), 4)
     y = np.array([0.1, 0.2, -0.1, 0.0])

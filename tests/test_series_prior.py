@@ -23,7 +23,8 @@ from cbayes import (
     sample_coefficients,
     sample_field,
 )
-from cbayes.measures1d import Gamma, Gaussian, Laplace
+from cbayes import streams
+from cbayes.measures1d import Exponential, Gamma, Gaussian, Laplace, Logistic, Uniform
 from cbayes.series_prior import (
     AbstractOrthonormal,
     AlgebraicFourier,
@@ -32,6 +33,7 @@ from cbayes.series_prior import (
     FourierCircle,
     Hierarchical,
     IID,
+    coefficient_chunks,
     coefficient_weights,
     field_to_csv,
     orthonormality_probe,
@@ -163,6 +165,75 @@ def test_sample_coefficients_first_row_matches_single_draw():
     assert np.array_equal(mat[0], sample_field(p, 6, seed=2).coefficients)
     with pytest.raises(ValueError):
         sample_coefficients(p, 6, 0, seed=2)
+
+
+# ------------------------------------------------------------ chunked draws
+
+CHUNK_LAWS = {
+    "laplace": IID(Laplace(0.0, 1.0)),
+    "gaussian": IID(Gaussian(0.0, 1.0)),
+    "exponential": IID(Exponential(1.0)),
+    "logistic": IID(Logistic(0.0, 1.0)),
+    "uniform": IID(Uniform(0.0, 1.0)),
+    "gamma2": IID(Gamma(2.0, 1.0)),
+    "gamma2_x_gaussian": Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0)),
+    # rejection sampling over-draws: only a whole-column draw matches
+    "gamma2.5_x_gaussian": Hierarchical(Gamma(2.5, 1.0), Gaussian(0.0, 1.0)),
+}
+
+
+def column_loop(prior, N, num_samples, seed):
+    """One-shot oracle: each slot's whole column from freshly opened
+    streams, one sample call per law."""
+    idx = prior.basis.window_indices(N)
+    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    out = np.empty((num_samples, len(idx)))
+    for pos, k in enumerate(idx):
+        uid = prior.basis.slot_uid(int(k))
+        gen = streams.substream(seed, streams.COEFFS, uid, 0)
+        if isinstance(prior.law, IID):
+            draws = prior.law.dist.sample(gen, num_samples)
+        else:
+            xi = prior.law.mode_law.sample(gen, num_samples)
+            draws = prior.law.scale_law.sample(streams.substream(seed, streams.COEFFS, uid, 1), num_samples) * xi
+        out[:, pos] = weights[pos] * draws
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_LAWS))
+def test_chunked_draws_equal_one_shot_columns(name):
+    p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
+    n = 10000  # 4096 rows per block at N=128: three blocks
+    assert len(list(coefficient_chunks(p, 128, n, seed=9))) >= 3
+    assert np.array_equal(sample_coefficients(p, 128, n, seed=9), column_loop(p, 128, n, 9))
+
+
+@pytest.mark.parametrize("prior", [laplace_prior(), hierarchical_prior()], ids=["laplace", "hierarchical"])
+def test_coefficient_chunks_stack_to_sample_coefficients(prior):
+    blocks = list(coefficient_chunks(prior, 64, 9000, seed=4))
+    assert [start for start, _ in blocks] == [0, 8192]
+    for _, block in blocks:
+        assert block.flags.c_contiguous and block.shape[1] == 128
+    stacked = np.concatenate([block for _, block in blocks])
+    assert np.array_equal(stacked, sample_coefficients(prior, 64, 9000, seed=4))
+
+
+def test_single_block_is_returned_whole():
+    p = laplace_prior()
+    (start, block), = coefficient_chunks(p, 8, 20000, seed=1)
+    assert start == 0 and block.shape == (20000, 16)
+    assert np.array_equal(block, sample_coefficients(p, 8, 20000, seed=1))
+
+
+@pytest.mark.parametrize("prior", [laplace_prior(), hierarchical_prior()], ids=["laplace", "hierarchical"])
+def test_projection_commutes_across_chunk_boundaries(prior):
+    # one block of 10000 rows at N=4, three blocks of up to 4096 at M=128
+    small, big = 4, 128
+    coarse = sample_coefficients(prior, small, 10000, seed=6)
+    fine = sample_coefficients(prior, big, 10000, seed=6)
+    pos = {int(k): i for i, k in enumerate(BASIS.window_indices(big))}
+    take = [pos[int(k)] for k in BASIS.window_indices(small)]
+    assert np.array_equal(coarse, fine[:, take])
 
 
 def test_dilation_scales_samples_linearly():
