@@ -14,7 +14,6 @@ from .measures1d import (
     Logistic,
     Uniform,
     check_log_concavity,
-    interval_convexity,
     interval_probability,
 )
 from .series_prior import (
@@ -45,7 +44,6 @@ from .likelihood import (
     GaussianAdditive,
     MultiplicativeUniform,
     assumption_audit,
-    potential_gap,
 )
 from .posterior import (
     PosteriorSpec,
@@ -69,7 +67,6 @@ __all__ = [
     "Gamma",
     "Uniform",
     "check_log_concavity",
-    "interval_convexity",
     "interval_probability",
     "FourierCircle",
     "AlgebraicFourier",
@@ -94,7 +91,6 @@ __all__ = [
     "MultiplicativeUniform",
     "CustomPotential",
     "assumption_audit",
-    "potential_gap",
     "ProductPrior",
     "PosteriorSpec",
     "normalization",

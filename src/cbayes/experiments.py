@@ -7,7 +7,8 @@ Six suites verify the well-posedness claims numerically:
   consistency  d_H between the reference posterior and its window
                truncations decays at the projection rate, cross-checked
                against a deterministic tail-sum oracle; hierarchical
-               priors are checked for monotone decay only.
+               priors are checked for monotone decay only, and both
+               priors pass the admissibility check of the prior recipe.
   convexity    the interval convexity inequality on 1-D and 2-D marginals
                of every coefficient family, with closed-form oracles for
                the strict and equality Laplace cases, plus a reweighted
@@ -69,6 +70,7 @@ from .series_prior import (
     FourierCircle,
     IID,
     SeriesPrior,
+    admissibility_check,
     coefficient_chunks,
     marginal_convexity_test,
     sample_coefficients,
@@ -467,6 +469,9 @@ def run_consistency(cfg: dict) -> dict:
         for (a_val, a_se), (b_val, b_se) in zip(hier_vals[:-1], hier_vals[1:])
     )
 
+    # weights square-summable (p = 1) and Var|xi| bounded (q = inf)
+    admissible = [admissibility_check(pr, 1.0, math.inf, 4096) for pr in (prior, hier)]
+
     fits = {
         "slope": slope,
         "slope_stderr": slope_se,
@@ -485,6 +490,12 @@ def run_consistency(cfg: dict) -> dict:
         ),
         "hierarchical_monotone": _verdict(
             monotone, [v for v, _ in hier_vals], "nonincreasing within 3 combined stderr"
+        ),
+        "priors_admissible": _verdict(
+            all(r.passed for r in admissible),
+            [v for r in admissible for v in (r.gamma_partial_lp, r.var_partial_lq)],
+            "laplace and hierarchical: sum of gamma_k^2 over 4096 terms moves < 1e-6 relatively"
+            " in its last doubling, and Var|xi| is finite",
         ),
     }
     return _report("consistency", cfg, points, fits, verdicts)

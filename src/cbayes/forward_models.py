@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import streams
 from .series_prior import FourierCircle
 
 __all__ = [
@@ -23,8 +22,6 @@ __all__ = [
     "DeconvolutionModel",
     "AlgebraicMultipliers",
     "equispaced_points",
-    "lipschitz_probe",
-    "bound_probe",
 ]
 
 
@@ -84,14 +81,8 @@ class LinearModel:
             raise ValueError(f"expected (n, {self.dim}) coefficients")
         return coeffs @ self.matrix.T
 
-    def truncated(self, M: int) -> "LinearModel":
-        return LinearModel(self.matrix[:, self.window_positions(M)])
-
     def design_matrix(self) -> np.ndarray:
         return self.matrix.copy()
-
-    def operator_bound(self) -> float:
-        return float(np.linalg.norm(self.matrix, "fro"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,55 +143,6 @@ class DeconvolutionModel:
             raise ValueError(f"expected (n, {self.dim}) coefficients")
         return coeffs @ self._design.T
 
-    def truncated(self, M: int) -> "DeconvolutionModel":
-        take = self.window_positions(M)
-        return DeconvolutionModel(self._mult[take], self.observation_points, M, self.basis)
-
     def design_matrix(self) -> np.ndarray:
         """Dense (data_dim, dim) matrix realizing the model on the window."""
         return self._design.copy()
-
-    def operator_bound(self) -> float:
-        """Closed-form Lipschitz bound, the Frobenius norm of the design."""
-        return float(np.linalg.norm(self._design, "fro"))
-
-
-def _ball_points(dim: int, num: int, radius: float, gen, on_sphere: bool) -> np.ndarray:
-    z = streams.normals(gen, (num, 2 * ((dim + 1) // 2)))[:, :dim]
-    norms = np.maximum(np.sqrt(np.sum(z * z, axis=1)), np.finfo(float).tiny)
-    dirs = z / norms[:, None]
-    if on_sphere:
-        return radius * dirs
-    radii = radius * gen.random(num) ** (1.0 / dim)
-    return radii[:, None] * dirs
-
-
-def lipschitz_probe(model, r: float, num_pairs: int, seed: int) -> float:
-    """Largest observed ||G(u1) - G(u2)|| / ||u1 - u2|| over random pairs in
-    the ball of radius r.  Never exceeds the model's operator_bound()."""
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be positive")
-    gen = streams.substream(seed, streams.PROBES, 0)
-    pts = _ball_points(model.dim, 2 * num_pairs, r, gen, on_sphere=False)
-    u1, u2 = pts[:num_pairs], pts[num_pairs:]
-    du = u1 - u2
-    norms = np.sqrt(np.sum(du * du, axis=1))
-    keep = norms > 0
-    dg = model.apply_many(u1[keep]) - model.apply_many(u2[keep])
-    ratios = np.sqrt(np.sum(dg * dg, axis=1)) / norms[keep]
-    return float(np.max(ratios))
-
-
-def bound_probe(model, eps: float, num_samples: int, seed: int, radius: float = 1.0, on_sphere: bool = True) -> float:
-    """Largest observed log||G(u)|| - eps*||u|| over random inputs of norm
-    radius (or inside the ball when on_sphere is false)."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be positive")
-    gen = streams.substream(seed, streams.PROBES, 1)
-    pts = _ball_points(model.dim, num_samples, radius, gen, on_sphere=on_sphere)
-    g = model.apply_many(pts)
-    gn = np.sqrt(np.sum(g * g, axis=1))
-    un = np.sqrt(np.sum(pts * pts, axis=1))
-    with np.errstate(divide="ignore"):
-        vals = np.log(gn) - eps * un
-    return float(np.max(vals))

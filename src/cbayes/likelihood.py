@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg import cholesky, solve_triangular
 
 from . import streams
-from .forward_models import _ball_points
 
 __all__ = [
     "GaussianAdditive",
@@ -40,8 +39,6 @@ __all__ = [
     "CustomPotential",
     "AuditReport",
     "assumption_audit",
-    "GapReport",
-    "potential_gap",
 ]
 
 
@@ -96,12 +93,6 @@ class GaussianAdditive:
     @property
     def data_dim(self) -> int:
         return self.model.data_dim
-
-    def with_projection(self, N: int | None) -> "GaussianAdditive":
-        return GaussianAdditive(self.model, self.noise, self.y, N)
-
-    def with_data(self, y) -> "GaussianAdditive":
-        return GaussianAdditive(self.model, self.noise, y, self.proj_level)
 
     def misfit(self, fwd, y) -> np.ndarray:
         """0.5 * ||L^-1 (fwd - y)||^2 along the last axis of the forward
@@ -181,6 +172,16 @@ class CustomPotential:
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(coeffs), dtype=float)
         return np.asarray([self.fn(c) for c in coeffs], dtype=float)
+
+
+def _ball_points(dim: int, num: int, radius: float, gen, on_sphere: bool) -> np.ndarray:
+    z = streams.normals(gen, (num, 2 * ((dim + 1) // 2)))[:, :dim]
+    norms = np.maximum(np.sqrt(np.sum(z * z, axis=1)), np.finfo(float).tiny)
+    dirs = z / norms[:, None]
+    if on_sphere:
+        return radius * dirs
+    radii = radius * gen.random(num) ** (1.0 / dim)
+    return radii[:, None] * dirs
 
 
 @dataclass(frozen=True)
@@ -276,31 +277,3 @@ def assumption_audit(phi, r: float, num_samples: int, seed: int) -> AuditReport:
         empirical_C = float(np.max(log_ratios)) if log_ratios else None
 
     return AuditReport(lower_ok, empirical_M, empirical_K, empirical_L, empirical_C, tuple(violations))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    gap: float
-    tail_norm: float
-    certificate_ratio: float
-
-
-def potential_gap(phi, N: int, coeffs, eps: float = 0.01) -> GapReport:
-    """Gap |Phi(u) - Phi(P_N u)| with its growth certificate.
-
-    The certificate divides the gap by exp(eps*||u||) * ||u - P_N u||;
-    bounded ratios over a sweep of samples are the numerical trace of the
-    gap being controlled by the projection error times an exponential of
-    the norm.  A zero projection error forces a zero gap, reported with
-    ratio 0.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    mask = np.zeros(phi.dim)
-    mask[phi.model.window_positions(N)] = 1.0
-    proj = coeffs * mask
-    gap = abs(phi.evaluate(coeffs) - phi.evaluate(proj))
-    tail = float(np.linalg.norm(coeffs - proj))
-    if tail == 0.0:
-        return GapReport(0.0, 0.0, 0.0)
-    norm = float(np.linalg.norm(coeffs))
-    return GapReport(gap, tail, gap / (math.exp(eps * norm) * tail))

@@ -12,8 +12,9 @@ intervals A, B and lam in [0, 1],
 
 where the left side uses the Minkowski combination of intervals.  The
 module provides densities, log densities, CDFs, exact samplers driven by
-uniform streams, a grid-based log-concavity checker, and the interval
-convexity inequality itself.
+uniform streams, a grid-based log-concavity checker, and interval masses
+from CDF differences, on which the convexity suite's closed-form oracles
+are computed.
 
 Samplers consume uniforms from an explicit generator (see streams) and use
 exact transforms only: inverse CDF for Uniform, Exponential, Laplace and
@@ -43,11 +44,9 @@ __all__ = [
     "LogConcavityReport",
     "check_log_concavity",
     "interval_probability",
-    "interval_convexity",
     "quantile_interval",
     "abs_mean",
     "second_moment",
-    "reg_lower_gamma",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -64,51 +63,6 @@ def _softplus(t):
     t = np.asarray(t, dtype=float)
     out = np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
     return out
-
-
-def reg_lower_gamma(k: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(k, x) to about 1e-12.
-
-    Series expansion for x < k + 1, Lentz continued fraction for the
-    complement otherwise.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    lg = math.lgamma(k)
-    if x < k + 1.0:
-        ap = k
-        term = 1.0 / k
-        total = term
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return min(1.0, total * math.exp(-x + k * math.log(x) - lg))
-    tiny = 1e-300
-    b = x + 1.0 - k
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - k)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(-x + k * math.log(x) - lg) * h
-    return max(0.0, 1.0 - q)
 
 
 class Distribution1D:
@@ -330,11 +284,10 @@ class Gamma(Distribution1D):
         return _maybe_scalar(x, res)
 
     def cdf(self, x):
+        from scipy.special import gammainc
+
         x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x)
-        out = np.array([reg_lower_gamma(self.k, xi / self.lam) if xi > 0 else 0.0 for xi in flat])
-        res = out.reshape(np.shape(x)) if np.ndim(x) else out[0]
-        return _maybe_scalar(x, res)
+        return _maybe_scalar(x, gammainc(self.k, np.maximum(x, 0.0) / self.lam))
 
     def sample(self, gen, size=None):
         n = 1 if size is None else int(size)
@@ -460,25 +413,6 @@ def interval_probability(d: Distribution1D, lo: float, hi: float) -> float:
     if hi < lo:
         raise ValueError("interval endpoints out of order")
     return float(d.cdf(hi)) - float(d.cdf(lo))
-
-
-def interval_convexity(d: Distribution1D, box_a, box_b, lam: float):
-    """Evaluate both sides of the convexity inequality on intervals.
-
-    Returns (lhs, rhs) with lhs the mass of lam*A + (1-lam)*B and rhs the
-    geometric mean mu(A)^lam * mu(B)^(1-lam).  For a convex measure
-    lhs >= rhs.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    (a1, a2), (b1, b2) = box_a, box_b
-    if a2 < a1 or b2 < b1:
-        raise ValueError("interval endpoints out of order")
-    c1 = lam * a1 + (1.0 - lam) * b1
-    c2 = lam * a2 + (1.0 - lam) * b2
-    lhs = interval_probability(d, c1, c2)
-    rhs = interval_probability(d, a1, a2) ** lam * interval_probability(d, b1, b2) ** (1.0 - lam)
-    return lhs, rhs
 
 
 def quantile_interval(d: Distribution1D, p_lo: float = 1e-12, p_hi: float = 1.0 - 1e-12):

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "total_variation",
     "total_variation_from_potentials",
     "GapCheckReport",
-    "expectation_gap_check",
     "gap_check_from_potentials",
     "ProbabilityReport",
     "weighted_probability",
@@ -132,6 +130,27 @@ def _same_reference(spec1: PosteriorSpec, spec2: PosteriorSpec):
         raise ValueError("both posteriors must share the same prior and window")
 
 
+_UNDERFLOW = "effective sample size zero: every weight underflowed"
+
+
+def _weights(p) -> tuple:
+    """Weights w = exp(-p) and their total; refuses a sample whose
+    weights all underflow."""
+    w = np.exp(-np.asarray(p, dtype=float))
+    total = float(np.sum(w))
+    if total == 0.0:
+        raise RuntimeError(_UNDERFLOW)
+    return w, total
+
+
+def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
+    """Prior draws c, their weights exp(-Phi(c)), the weight total, and the
+    effective sample size (sum w)^2 / sum w^2."""
+    c = spec.prior_samples(num_samples, seed)
+    w, total = _weights(spec.potential.evaluate_many(c))
+    return c, w, total, total * total / float(np.sum(w * w))
+
+
 @dataclass(frozen=True)
 class NormalizationReport:
     value: float
@@ -144,15 +163,9 @@ def normalization(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0) 
     """Monte Carlo normalization constant E_prior exp(-Phi)."""
     if num_samples < 1000:
         raise ValueError("num_samples must be at least 1000")
-    c = spec.prior_samples(num_samples, seed)
-    w = np.exp(-spec.potential.evaluate_many(c))
-    total = float(np.sum(w))
-    if total == 0.0:
-        raise RuntimeError("effective sample size zero: every weight underflowed")
-    value = total / num_samples
+    _, w, total, ess = _weighted_draws(spec, num_samples, seed)
     stderr = float(np.std(w, ddof=1) / math.sqrt(num_samples))
-    ess = total * total / float(np.sum(w * w))
-    return NormalizationReport(value, stderr, ess, num_samples)
+    return NormalizationReport(total / num_samples, stderr, ess, num_samples)
 
 
 @dataclass(frozen=True)
@@ -205,6 +218,33 @@ def _quadrature_grid(spec: PosteriorSpec, nodes: int):
     return points, weights
 
 
+def _paired_potentials(spec1: PosteriorSpec, spec2: PosteriorSpec, method: str, effort: int | None, seed: int):
+    """Front half of hellinger and total_variation: the shared-reference
+    and method checks, the effort default, and both potentials on one
+    batch of prior draws or on the quadrature grid.
+
+    Returns (p1, p2, grid, effort).  grid is None on prior draws; on the
+    quadrature grid it is (node weights, exp(-p1), exp(-p2), Z1, Z2), and a
+    posterior whose weights all underflow is refused as on prior draws.
+    """
+    _same_reference(spec1, spec2)
+    if method not in ("prior_mc", "quadrature"):
+        raise ValueError("method must be 'prior_mc' or 'quadrature'")
+    effort = _resolve_effort(method, effort)
+    if method == "prior_mc":
+        c = spec1.prior_samples(effort, seed)
+        return spec1.potential.evaluate_many(c), spec2.potential.evaluate_many(c), None, effort
+    points, weights = _quadrature_grid(spec1, effort)
+    p1 = spec1.potential.evaluate_many(points)
+    p2 = spec2.potential.evaluate_many(points)
+    s1, s2 = np.exp(-p1), np.exp(-p2)
+    Z1 = float(np.sum(weights * s1))
+    Z2 = float(np.sum(weights * s2))
+    if Z1 == 0.0 or Z2 == 0.0:
+        raise RuntimeError(_UNDERFLOW)
+    return p1, p2, (weights, s1, s2, Z1, Z2), effort
+
+
 def hellinger(
     spec1: PosteriorSpec,
     spec2: PosteriorSpec,
@@ -213,26 +253,13 @@ def hellinger(
     seed: int = 0,
 ) -> MetricReport:
     """Hellinger distance between two posteriors over a common prior."""
-    _same_reference(spec1, spec2)
-    if method not in ("prior_mc", "quadrature"):
-        raise ValueError("method must be 'prior_mc' or 'quadrature'")
-    effort = _resolve_effort(method, effort)
-
-    if method == "quadrature":
-        points, weights = _quadrature_grid(spec1, effort)
-        p1 = spec1.potential.evaluate_many(points)
-        p2 = spec2.potential.evaluate_many(points)
-        s1, s2 = np.exp(-p1), np.exp(-p2)
-        Z1 = float(np.sum(weights * s1))
-        Z2 = float(np.sum(weights * s2))
-        T = float(np.sum(weights * np.sqrt(s1 * s2)))
-        raw = 1.0 - T / math.sqrt(Z1 * Z2)
-        return MetricReport(math.sqrt(max(raw, 0.0)), 0.0, method, effort, raw < 0)
-
-    c = spec1.prior_samples(effort, seed)
-    p1 = spec1.potential.evaluate_many(c)
-    p2 = spec2.potential.evaluate_many(c)
-    return hellinger_from_potentials(p1, p2)
+    p1, p2, grid, effort = _paired_potentials(spec1, spec2, method, effort, seed)
+    if grid is None:
+        return hellinger_from_potentials(p1, p2)
+    weights, s1, s2, Z1, Z2 = grid
+    T = float(np.sum(weights * np.sqrt(s1 * s2)))
+    raw = 1.0 - T / math.sqrt(Z1 * Z2)
+    return MetricReport(math.sqrt(max(raw, 0.0)), 0.0, method, effort, raw < 0)
 
 
 def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
@@ -251,7 +278,7 @@ def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
         sT = np.exp(-0.5 * (p1 + p2))
     Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
     if Z1 == 0.0 or Z2 == 0.0:
-        raise RuntimeError("effective sample size zero: every weight underflowed")
+        raise RuntimeError(_UNDERFLOW)
     g = T / math.sqrt(Z1 * Z2)
     raw = 1.0 - g
     clamped = raw < 0
@@ -273,24 +300,12 @@ def total_variation(
     seed: int = 0,
 ) -> MetricReport:
     """Total variation distance sup_A |mu1(A) - mu2(A)|."""
-    _same_reference(spec1, spec2)
-    if method not in ("prior_mc", "quadrature"):
-        raise ValueError("method must be 'prior_mc' or 'quadrature'")
-    effort = _resolve_effort(method, effort)
-
-    if method == "quadrature":
-        points, weights = _quadrature_grid(spec1, effort)
-        s1 = np.exp(-spec1.potential.evaluate_many(points))
-        s2 = np.exp(-spec2.potential.evaluate_many(points))
-        Z1 = float(np.sum(weights * s1))
-        Z2 = float(np.sum(weights * s2))
-        value = 0.5 * float(np.sum(weights * np.abs(s1 / Z1 - s2 / Z2)))
-        return MetricReport(min(value, 1.0), 0.0, method, effort, value > 1.0)
-
-    c = spec1.prior_samples(effort, seed)
-    p1 = spec1.potential.evaluate_many(c)
-    p2 = spec2.potential.evaluate_many(c)
-    return total_variation_from_potentials(p1, p2)
+    p1, p2, grid, effort = _paired_potentials(spec1, spec2, method, effort, seed)
+    if grid is None:
+        return total_variation_from_potentials(p1, p2)
+    weights, s1, s2, Z1, Z2 = grid
+    value = 0.5 * float(np.sum(weights * np.abs(s1 / Z1 - s2 / Z2)))
+    return MetricReport(min(value, 1.0), 0.0, method, effort, value > 1.0)
 
 
 def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
@@ -304,7 +319,7 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     s1, s2 = np.exp(-p1), np.exp(-p2)
     Z1, Z2 = float(np.mean(s1)), float(np.mean(s2))
     if Z1 == 0.0 or Z2 == 0.0:
-        raise RuntimeError("effective sample size zero: every weight underflowed")
+        raise RuntimeError(_UNDERFLOW)
     diff = s1 / Z1 - s2 / Z2
     value = 0.5 * float(np.mean(np.abs(diff)))
     # influence function of the statistic, normalizers held as sample means
@@ -319,9 +334,7 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
 
 def _snis(values: np.ndarray, weights: np.ndarray, total: float):
     """Self-normalized estimate of E values and its standard error, with
-    total the sum of the weights."""
-    if total == 0.0:
-        raise RuntimeError("effective sample size zero: every weight underflowed")
+    total the (nonzero) sum of the weights."""
     est = float(np.sum(weights * values)) / total
     se = math.sqrt(float(np.sum((weights * (values - est)) ** 2))) / total
     return est, se
@@ -336,40 +349,18 @@ class GapCheckReport:
     passed: bool
 
 
-def expectation_gap_check(
-    spec1: PosteriorSpec,
-    spec2: PosteriorSpec,
-    h: Callable,
-    num_samples: int = 20000,
-    seed: int = 0,
-) -> GapCheckReport:
-    """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H.
-
-    Both expectations are self-normalized importance estimates over a
-    shared batch of prior draws, and d_H is estimated on the same batch;
-    see gap_check_from_potentials.
-    """
-    _same_reference(spec1, spec2)
-    c = spec1.prior_samples(num_samples, seed)
-    p1 = spec1.potential.evaluate_many(c)
-    p2 = spec2.potential.evaluate_many(c)
-    hv = np.asarray(h(c), dtype=float)
-    if hv.shape != (num_samples,):
-        raise ValueError("h must map the sample batch to one value per row")
-    return gap_check_from_potentials(hv, p1, p2, hellinger_from_potentials(p1, p2))
-
-
 def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh: MetricReport) -> GapCheckReport:
-    """Expectation-gap inequality on two potential arrays evaluated on one
-    shared batch of draws, h given by its value hv per draw and dh the
-    Hellinger estimate on the same batch.
+    """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H on two potential
+    arrays evaluated on one shared batch of draws, h given by its value hv
+    per draw and dh the Hellinger estimate on the same batch.
 
-    The slack term is three combined standard errors, so a pass means
-    the inequality holds up to Monte Carlo resolution.
+    Both expectations are self-normalized importance estimates.  The slack
+    term is three combined standard errors, so a pass means the inequality
+    holds up to Monte Carlo resolution.
     """
     hv = np.asarray(hv, dtype=float)
-    s1, s2 = np.exp(-np.asarray(p1, dtype=float)), np.exp(-np.asarray(p2, dtype=float))
-    z1, z2 = float(np.sum(s1)), float(np.sum(s2))
+    s1, z1 = _weights(p1)
+    s2, z2 = _weights(p2)
     e1, se1 = _snis(hv, s1, z1)
     e2, se2 = _snis(hv, s2, z2)
     hv2 = hv * hv
@@ -401,20 +392,15 @@ def weighted_probability(
         raise ValueError("box bounds must match the window dimension")
     if np.any(lower > upper):
         raise ValueError("box bounds must be ordered")
-    c = spec.prior_samples(num_samples, seed)
-    w = np.exp(-spec.potential.evaluate_many(c))
+    c, w, total, ess = _weighted_draws(spec, num_samples, seed)
     inside = np.all((c >= lower[None, :]) & (c <= upper[None, :]), axis=1).astype(float)
-    total = float(np.sum(w))
     est, se = _snis(inside, w, total)
-    ess = total * total / float(np.sum(w * w))
     return ProbabilityReport(est, se, ess)
 
 
 def posterior_mean(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0):
     """Self-normalized posterior mean of the coefficients, with stderrs."""
-    c = spec.prior_samples(num_samples, seed)
-    w = np.exp(-spec.potential.evaluate_many(c))
-    total = float(np.sum(w))
+    c, w, total, _ = _weighted_draws(spec, num_samples, seed)
     means = np.empty(spec.dim)
     errs = np.empty(spec.dim)
     for j in range(spec.dim):

@@ -61,7 +61,6 @@ __all__ = [
     "project",
     "evaluate_field",
     "field_to_csv",
-    "orthonormality_probe",
     "AdmissibilityReport",
     "admissibility_check",
     "admissibility_partial_sums",
@@ -108,15 +107,12 @@ class FourierCircle:
             return _SQRT2 * np.cos(2.0 * math.pi * k * x)
         return _SQRT2 * np.sin(2.0 * math.pi * (-k) * x)
 
-    domain = (0.0, 1.0)
-
 
 @dataclass(frozen=True, eq=False)
 class AbstractOrthonormal:
     """Orthonormal system given by a callback evaluate(n, x), n = 1, 2, ..."""
 
     evaluate_fn: Callable
-    domain: tuple = (0.0, 1.0)
 
     def window_indices(self, N: int) -> np.ndarray:
         if N < 1:
@@ -249,9 +245,6 @@ class FieldSample:
             raise ValueError("indices and coefficients must align")
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "norm_l2", float(np.sqrt(np.sum(coeffs * coeffs))))
-
-    norm_l2: float = 0.0
 
 
 _CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
@@ -369,16 +362,6 @@ def field_to_csv(u: FieldSample) -> str:
     return buf.getvalue()
 
 
-def orthonormality_probe(basis, N: int, num_grid: int = 4096) -> float:
-    """Worst |<x_i, x_j> - delta_ij| over the window, by periodic trapezoid."""
-    lo, hi = basis.domain
-    x = lo + (hi - lo) * (np.arange(num_grid) + 0.5) / num_grid
-    idx = basis.window_indices(N)
-    vals = np.stack([basis.evaluate(int(k), x) for k in idx])
-    gram = vals @ vals.T * (hi - lo) / num_grid
-    return float(np.max(np.abs(gram - np.eye(len(idx)))))
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     gamma_partial_lp: float
@@ -397,7 +380,8 @@ def admissibility_partial_sums(gamma_sq, var_abs, p: float, q: float) -> Admissi
     sequence Var|xi_k|.  The check is heuristic: a sequence counts as
     summable when the last doubling of the partial sum moved it by less
     than 1e-6 relatively.  q may be inf, in which case the variance side
-    reports the supremum and counts as bounded.
+    reports the supremum and counts as bounded.  passed needs both sides
+    summable and conjugate exponents, 1/p + 1/q = 1.
     """
     if not (p >= 1 and q >= 1):
         raise ValueError("exponents must satisfy p >= 1 and q >= 1")
@@ -415,7 +399,7 @@ def admissibility_partial_sums(gamma_sq, var_abs, p: float, q: float) -> Admissi
     else:
         var_sum, var_ok = cauchy(var_abs, q)
     conj = abs((1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q) - 1.0) <= 1e-12
-    return AdmissibilityReport(gamma_sum, var_sum, gamma_ok, var_ok, conj, gamma_ok and var_ok)
+    return AdmissibilityReport(gamma_sum, var_sum, gamma_ok, var_ok, conj, gamma_ok and var_ok and conj)
 
 
 def coefficient_abs_variance(law) -> float:

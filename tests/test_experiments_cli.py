@@ -279,6 +279,12 @@ def test_cli_map_matches_library(tmp_path):
     assert np.allclose(est, direct.estimate, atol=1e-12)
 
 
+def test_python_m_cbayes_lists_commands():
+    proc = subprocess.run([sys.executable, "-m", "cbayes", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "run" in proc.stdout and "sample-prior" in proc.stdout
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "cbayes.cli", "--help"],
                           capture_output=True, text=True)

@@ -1,4 +1,4 @@
-"""Potentials: quadratic misfits, the multiplicative example, audits, gaps.
+"""Potentials: quadratic misfits, the multiplicative example, audits.
 
 The Gaussian potential is pinned by direct closed-form evaluation and by
 its polarization identity (quadratic functions have data-independent
@@ -20,9 +20,7 @@ from cbayes import (
     MultiplicativeUniform,
     assumption_audit,
     equispaced_points,
-    potential_gap,
 )
-from cbayes.series_prior import FourierCircle
 
 
 def small_gaussian_potential():
@@ -84,7 +82,7 @@ def test_gaussian_potential_data_swap():
     phi, A, _ = small_gaussian_potential()
     u = np.array([0.3, 0.3, -0.3])
     for y2 in ([1.5, 0.5], [-0.2, 7.0], [0.0, 0.0]):
-        assert phi.evaluate_with_data(u, y2) == phi.with_data(y2).evaluate(u)
+        assert phi.evaluate_with_data(u, y2) == GaussianAdditive(phi.model, phi.noise, y2).evaluate(u)
 
 
 @pytest.mark.parametrize("sigma2", [1.0, 4.0])
@@ -130,7 +128,7 @@ def test_gaussian_potential_projection_masks_input():
     model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(4), 4)
     y = np.array([0.1, 0.2, -0.1, 0.0])
     full = GaussianAdditive(model, 1.0, y)
-    proj = full.with_projection(2)
+    proj = GaussianAdditive(model, 1.0, y, 2)
     u = np.random.default_rng(2).normal(size=model.dim)
     mask = np.zeros(model.dim)
     mask[model.window_positions(2)] = 1.0
@@ -238,57 +236,3 @@ def test_audit_deterministic():
     a = assumption_audit(phi, r=1.0, num_samples=200, seed=7)
     b = assumption_audit(phi, r=1.0, num_samples=200, seed=7)
     assert a == b
-
-
-# ------------------------------------------------------------ discretization
-
-
-def test_potential_gap_band_limited_input_is_zero():
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
-    phi = GaussianAdditive(model, 1.0, np.zeros(8))
-    c = np.zeros(model.dim)
-    c[model.window_positions(4)] = np.random.default_rng(4).normal(size=8)
-    rep = potential_gap(phi, 4, c)
-    assert rep.gap == 0.0 and rep.tail_norm == 0.0 and rep.certificate_ratio == 0.0
-
-
-def test_potential_gap_slope_matches_tail_decay():
-    # identity observation of the window, coefficients on the decay
-    # schedule (1+k^2)^(-5/4): the tail norm scales like N^(-2) and the
-    # gap follows it through the data term
-    basis = FourierCircle()
-    trunc = 64
-    idx = basis.window_indices(trunc).astype(float)
-    gamma = (1.0 + idx**2) ** -1.25
-    y = (1.0 + idx**2) ** -0.25
-    phi = GaussianAdditive(LinearModel(np.eye(2 * trunc)), 4.0, y)
-
-    levels = np.array([4, 8, 16, 32])
-    reps = [potential_gap(phi, 2 * int(n), gamma) for n in levels]
-    gaps = np.array([r.gap for r in reps])
-    tails = np.array([r.tail_norm for r in reps])
-    gap_slope = np.polyfit(np.log(levels), np.log(gaps), 1)[0]
-    tail_slope = np.polyfit(np.log(levels), np.log(tails), 1)[0]
-    assert gap_slope == pytest.approx(-2.0, abs=0.3)
-    assert tail_slope == pytest.approx(-2.0, abs=0.1)
-    # certificate ratios stay bounded instead of blowing up
-    ratios = [r.certificate_ratio for r in reps]
-    assert max(ratios) < 1.0 and min(ratios) > 0.01
-
-
-def test_potential_gap_triangle_inequality_bound():
-    # |Phi(u) - Phi(P u)| <= (2|y| + |Gu| + |GPu|) * |G(u - Pu)| / 2
-    # holds pointwise for unit noise
-    model = DeconvolutionModel(AlgebraicMultipliers(0.5), equispaced_points(8), 8)
-    y = np.array([0.3, -0.2, 0.1, 0.0, 0.4, -0.1, 0.2, -0.3])
-    phi = GaussianAdditive(model, 1.0, y)
-    gen = np.random.default_rng(8)
-    for _ in range(20):
-        u = gen.normal(size=model.dim)
-        rep = potential_gap(phi, 4, u)
-        mask = np.zeros(model.dim)
-        mask[model.window_positions(4)] = 1.0
-        gu, gpu = model.apply(u), model.apply(u * mask)
-        bound = 0.5 * (2 * np.linalg.norm(y) + np.linalg.norm(gu)
-                       + np.linalg.norm(gpu)) * np.linalg.norm(gu - gpu)
-        assert rep.gap <= bound + 1e-12

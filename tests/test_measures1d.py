@@ -21,13 +21,11 @@ from cbayes import (
     Logistic,
     Uniform,
     check_log_concavity,
-    interval_convexity,
     interval_probability,
 )
 from cbayes.measures1d import (
     abs_mean,
     quantile_interval,
-    reg_lower_gamma,
     second_moment,
 )
 
@@ -129,14 +127,6 @@ def test_scaled_law_density_identity(d):
     assert np.allclose(dc.density(x), d.density(x / c) / c, rtol=1e-10, atol=1e-13)
 
 
-def test_reg_lower_gamma_matches_scipy():
-    from scipy.special import gammainc
-
-    for k in (1.0, 1.5, 2.0, 4.5, 10.0):
-        for x in (1e-8, 0.1, 0.5, 1.0, 3.0, 10.0, 50.0):
-            assert reg_lower_gamma(k, x) == pytest.approx(gammainc(k, x), abs=1e-12)
-
-
 def test_gamma_shape_below_one_rejected():
     with pytest.raises(ValueError):
         Gamma(0.5, 1.0)
@@ -220,7 +210,9 @@ def test_interval_probability_gaussian_oracle():
 
 def test_interval_convexity_laplace_strict_oracle():
     # A=[-1,1], B=[1,3], lam=1/2 on Laplace(0,1): C=[0,2]
-    lhs, rhs = interval_convexity(Laplace(0.0, 1.0), (-1.0, 1.0), (1.0, 3.0), 0.5)
+    d = Laplace(0.0, 1.0)
+    lhs = interval_probability(d, 0.0, 2.0)
+    rhs = math.sqrt(interval_probability(d, -1.0, 1.0) * interval_probability(d, 1.0, 3.0))
     assert lhs == pytest.approx(0.5 * (1.0 - math.exp(-2.0)), abs=1e-12)
     e = math.exp(-1.0)
     assert rhs == pytest.approx(math.sqrt((1.0 - e) * 0.5 * (e - math.exp(-3.0))), abs=1e-12)
@@ -231,31 +223,26 @@ def test_interval_convexity_laplace_strict_oracle():
 
 
 def test_interval_convexity_equality_case():
-    # A = B makes both sides mu(A); value pinned to the exponential flank mass
-    lhs, rhs = interval_convexity(Laplace(0.0, 1.0), (1.0, 2.0), (1.0, 2.0), 0.5)
+    # A = B = C makes both sides mu(A); value pinned to the exponential flank mass
+    mass = interval_probability(Laplace(0.0, 1.0), 1.0, 2.0)
     target = 0.5 * math.exp(-1.0) * (1.0 - math.exp(-1.0))
-    assert lhs == pytest.approx(target, abs=1e-12)
-    assert rhs == pytest.approx(target, abs=1e-12)
+    assert mass == pytest.approx(target, abs=1e-12)
     assert target == pytest.approx(0.116269, abs=5e-6)
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_interval_convexity_holds_on_random_boxes(d):
+    # mu(lam*A + (1-lam)*B) >= mu(A)^lam * mu(B)^(1-lam) on interval masses
     gen = np.random.default_rng(11)
     lo, hi = quantile_interval(d, 1e-4, 1.0 - 1e-4)
     for _ in range(25):
         a = np.sort(gen.uniform(lo, hi, 2))
         b = np.sort(gen.uniform(lo, hi, 2))
         lam = gen.uniform(0.05, 0.95)
-        lhs, rhs = interval_convexity(d, a, b, lam)
+        c = lam * a + (1.0 - lam) * b
+        lhs = interval_probability(d, *c)
+        rhs = interval_probability(d, *a) ** lam * interval_probability(d, *b) ** (1.0 - lam)
         assert lhs >= rhs - 1e-12
-
-
-def test_interval_convexity_validates_inputs():
-    with pytest.raises(ValueError):
-        interval_convexity(Gaussian(), (0.0, 1.0), (1.0, 0.0), 0.5)
-    with pytest.raises(ValueError):
-        interval_convexity(Gaussian(), (0.0, 1.0), (0.0, 1.0), 1.5)
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbayes import (
     AlgebraicMultipliers,
@@ -30,7 +32,6 @@ from cbayes import (
 )
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
-    expectation_gap_check,
     gap_check_from_potentials,
     hellinger_from_potentials,
     map_estimate_l1_cd,
@@ -226,21 +227,73 @@ def test_underflow_raises_instead_of_dividing_by_zero():
         total_variation_from_potentials(huge, huge + 1.0)
 
 
+def test_quadrature_underflow_raises_like_monte_carlo():
+    # exp(-1e4) is 0.0 at every node and every draw
+    sunk = PosteriorSpec(STD_PRIOR, CustomPotential(
+        lambda u: 1e4, dim=1, batch_fn=lambda c: np.full(len(c), 1e4)))
+    for metric in (hellinger, total_variation):
+        for method in ("quadrature", "prior_mc"):
+            for a, b in ((sunk, flat_spec()), (flat_spec(), sunk)):
+                with pytest.raises(RuntimeError, match="every weight underflowed"):
+                    metric(a, b, method=method, effort=50)
+
+
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def potential_pairs(draw):
+    n = draw(st.integers(2, 40))
+    values = st.lists(st.floats(-20.0, 50.0), min_size=n, max_size=n)
+    return np.array(draw(values)), np.array(draw(values))
+
+
+@_PROPERTY
+@given(potential_pairs())
+def test_mc_distances_symmetric_bounded_and_zero_on_identical(pair):
+    p1, p2 = pair
+    for metric in (hellinger_from_potentials, total_variation_from_potentials):
+        ab = metric(p1, p2)
+        assert ab.value == metric(p2, p1).value
+        assert 0.0 <= ab.value <= 1.0
+        same = metric(p1, p1.copy())
+        assert same.value == 0.0 and same.stderr == 0.0
+
+
+@_PROPERTY
+@given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+def test_quadrature_metric_sandwich(a1, b1, a2, b2):
+    # d_H^2 <= d_TV <= sqrt(2) d_H for the posteriors exp(-a u - b u^2) N(0, 1)
+    def spec(a, b):
+        return PosteriorSpec(STD_PRIOR, CustomPotential(
+            lambda u: a * u[0] + b * u[0] ** 2, dim=1,
+            batch_fn=lambda c: a * c[:, 0] + b * c[:, 0] ** 2))
+
+    s1, s2 = spec(a1, b1), spec(a2, b2)
+    dh = hellinger(s1, s2, method="quadrature", effort=200).value
+    tv = total_variation(s1, s2, method="quadrature", effort=200).value
+    assert dh * dh <= tv + 1e-9
+    assert tv <= math.sqrt(2.0) * dh + 1e-9
+
+
 # ------------------------------------------------------- posterior summaries
 
 
+def shared_draws(spec1, spec2, num_samples, seed):
+    c = spec1.prior_samples(num_samples, seed)
+    return c, spec1.potential.evaluate_many(c), spec2.potential.evaluate_many(c)
+
+
 def test_expectation_gap_check_constant_function():
-    spec1, spec2 = series_pair(delta=0.2)
-    rep = expectation_gap_check(spec1, spec2, lambda c: np.ones(len(c)),
-                                num_samples=20000, seed=0)
+    c, p1, p2 = shared_draws(*series_pair(delta=0.2), 20000, 0)
+    rep = gap_check_from_potentials(np.ones(len(c)), p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.gap == pytest.approx(0.0, abs=1e-14)
     assert rep.passed
 
 
 def test_expectation_gap_check_first_coefficient():
-    spec1, spec2 = series_pair(delta=0.3)
-    rep = expectation_gap_check(spec1, spec2, lambda c: c[:, 0],
-                                num_samples=50000, seed=1)
+    c, p1, p2 = shared_draws(*series_pair(delta=0.3), 50000, 1)
+    rep = gap_check_from_potentials(c[:, 0], p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.passed
     assert rep.gap <= rep.bound + rep.slack
     assert rep.hellinger > 0.0
@@ -248,32 +301,12 @@ def test_expectation_gap_check_first_coefficient():
 
 def test_expectation_gap_check_indicator_below_tv():
     # |P1(B) - P2(B)| is at most the total variation distance
-    spec1, spec2 = series_pair(delta=0.3)
-
-    def inside(c):
-        return ((c[:, 0] > -0.5) & (c[:, 0] < 0.5)).astype(float)
-
-    rep = expectation_gap_check(spec1, spec2, inside, num_samples=50000, seed=2)
+    c, p1, p2 = shared_draws(*series_pair(delta=0.3), 50000, 2)
+    inside = ((c[:, 0] > -0.5) & (c[:, 0] < 0.5)).astype(float)
+    rep = gap_check_from_potentials(inside, p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.passed
-    tv = total_variation(spec1, spec2, effort=50000, seed=2)
+    tv = total_variation_from_potentials(p1, p2)
     assert rep.gap <= tv.value + 3 * tv.stderr
-
-
-def test_expectation_gap_check_matches_kernel_on_same_draws():
-    spec1, spec2 = series_pair(delta=0.3)
-    rep = expectation_gap_check(spec1, spec2, lambda c: c[:, 0], num_samples=20000, seed=4)
-    c = spec1.prior_samples(20000, 4)
-    p1 = spec1.potential.evaluate_many(c)
-    p2 = spec2.potential.evaluate_many(c)
-    dh = hellinger(spec1, spec2, effort=20000, seed=4)
-    assert gap_check_from_potentials(c[:, 0], p1, p2, dh) == rep
-    assert rep.hellinger == dh.value
-
-
-def test_expectation_gap_check_validates_h():
-    spec1, spec2 = series_pair()
-    with pytest.raises(ValueError):
-        expectation_gap_check(spec1, spec2, lambda c: c, num_samples=2000, seed=0)
 
 
 def test_weighted_probability_tilt_oracle():

@@ -36,7 +36,6 @@ from cbayes.series_prior import (
     coefficient_chunks,
     coefficient_weights,
     field_to_csv,
-    orthonormality_probe,
 )
 
 BASIS = FourierCircle()
@@ -89,7 +88,12 @@ def test_basis_functions_pointwise():
 
 
 def test_basis_orthonormal_on_window():
-    assert orthonormality_probe(BASIS, 8) < 1e-12
+    # Gram matrix by the midpoint rule on [0, 1), exact for these trigonometric degrees
+    num_grid = 4096
+    x = (np.arange(num_grid) + 0.5) / num_grid
+    vals = np.stack([BASIS.evaluate(int(k), x) for k in BASIS.window_indices(8)])
+    gram = vals @ vals.T / num_grid
+    assert np.max(np.abs(gram - np.eye(len(vals)))) < 1e-12
 
 
 # ------------------------------------------------------------------ schedules
@@ -244,9 +248,9 @@ def test_dilation_scales_samples_linearly():
 
 def test_norm_monotone_under_projection():
     u = sample_field(laplace_prior(), 32, seed=1)
-    norms = [project(u, m).norm_l2 for m in (1, 2, 4, 8, 16, 32)]
+    norms = [np.linalg.norm(project(u, m).coefficients) for m in (1, 2, 4, 8, 16, 32)]
     assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
-    assert norms[-1] == pytest.approx(u.norm_l2)
+    assert norms[-1] == pytest.approx(np.linalg.norm(u.coefficients))
 
 
 def test_project_validation_and_idempotence():
@@ -335,6 +339,14 @@ def test_admissibility_rejects_flat_schedule():
     rep = admissibility_check(laplace_prior(s=0.0), p=1.0, q=math.inf, K=4096)
     assert not rep.passed
     assert not rep.gamma_cauchy
+
+
+def test_admissibility_requires_conjugate_exponents():
+    # gamma_k^2 in l^3 with bounded Var|xi| does not make sum gamma_k^2 Var|xi_k| finite
+    rep = admissibility_check(laplace_prior(s=1.25), p=3.0, q=math.inf, K=4096)
+    assert rep.gamma_cauchy and rep.var_cauchy
+    assert not rep.conjugate_ok
+    assert not rep.passed
 
 
 def test_admissibility_validates_exponents():

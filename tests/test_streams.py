@@ -29,7 +29,7 @@ def test_substream_seed_separation():
 
 
 def _ball_points_box_muller(gen, num, dim):
-    # the per-row transform forward_models._ball_points wrote out before
+    # the per-row transform the audit's _ball_points wrote out before
     # it called streams.normals
     u = gen.random((num, 2 * ((dim + 1) // 2)))
     r = np.sqrt(-2.0 * np.log1p(-u[:, ::2]))
