@@ -294,7 +294,16 @@ class Gamma(Distribution1D):
         k_int = int(self.k)
         if float(k_int) == self.k:
             u = gen.random((n, k_int))
-            out = self.lam * np.sum(-np.log1p(-u), axis=1)
+            if k_int < 8:
+                # numpy sums rows shorter than 8 left to right, so adding
+                # the columns in turn gives its bits without a strided reduction
+                np.log1p(np.negative(u, out=u), out=u)
+                total = -u[:, 0]
+                for j in range(1, k_int):
+                    total -= u[:, j]
+                out = self.lam * total
+            else:
+                out = self.lam * np.sum(-np.log1p(-u), axis=1)
         else:
             out = self.lam * _gamma_reject(gen, self.k, n)
         return float(out[0]) if size is None else out

@@ -21,6 +21,15 @@ exception is Gamma with a non-integer shape, whose rejection sampler
 over-draws and discards; a slot with such a law draws its whole column
 at the first block and hands out slices of it.
 
+A block is column-major (Fortran order): each slot's draws fill one
+contiguous column, and a consumer gathering slot columns reads them
+contiguously.  Since every slot has its own stream, the layout moves no
+bit of any draw, and the BLAS products the suites take of a block give
+the same bits in either order.  sample_coefficients still returns a
+row-major (C order) matrix: numpy's row reductions sum an F-order
+array of 8 or more columns in another order, so handing callers such as
+estimate_exp_moment a column-major matrix would move their results.
+
 Enumeration contract
 --------------------
 Fourier indices are enumerated 0, 1, -1, 2, -2, ...  The truncation
@@ -282,11 +291,12 @@ def _slot_draws(law, gens: tuple, n: int) -> np.ndarray:
 
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     """Yield (start, block): rows start to start + len(block) of the
-    sample_coefficients matrix, as C-order (rows, window size) arrays of
+    sample_coefficients matrix, as F-order (rows, window size) arrays of
     max(1, _CHUNK_VALUES // window size) rows (fewer in the last block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
-    that reduces each block never holds the whole matrix.
+    that reduces each block never holds the whole matrix.  Each slot
+    fills one contiguous column of a block.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
@@ -299,10 +309,10 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     rows = max(1, _CHUNK_VALUES // len(idx))
     for start in range(0, num_samples, rows):
         n = min(rows, num_samples - start)
-        block = np.empty((n, len(idx)))
+        block = np.empty((n, len(idx)), order="F")
         for pos, gens in enumerate(slots):
             draws = _slot_draws(prior.law, gens, n) if whole is None else whole[pos][start : start + n]
-            block[:, pos] = weights[pos] * draws
+            np.multiply(weights[pos], draws, out=block[:, pos])
         yield start, block
 
 
@@ -311,15 +321,15 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
 
     Row i is the i-th field; column order is the enumeration order of the
     window.  Each index has its own stream, so the first row equals the
-    single sample for the same seed at any window level.
+    single sample for the same seed at any window level.  The matrix is
+    C order, copied from the column-major blocks of coefficient_chunks
+    even when one block holds every row, so that row reductions over it
+    sum in numpy's row-major order.
     """
-    chunks = coefficient_chunks(prior, N, num_samples, seed)
-    _, first = next(chunks)
-    if len(first) == num_samples:
-        return first
-    out = np.empty((num_samples, first.shape[1]))
-    out[: len(first)] = first
-    for start, block in chunks:
+    out = None
+    for start, block in coefficient_chunks(prior, N, num_samples, seed):
+        if out is None:
+            out = np.empty((num_samples, block.shape[1]))
         out[start : start + len(block)] = block
     return out
 

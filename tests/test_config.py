@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cbayes import (
     AlgebraicMultipliers,
@@ -135,3 +137,118 @@ def test_config_hash_tracks_content():
     assert h1 == h2
     assert h1 != h3
     assert len(h1) == 64 and all(c in "0123456789abcdef" for c in h1)
+
+
+# ------------------------------------------------------ generated round trips
+# Each codec, fed a generated object, must decode its own canonical JSON
+# text to an equal object with the same config hash.
+
+_ROUND_TRIP = settings(max_examples=30, deadline=None, derandomize=True)
+_reals = hst.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+_positive = hst.floats(1e-3, 10.0)
+
+
+def _through_text(obj):
+    return json.loads(canonical_json(obj))
+
+
+dists = hst.one_of(
+    hst.builds(Gaussian, _reals, _positive),
+    hst.builds(Exponential, _positive),
+    hst.builds(Laplace, _reals, _positive),
+    hst.builds(Logistic, _reals, _positive),
+    hst.builds(Gamma, hst.floats(1.0, 10.0), _positive),
+    hst.builds(lambda a, w: Uniform(a, a + w), _reals, hst.floats(1e-3, 10.0)),
+)
+schedules = hst.one_of(
+    hst.builds(AlgebraicFourier, hst.floats(0.0, 4.0)),
+    hst.builds(AlgebraicSequence, hst.floats(0.0, 4.0)),
+    hst.lists(_positive, min_size=1, max_size=6).map(lambda v: ExplicitSchedule(tuple(sorted(v, reverse=True)))),
+)
+priors = hst.one_of(
+    hst.lists(dists, min_size=1, max_size=4).map(lambda d: ProductPrior(tuple(d))),
+    hst.builds(
+        SeriesPrior,
+        hst.just(FourierCircle()),
+        schedules,
+        hst.one_of(hst.builds(IID, dists), hst.builds(Hierarchical, dists, dists)),
+        hst.floats(0.0, 1.0, exclude_min=True),
+    ),
+)
+
+
+@hst.composite
+def models(draw):
+    if draw(hst.booleans()):
+        rows, cols = draw(hst.integers(1, 4)), draw(hst.integers(1, 4))
+        entries = draw(hst.lists(_reals, min_size=rows * cols, max_size=rows * cols))
+        return LinearModel(np.array(entries).reshape(rows, cols))
+    truncation = draw(hst.integers(1, 5))
+    if draw(hst.booleans()):
+        mult = AlgebraicMultipliers(draw(hst.floats(0.0, 4.0)))
+    else:
+        mult = np.array(draw(hst.lists(_positive, min_size=2 * truncation, max_size=2 * truncation)))
+    points = draw(hst.lists(hst.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+    return DeconvolutionModel(mult, np.array(points), truncation)
+
+
+@hst.composite
+def potentials(draw):
+    if draw(hst.booleans()):
+        return MultiplicativeUniform(draw(_positive), draw(hst.integers(1, 6)))
+    model = draw(models())
+    m = model.data_dim
+    if draw(hst.booleans()):
+        noise = draw(_positive)
+    else:
+        # symmetric and diagonally dominant, hence positive definite
+        B = np.array(draw(hst.lists(hst.floats(-1.0, 1.0), min_size=m * m, max_size=m * m))).reshape(m, m)
+        noise = B + B.T + (2.0 * m + 1.0) * np.eye(m)
+    y = draw(hst.lists(_reals, min_size=m, max_size=m))
+    top = model.dim if isinstance(model, LinearModel) else model.truncation
+    proj = draw(hst.one_of(hst.none(), hst.integers(1, top)))
+    return GaussianAdditive(model, noise, y, proj)
+
+
+def same_model(a, b):
+    if isinstance(a, LinearModel):
+        return isinstance(b, LinearModel) and np.array_equal(a.matrix, b.matrix)
+    return (
+        isinstance(b, DeconvolutionModel)
+        and type(a.multipliers) is type(b.multipliers)
+        and np.array_equal(a.multiplier_values(), b.multiplier_values())
+        and np.array_equal(a.observation_points, b.observation_points)
+        and a.truncation == b.truncation
+    )
+
+
+@_ROUND_TRIP
+@given(priors)
+def test_prior_codec_round_trip_property(prior):
+    obj = prior_to_json(prior)
+    back = prior_from_json(_through_text(obj))
+    assert back == prior
+    assert config_hash(prior_to_json(back)) == config_hash(obj)
+
+
+@_ROUND_TRIP
+@given(models())
+def test_model_codec_round_trip_property(model):
+    obj = model_to_json(model)
+    back = model_from_json(_through_text(obj))
+    assert same_model(back, model)
+    assert config_hash(model_to_json(back)) == config_hash(obj)
+
+
+@_ROUND_TRIP
+@given(potentials())
+def test_potential_codec_round_trip_property(phi):
+    obj = potential_to_json(phi)
+    back = potential_from_json(_through_text(obj))
+    if isinstance(phi, MultiplicativeUniform):
+        assert back == phi
+    else:
+        assert same_model(back.model, phi.model)
+        assert np.array_equal(back.noise, phi.noise) and np.array_equal(back.y, phi.y)
+        assert back.proj_level == phi.proj_level
+    assert config_hash(potential_to_json(back)) == config_hash(obj)

@@ -19,6 +19,7 @@ from cbayes import (
     EXPERIMENT_NAMES,
     default_config,
     run_experiment,
+    series_prior,
 )
 from cbayes.cli import main
 from cbayes.config import model_from_json, prior_from_json
@@ -139,6 +140,27 @@ def test_truncation_distances_never_hold_the_coefficient_matrix():
     assert pairs[-1][1].value == 0.0
     # one (effort, 2 * n_ref) coefficient matrix is 39 MB
     assert peak < effort * 2 * n_ref * 8
+
+
+SMALL_CHUNK = 256 * 1237  # 1237 rows at window 256, 9896 at 32, 19792 at 16
+
+
+@pytest.mark.parametrize("name, config", [
+    ("stability", None),
+    ("consistency", {"effort": 5000}),
+    ("metrics", None),
+])
+def test_reports_invariant_under_block_size(monkeypatch, name, config):
+    # The suites reduce column-major blocks with BLAS products; the report
+    # must not depend on where the blocks are cut.
+    base = cached_report(name) if config is None else run_experiment(name, config)
+    effort = base["config"]["effort"]
+    window = 2 * base["config"]["model"]["truncation"]
+    rows = SMALL_CHUNK // window
+    assert effort // rows >= 4 and effort % rows != 0  # many blocks, a short last one
+    monkeypatch.setattr(series_prior, "_CHUNK_VALUES", SMALL_CHUNK)
+    small = run_experiment(name, config)
+    assert json.dumps(small, sort_keys=True) == json.dumps(base, sort_keys=True)
 
 
 def test_audit_report_details():

@@ -118,6 +118,59 @@ def test_sample_scalar_and_determinism():
     assert np.array_equal(a, b)
 
 
+# ------------------------------------------------------------ bit references
+# Each sampler against its formula written out, compared byte for byte so
+# that a faster evaluation order cannot move a bit (signed zeros included).
+
+SIZES = (1, 7, 4097)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class EdgeUniforms:
+    """Generator stand-in whose uniforms cycle through edge values."""
+
+    VALUES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25, 0.75, 0.999])
+
+    def random(self, shape):
+        n = int(np.prod(shape))
+        return np.resize(self.VALUES, n).reshape(shape)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+@pytest.mark.parametrize("lam", [1.0, 0.37])
+def test_integer_gamma_sample_bit_reference(k, lam):
+    d = Gamma(float(k), lam)
+    for n in SIZES:
+        u = np.random.default_rng(k).random((n, k))
+        assert same_bits(d.sample(np.random.default_rng(k), n), lam * np.sum(-np.log1p(-u), axis=1))
+    u = EdgeUniforms().random((len(EdgeUniforms.VALUES), k))
+    assert same_bits(d.sample(EdgeUniforms(), len(u)), lam * np.sum(-np.log1p(-u), axis=1))
+
+
+@pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (-1.5, 0.3)])
+def test_gaussian_sample_bit_reference(m, sigma):
+    d = Gaussian(m, sigma)
+    for gen_of in (lambda: np.random.default_rng(3), EdgeUniforms):
+        for n in SIZES:
+            u = gen_of().random((n, 2))
+            ref = m + sigma * (np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1]))
+            assert same_bits(d.sample(gen_of(), n), ref)
+
+
+@pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (2.0, 0.7)])
+def test_laplace_sample_bit_reference(m, sigma):
+    d = Laplace(m, sigma)
+    for gen_of in (lambda: np.random.default_rng(4), EdgeUniforms):
+        for n in SIZES:
+            q = gen_of().random(n) - 0.5
+            ref = m - sigma * np.sign(q) * np.log(np.maximum(1.0 - 2.0 * np.abs(q), np.finfo(float).tiny))
+            assert same_bits(d.sample(gen_of(), n), ref)
+
+
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_scaled_law_density_identity(d):
     # c*X has density f(x/c)/c

@@ -7,10 +7,13 @@ coefficients already present and projection commutes with sampling.
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from cbayes import (
     FieldSample,
@@ -23,7 +26,7 @@ from cbayes import (
     sample_coefficients,
     sample_field,
 )
-from cbayes import streams
+from cbayes import series_prior, streams
 from cbayes.measures1d import Exponential, Gamma, Gaussian, Laplace, Logistic, Uniform
 from cbayes.series_prior import (
     AbstractOrthonormal,
@@ -217,7 +220,7 @@ def test_coefficient_chunks_stack_to_sample_coefficients(prior):
     blocks = list(coefficient_chunks(prior, 64, 9000, seed=4))
     assert [start for start, _ in blocks] == [0, 8192]
     for _, block in blocks:
-        assert block.flags.c_contiguous and block.shape[1] == 128
+        assert block.flags.f_contiguous and block.shape[1] == 128
     stacked = np.concatenate([block for _, block in blocks])
     assert np.array_equal(stacked, sample_coefficients(prior, 64, 9000, seed=4))
 
@@ -227,6 +230,31 @@ def test_single_block_is_returned_whole():
     (start, block), = coefficient_chunks(p, 8, 20000, seed=1)
     assert start == 0 and block.shape == (20000, 16)
     assert np.array_equal(block, sample_coefficients(p, 8, 20000, seed=1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    name=hst.sampled_from(sorted(CHUNK_LAWS)),
+    N=hst.integers(1, 12),
+    rows=hst.integers(1, 8),
+    blocks=hst.integers(1, 3),
+    short=hst.integers(0, 7),
+    seed=hst.integers(0, 2**32 - 1),
+)
+@example(name="gamma2_x_gaussian", N=3, rows=5, blocks=1, short=0, seed=1)
+@example(name="gamma2.5_x_gaussian", N=4, rows=3, blocks=3, short=2, seed=2)
+def test_chunked_draws_stack_to_one_shot_property(name, N, rows, blocks, short, seed):
+    # rows per block from a patched block size; the last block may be short
+    p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
+    n = blocks * rows - min(short, rows - 1)
+    with mock.patch.object(series_prior, "_CHUNK_VALUES", rows * 2 * N):
+        chunks = list(coefficient_chunks(p, N, n, seed))
+        full = sample_coefficients(p, N, n, seed)
+    assert [start for start, _ in chunks] == list(range(0, n, rows))
+    assert all(block.flags.f_contiguous for _, block in chunks)
+    assert full.flags.c_contiguous
+    stacked = np.concatenate([block for _, block in chunks])
+    assert stacked.tobytes() == full.tobytes() == column_loop(p, N, n, seed).tobytes()
 
 
 @pytest.mark.parametrize("prior", [laplace_prior(), hierarchical_prior()], ids=["laplace", "hierarchical"])
