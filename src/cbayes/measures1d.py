@@ -20,18 +20,25 @@ Samplers consume uniforms from an explicit generator (see streams) and use
 exact transforms only: inverse CDF for Uniform, Exponential, Laplace and
 Logistic, a Box-Muller transform for Gaussian, a sum of exponentials for
 integer shape Gamma, and a rejection sampler for non-integer shapes.
-Gaussian.sample keeps the cosine half of each uniform pair only, one
-variate per pair, and the Gamma rejection sampler draws its normals
-through it; streams.normals is the pair-layout generator that uses both
-halves.
+Gaussian.sample and the Gamma rejection sampler draw their normals from
+streams.normals, the one pair-layout generator: uniform pair i gives
+variates 2i and 2i+1.
+
+The moment helpers abs_mean and second_moment integrate against the
+density with one fixed Gauss-Legendre rule per knot piece of the support
+clipped to its 1e-15 quantiles; the rule is computed once per node count
+(_gauss_legendre) and shared with the posterior quadrature grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import streams
 
 __all__ = [
     "Distribution1D",
@@ -119,10 +126,7 @@ class Gaussian(Distribution1D):
 
     def sample(self, gen, size=None):
         n = 1 if size is None else int(size)
-        u = gen.random((n, 2))
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        z = r * np.cos(2.0 * math.pi * u[:, 1])
-        out = self.m + self.sigma * z
+        out = self.m + self.sigma * streams.normals(gen, (n,))
         return float(out[0]) if size is None else out
 
     def scaled(self, c):
@@ -323,7 +327,7 @@ def _gamma_reject(gen, k, n):
     filled = 0
     while filled < n:
         m = int((n - filled) * 1.4) + 16
-        z = Gaussian().sample(gen, m)
+        z = streams.normals(gen, (m,))
         u = gen.random(m)
         v = (1.0 + c * z) ** 3
         ok = v > 0
@@ -461,24 +465,39 @@ def _split_points(d: Distribution1D):
     return pts
 
 
-def _expectation(d: Distribution1D, fn) -> float:
-    from scipy.integrate import quad
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per node count.  scipy solves the Golub-Welsch tridiagonal eigenproblem
+    in banded form, so a large rule needs no dense nodes x nodes matrix."""
+    from scipy.special import roots_legendre
 
-    lo, hi = d.support()
+    x, w = roots_legendre(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+_MOMENT_NODES = 256  # Gauss-Legendre nodes per knot piece of a moment integral
+
+
+def _expectation(d: Distribution1D, fn) -> float:
+    lo, hi = quantile_interval(d, 1e-15, 1.0 - 1e-15)
     inner = sorted(p for p in _split_points(d) + [0.0] if lo < p < hi)
     knots = [lo] + inner + [hi]
+    x, w = _gauss_legendre(_MOMENT_NODES)
     total = 0.0
     for a, b in zip(knots[:-1], knots[1:]):
-        val, _ = quad(lambda x: fn(x) * d.density(x), a, b, limit=200)
-        total += val
+        pts = 0.5 * (b - a) * (x + 1.0) + a
+        total += 0.5 * (b - a) * float(np.sum(w * fn(pts) * d.density(pts)))
     return total
 
 
 def abs_mean(d: Distribution1D) -> float:
-    """E|X| by adaptive quadrature."""
-    return _expectation(d, abs)
+    """E|X| by Gauss-Legendre quadrature on the support's knot pieces."""
+    return _expectation(d, np.abs)
 
 
 def second_moment(d: Distribution1D) -> float:
-    """E[X^2] by adaptive quadrature."""
-    return _expectation(d, lambda x: x * x)
+    """E[X^2] by Gauss-Legendre quadrature on the support's knot pieces."""
+    return _expectation(d, np.square)

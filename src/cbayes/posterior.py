@@ -13,7 +13,13 @@ delta method through (T, Z1, Z2).  Total variation averages the absolute
 difference of the two normalized weights; its standard error uses the
 influence function of the ratio statistic.  Both metrics also have a
 deterministic tensor Gauss-Legendre path for priors with at most two
-independent coordinates.
+independent coordinates; its rule is measures1d's cached one.
+
+Weights are formed in the log domain: each potential array has its
+minimum subtracted before exponentiating, so the largest weight is
+exactly 1 and no finite potential underflows whole.  The distances and
+every self-normalized estimate are unchanged by the shift; a potential
+that is +inf everywhere is refused, and a NaN or -inf one is an error.
 
 Also here: random-walk Metropolis over product priors, normalization
 constants with importance-sampling diagnostics, and l1-penalized MAP
@@ -22,14 +28,13 @@ estimates (proximal gradient, with a coordinate-descent cross-check).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import streams
-from .measures1d import Distribution1D, quantile_interval
+from .measures1d import Distribution1D, _gauss_legendre, quantile_interval
 from .series_prior import SeriesPrior, sample_coefficients
 
 __all__ = [
@@ -133,22 +138,35 @@ def _same_reference(spec1: PosteriorSpec, spec2: PosteriorSpec):
 _UNDERFLOW = "effective sample size zero: every weight underflowed"
 
 
-def _weights(p) -> tuple:
-    """Weights w = exp(-p) and their total; refuses a sample whose
-    weights all underflow."""
-    w = np.exp(-np.asarray(p, dtype=float))
-    total = float(np.sum(w))
-    if total == 0.0:
+def _shifted(p) -> tuple:
+    """The potential array minus its minimum, and that minimum.
+
+    Refuses a potential that is +inf everywhere (every weight is zero) and
+    one with a NaN or -inf value (no finite shift exists).
+    """
+    p = np.asarray(p, dtype=float)
+    low = float(np.min(p))
+    if math.isnan(low) or low == -math.inf:
+        raise ValueError("potential values must not be NaN or -inf")
+    if low == math.inf:
         raise RuntimeError(_UNDERFLOW)
-    return w, total
+    return p - low, low
+
+
+def _weights(p) -> tuple:
+    """Weights w = exp(-(p - min p)), their total, and the shift min p;
+    the true weights are w * exp(-min p)."""
+    shifted, low = _shifted(p)
+    w = np.exp(-shifted)
+    return w, float(np.sum(w)), low
 
 
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
-    """Prior draws c, their weights exp(-Phi(c)), the weight total, and the
-    effective sample size (sum w)^2 / sum w^2."""
+    """Prior draws c, their shifted weights, the weight total, the effective
+    sample size (sum w)^2 / sum w^2, and the shift (see _weights)."""
     c = spec.prior_samples(num_samples, seed)
-    w, total = _weights(spec.potential.evaluate_many(c))
-    return c, w, total, total * total / float(np.sum(w * w))
+    w, total, low = _weights(spec.potential.evaluate_many(c))
+    return c, w, total, total * total / float(np.sum(w * w)), low
 
 
 @dataclass(frozen=True)
@@ -157,15 +175,22 @@ class NormalizationReport:
     stderr: float
     ess: float
     num_samples: int
+    log_value: float
 
 
 def normalization(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0) -> NormalizationReport:
-    """Monte Carlo normalization constant E_prior exp(-Phi)."""
+    """Monte Carlo normalization constant E_prior exp(-Phi).
+
+    log_value is its logarithm, finite even where value underflows to 0.
+    """
     if num_samples < 1000:
         raise ValueError("num_samples must be at least 1000")
-    _, w, total, ess = _weighted_draws(spec, num_samples, seed)
-    stderr = float(np.std(w, ddof=1) / math.sqrt(num_samples))
-    return NormalizationReport(total / num_samples, stderr, ess, num_samples)
+    _, w, total, ess, low = _weighted_draws(spec, num_samples, seed)
+    mean = total / num_samples
+    with np.errstate(over="ignore"):
+        scale = float(np.exp(-low))
+    stderr = float(np.std(w, ddof=1)) * scale / math.sqrt(num_samples)
+    return NormalizationReport(mean * scale, stderr, ess, num_samples, math.log(mean) - low)
 
 
 @dataclass(frozen=True)
@@ -181,16 +206,6 @@ def _resolve_effort(method: str, effort: int | None) -> int:
     if effort is not None:
         return int(effort)
     return 20000 if method == "prior_mc" else 200
-
-
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; the
-    eigensolve behind them runs once per node count."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
 
 
 def _quadrature_grid(spec: PosteriorSpec, nodes: int):
@@ -224,8 +239,8 @@ def _paired_potentials(spec1: PosteriorSpec, spec2: PosteriorSpec, method: str, 
     batch of prior draws or on the quadrature grid.
 
     Returns (p1, p2, grid, effort).  grid is None on prior draws; on the
-    quadrature grid it is (node weights, exp(-p1), exp(-p2), Z1, Z2), and a
-    posterior whose weights all underflow is refused as on prior draws.
+    quadrature grid it is (node weights, s1, s2, Z1, Z2) with s_i the
+    shifted weights exp(-(p_i - min p_i)) and Z_i their integrals.
     """
     _same_reference(spec1, spec2)
     if method not in ("prior_mc", "quadrature"):
@@ -237,11 +252,9 @@ def _paired_potentials(spec1: PosteriorSpec, spec2: PosteriorSpec, method: str, 
     points, weights = _quadrature_grid(spec1, effort)
     p1 = spec1.potential.evaluate_many(points)
     p2 = spec2.potential.evaluate_many(points)
-    s1, s2 = np.exp(-p1), np.exp(-p2)
+    s1, s2 = np.exp(-_shifted(p1)[0]), np.exp(-_shifted(p2)[0])
     Z1 = float(np.sum(weights * s1))
     Z2 = float(np.sum(weights * s2))
-    if Z1 == 0.0 or Z2 == 0.0:
-        raise RuntimeError(_UNDERFLOW)
     return p1, p2, (weights, s1, s2, Z1, Z2), effort
 
 
@@ -270,24 +283,21 @@ def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
     n = len(p1)
     if p1.shape != (n,) or p2.shape != (n,):
         raise ValueError("potential arrays must be equal-length vectors")
+    q1, q2 = _shifted(p1)[0], _shifted(p2)[0]
     if np.array_equal(p1, p2):
         # identical potentials on identical draws: distance is exactly zero
         return MetricReport(0.0, 0.0, "prior_mc", n, False)
-    s1, s2 = np.exp(-p1), np.exp(-p2)
-    with np.errstate(invalid="ignore"):
-        sT = np.exp(-0.5 * (p1 + p2))
+    s1, s2 = np.exp(-q1), np.exp(-q2)
+    sT = np.exp(-0.5 * (q1 + q2))
     Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
-    if Z1 == 0.0 or Z2 == 0.0:
-        raise RuntimeError(_UNDERFLOW)
     g = T / math.sqrt(Z1 * Z2)
     raw = 1.0 - g
     clamped = raw < 0
     value = math.sqrt(max(raw, 0.0))
-    # delta method through the three sample means
-    grad = np.array([1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)])
-    cov = np.cov(np.stack([sT, s1, s2]), ddof=1) / n
-    var_g = float(grad @ cov @ grad)
-    se_g = math.sqrt(max(var_g, 0.0))
+    # delta method through the three sample means: the variance of the
+    # linearized statistic, summed so that swapping p1 and p2 moves no bit
+    a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
+    se_g = math.sqrt(float(np.var(a * sT + (b * s1 + c * s2), ddof=1)) / n)
     stderr = se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
     return MetricReport(value, stderr, "prior_mc", n, clamped)
 
@@ -316,17 +326,15 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     n = len(p1)
     if p1.shape != (n,) or p2.shape != (n,):
         raise ValueError("potential arrays must be equal-length vectors")
-    s1, s2 = np.exp(-p1), np.exp(-p2)
+    s1, s2 = np.exp(-_shifted(p1)[0]), np.exp(-_shifted(p2)[0])
     Z1, Z2 = float(np.mean(s1)), float(np.mean(s2))
-    if Z1 == 0.0 or Z2 == 0.0:
-        raise RuntimeError(_UNDERFLOW)
     diff = s1 / Z1 - s2 / Z2
     value = 0.5 * float(np.mean(np.abs(diff)))
     # influence function of the statistic, normalizers held as sample means
     sign = np.sign(diff)
     c1 = -float(np.mean(sign * s1)) / (2.0 * Z1 * Z1)
     c2 = float(np.mean(sign * s2)) / (2.0 * Z2 * Z2)
-    infl = 0.5 * np.abs(diff) + c1 * s1 + c2 * s2
+    infl = 0.5 * np.abs(diff) + (c1 * s1 + c2 * s2)
     stderr = float(np.std(infl, ddof=1) / math.sqrt(n))
     clamped = value > 1.0
     return MetricReport(min(value, 1.0), stderr, "prior_mc", n, clamped)
@@ -359,8 +367,8 @@ def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh
     holds up to Monte Carlo resolution.
     """
     hv = np.asarray(hv, dtype=float)
-    s1, z1 = _weights(p1)
-    s2, z2 = _weights(p2)
+    s1, z1, _ = _weights(p1)
+    s2, z2, _ = _weights(p2)
     e1, se1 = _snis(hv, s1, z1)
     e2, se2 = _snis(hv, s2, z2)
     hv2 = hv * hv
@@ -392,7 +400,7 @@ def weighted_probability(
         raise ValueError("box bounds must match the window dimension")
     if np.any(lower > upper):
         raise ValueError("box bounds must be ordered")
-    c, w, total, ess = _weighted_draws(spec, num_samples, seed)
+    c, w, total, ess, _ = _weighted_draws(spec, num_samples, seed)
     inside = np.all((c >= lower[None, :]) & (c <= upper[None, :]), axis=1).astype(float)
     est, se = _snis(inside, w, total)
     return ProbabilityReport(est, se, ess)
@@ -400,7 +408,7 @@ def weighted_probability(
 
 def posterior_mean(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0):
     """Self-normalized posterior mean of the coefficients, with stderrs."""
-    c, w, total, _ = _weighted_draws(spec, num_samples, seed)
+    c, w, total, _, _ = _weighted_draws(spec, num_samples, seed)
     means = np.empty(spec.dim)
     errs = np.empty(spec.dim)
     for j in range(spec.dim):

@@ -12,12 +12,14 @@ present, and projection commutes with sampling exactly.
 Chunked sampling
 ----------------
 coefficient_chunks yields the sample matrix a block of rows at a time,
-about 2^20 values per block.  Each slot opens its stream once and every
-block continues it, so the blocks stacked are bit-identical to one
-draw of all rows, whatever the block size: a slot's k-th draw is the
-same at every window level and every chunking.  This holds because
-every sampler reads a fixed number of uniforms per variate.  The one
-exception is Gamma with a non-integer shape, whose rejection sampler
+about 2^20 values per block and an even number of rows in every block
+but the last.  Each slot opens its stream once and every block continues
+it, so the blocks stacked are bit-identical to one draw of all rows,
+whatever the (even) block size: a slot's k-th draw is the same at every
+window level and every chunking.  This holds because every sampler reads
+a fixed number of uniforms per variate, or, for Gaussian, per pair of
+variates (streams.normals), which is why the rows come in pairs.  The
+one exception is Gamma with a non-integer shape, whose rejection sampler
 over-draws and discards; a slot with such a law draws its whole column
 at the first block and hands out slices of it.
 
@@ -292,7 +294,8 @@ def _slot_draws(law, gens: tuple, n: int) -> np.ndarray:
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     """Yield (start, block): rows start to start + len(block) of the
     sample_coefficients matrix, as F-order (rows, window size) arrays of
-    max(1, _CHUNK_VALUES // window size) rows (fewer in the last block).
+    _CHUNK_VALUES // window size rows rounded down to an even count, at
+    least 2 (fewer in the last block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
     that reduces each block never holds the whole matrix.  Each slot
@@ -306,7 +309,7 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     whole = None
     if not _draws_continue(prior.law):
         whole = [_slot_draws(prior.law, gens, num_samples) for gens in slots]
-    rows = max(1, _CHUNK_VALUES // len(idx))
+    rows = max(2, (_CHUNK_VALUES // len(idx)) & ~1)
     for start in range(0, num_samples, rows):
         n = min(rows, num_samples - start)
         block = np.empty((n, len(idx)), order="F")

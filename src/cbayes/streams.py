@@ -7,10 +7,12 @@ output depends only on (seed, path), never on how many other streams
 were opened.  All variates are produced from uniform doubles through
 explicit transforms, so results are reproducible bit for bit.
 
-normals() is the one pair-layout normal generator: the suites' synthetic
-data and design matrices, the probes' ball points and the Metropolis
-proposals all draw through it.  Gaussian.sample keeps its own cosine-only
-transform (one variate per uniform pair).
+normals() is the one normal generator: Gaussian.sample (and so every
+Gaussian coefficient slot), the Gamma rejection sampler, the suites'
+synthetic data and design matrices, the probes' ball points and the
+Metropolis proposals all draw through it.  A stream continued call by
+call gives the variates of one call only while every call but the last
+asks for an even count, since an odd count leaves a sine unused.
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def test_truncation_distances_never_hold_the_coefficient_matrix():
     assert peak < effort * 2 * n_ref * 8
 
 
-SMALL_CHUNK = 256 * 1237  # 1237 rows at window 256, 9896 at 32, 19792 at 16
+SMALL_CHUNK = 256 * 1237  # 1236 rows (even) at window 256, 9896 at 32, 19792 at 16
 
 
 @pytest.mark.parametrize("name, config", [
@@ -299,6 +299,20 @@ def test_cli_map_matches_library(tmp_path):
     direct = map_estimate_l1(np.asarray(prob["matrix"]), np.asarray(prob["y"]),
                              prob["sigma"], prob["lam"])
     assert np.allclose(est, direct.estimate, atol=1e-12)
+
+
+def test_suites_leave_scipy_integrate_unimported():
+    # the moment oracles and the quadrature grid share one Gauss-Legendre rule
+    code = (
+        "import sys\n"
+        "from cbayes import run_experiment\n"
+        "for name in ('consistency', 'metrics'):\n"
+        "    run_experiment(name, {'effort': 2000})\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_python_m_cbayes_lists_commands():

@@ -7,11 +7,13 @@ are pinned to scipy.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
+from cbayes import measures1d
 from cbayes import (
     Distribution1D,
     Exponential,
@@ -156,8 +158,11 @@ def test_gaussian_sample_bit_reference(m, sigma):
     d = Gaussian(m, sigma)
     for gen_of in (lambda: np.random.default_rng(3), EdgeUniforms):
         for n in SIZES:
-            u = gen_of().random((n, 2))
-            ref = m + sigma * (np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * math.pi * u[:, 1]))
+            # pair layout: uniform pair i gives the cosine variate 2i and the sine variate 2i+1
+            u = gen_of().random(((n + 1) // 2, 2))
+            r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+            z = np.stack([r * np.cos(2.0 * math.pi * u[:, 1]), r * np.sin(2.0 * math.pi * u[:, 1])], axis=1)
+            ref = m + sigma * z.ravel()[:n]
             assert same_bits(d.sample(gen_of(), n), ref)
 
 
@@ -304,6 +309,25 @@ def test_quantile_interval_brackets_mass(d):
     assert d.cdf(lo) <= 1e-9 + 1e-12
     assert d.cdf(hi) >= 1.0 - 1e-9 - 1e-12
     assert lo < hi
+
+
+def test_gauss_legendre_rule_is_cached_and_small():
+    measures1d._gauss_legendre.cache_clear()
+    tracemalloc.start()
+    try:
+        x, w = measures1d._gauss_legendre(1600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # numpy's leggauss solves a dense 1600 x 1600 eigenproblem: about 20 MB
+    assert peak < 5e6
+    assert measures1d._gauss_legendre(1600)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    # exact on low-degree monomials up to rounding: both this rule and
+    # numpy's leggauss(1600) miss the integral of x^2 by 2e-13 to 5e-13
+    for k in range(0, 12):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert float(np.sum(w * x**k)) == pytest.approx(exact, rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)

@@ -38,7 +38,7 @@ from cbayes.posterior import (
     posterior_mean,
     total_variation_from_potentials,
 )
-from cbayes.series_prior import AlgebraicFourier, FourierCircle, Hierarchical, IID
+from cbayes.series_prior import AlgebraicFourier, FourierCircle, Hierarchical, IID, sample_field
 
 STD_PRIOR = ProductPrior((Gaussian(0.0, 1.0),))
 
@@ -128,8 +128,13 @@ def test_normalization_validation():
         normalization(flat_spec(), num_samples=500)
     sunk = PosteriorSpec(STD_PRIOR, CustomPotential(
         lambda u: 1e6, dim=1, batch_fn=lambda c: np.full(len(c), 1e6)))
+    rep = normalization(sunk, num_samples=1000)
+    # exp(-1e6) underflows; its logarithm does not
+    assert rep.value == 0.0 and rep.log_value == -1e6 and rep.ess == pytest.approx(1000.0)
+    void = PosteriorSpec(STD_PRIOR, CustomPotential(
+        lambda u: math.inf, dim=1, batch_fn=lambda c: np.full(len(c), np.inf)))
     with pytest.raises(RuntimeError):
-        normalization(sunk, num_samples=1000)
+        normalization(void, num_samples=1000)
 
 
 # ------------------------------------------------------------------- metrics
@@ -219,23 +224,56 @@ def test_quadrature_needs_explicit_low_dimensional_laws():
 
 
 def test_underflow_raises_instead_of_dividing_by_zero():
-    spec1, _ = series_pair()
+    # exp(-1e6) underflows, but the weights are formed after subtracting
+    # each array's minimum: two constant potentials are one posterior
     huge = np.full(2000, 1e6)
-    with pytest.raises(RuntimeError):
-        hellinger_from_potentials(huge, huge + 1.0)
-    with pytest.raises(RuntimeError):
-        total_variation_from_potentials(huge, huge + 1.0)
+    for metric in (hellinger_from_potentials, total_variation_from_potentials):
+        rep = metric(huge, huge + 1.0)
+        assert rep.value == 0.0 and rep.stderr == 0.0
+        # only a potential that is +inf everywhere has no weight at all
+        with pytest.raises(RuntimeError, match="every weight underflowed"):
+            metric(np.full(2000, np.inf), huge)
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError):
+                metric(np.r_[huge[:-1], bad], huge)
 
 
 def test_quadrature_underflow_raises_like_monte_carlo():
-    # exp(-1e4) is 0.0 at every node and every draw
+    # exp(-1e4) is 0.0 at every node and every draw, exp(-inf) everywhere too
     sunk = PosteriorSpec(STD_PRIOR, CustomPotential(
         lambda u: 1e4, dim=1, batch_fn=lambda c: np.full(len(c), 1e4)))
+    void = PosteriorSpec(STD_PRIOR, CustomPotential(
+        lambda u: math.inf, dim=1, batch_fn=lambda c: np.full(len(c), np.inf)))
     for metric in (hellinger, total_variation):
         for method in ("quadrature", "prior_mc"):
             for a, b in ((sunk, flat_spec()), (flat_spec(), sunk)):
+                assert metric(a, b, method=method, effort=50).value == pytest.approx(0.0, abs=1e-12)
+            for a, b in ((void, flat_spec()), (flat_spec(), void)):
                 with pytest.raises(RuntimeError, match="every weight underflowed"):
                     metric(a, b, method=method, effort=50)
+
+
+def roadmap_pair(sigma2):
+    # Laplace s=1.25, N=8 deconvolution, data 3*G(u) for the seed-5 field
+    # and that data scaled by 1.01
+    prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    y = 3.0 * model.apply(sample_field(prior, 8, seed=5).coefficients)
+    return (PosteriorSpec(prior, GaussianAdditive(model, sigma2, y), 8),
+            PosteriorSpec(prior, GaussianAdditive(model, sigma2, 1.01 * y), 8))
+
+
+@pytest.mark.parametrize("sigma2", [1e-3, 1e-4])
+def test_small_noise_estimates_stay_finite(sigma2):
+    # on all 20,000 draws exp(-Phi) is below 1e-220 at 1e-3, so its square
+    # and Z1*Z2 underflow, and it underflows outright at 1e-4
+    spec1, spec2 = roadmap_pair(sigma2)
+    dh = hellinger(spec1, spec2, effort=20000, seed=0)
+    assert math.isfinite(dh.value) and math.isfinite(dh.stderr) and 0.0 <= dh.value <= 1.0
+    z = normalization(spec1, num_samples=20000, seed=0)
+    assert math.isfinite(z.value) and math.isfinite(z.stderr) and math.isfinite(z.log_value)
+    assert z.ess >= 1.0
+    assert z.value == pytest.approx(math.exp(z.log_value), rel=1e-12, abs=1e-300)
 
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
@@ -253,11 +291,24 @@ def potential_pairs(draw):
 def test_mc_distances_symmetric_bounded_and_zero_on_identical(pair):
     p1, p2 = pair
     for metric in (hellinger_from_potentials, total_variation_from_potentials):
-        ab = metric(p1, p2)
-        assert ab.value == metric(p2, p1).value
+        ab, ba = metric(p1, p2), metric(p2, p1)
+        assert ab.value == ba.value and ab.stderr == ba.stderr
         assert 0.0 <= ab.value <= 1.0
         same = metric(p1, p1.copy())
         assert same.value == 0.0 and same.stderr == 0.0
+
+
+@_PROPERTY
+@given(potential_pairs(), st.integers(-2000, 2000), st.integers(-2000, 2000))
+def test_mc_distances_invariant_under_constant_shifts(pair, c1, c2):
+    # quarter-integer potentials plus integer shifts add exactly, and shifts
+    # beyond +-745 underflow or overflow exp(-Phi) unless the weights are
+    # formed in the log domain
+    p1, p2 = (np.round(4.0 * p) / 4.0 for p in pair)
+    for metric in (hellinger_from_potentials, total_variation_from_potentials):
+        base, moved = metric(p1, p2), metric(p1 + c1, p2 + c2)
+        assert moved.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
+        assert moved.stderr == pytest.approx(base.stderr, rel=1e-12, abs=0.0)
 
 
 @_PROPERTY

@@ -166,10 +166,13 @@ def test_projection_commutes_for_hierarchical_law():
 
 
 def test_sample_coefficients_first_row_matches_single_draw():
+    # Gaussian slots too: pair 0's cosine variate comes first at any row count
+    gauss = SeriesPrior(BASIS, AlgebraicFourier(1.0), IID(Gaussian(0.0, 1.0)))
+    for p in (laplace_prior(), hierarchical_prior(), gauss):
+        mat = sample_coefficients(p, 6, 5, seed=2)
+        assert mat.shape == (5, 12)
+        assert np.array_equal(mat[0], sample_field(p, 6, seed=2).coefficients)
     p = laplace_prior()
-    mat = sample_coefficients(p, 6, 5, seed=2)
-    assert mat.shape == (5, 12)
-    assert np.array_equal(mat[0], sample_field(p, 6, seed=2).coefficients)
     with pytest.raises(ValueError):
         sample_coefficients(p, 6, 0, seed=2)
 
@@ -244,13 +247,16 @@ def test_single_block_is_returned_whole():
 @example(name="gamma2_x_gaussian", N=3, rows=5, blocks=1, short=0, seed=1)
 @example(name="gamma2.5_x_gaussian", N=4, rows=3, blocks=3, short=2, seed=2)
 def test_chunked_draws_stack_to_one_shot_property(name, N, rows, blocks, short, seed):
-    # rows per block from a patched block size; the last block may be short
+    # a patched block size of `rows` rows gives blocks of that count rounded
+    # down to an even one (at least 2), so the Gaussian pair layout continues
+    # across blocks; the last block may be short, and of odd length
     p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
-    n = blocks * rows - min(short, rows - 1)
+    step = max(2, rows & ~1)
+    n = blocks * step - min(short, step - 1)
     with mock.patch.object(series_prior, "_CHUNK_VALUES", rows * 2 * N):
         chunks = list(coefficient_chunks(p, N, n, seed))
         full = sample_coefficients(p, N, n, seed)
-    assert [start for start, _ in chunks] == list(range(0, n, rows))
+    assert [start for start, _ in chunks] == list(range(0, n, step))
     assert all(block.flags.f_contiguous for _, block in chunks)
     assert full.flags.c_contiguous
     stacked = np.concatenate([block for _, block in chunks])
