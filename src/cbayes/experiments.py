@@ -322,7 +322,7 @@ def run_stability(cfg: dict) -> dict:
     N = model.truncation
 
     phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "stability"))
-    fwd = np.empty((effort, m))
+    fwd = np.empty((effort, m), order="F")
     for start, block in coefficient_chunks(prior, N, effort, seed):
         fwd[start : start + len(block)] = model.apply_many(block)
     p0 = phi.misfit(fwd, phi.y)
@@ -405,7 +405,7 @@ def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
     phi = GaussianAdditive(model, sigma2, y)
     pots = np.empty((len(levels), effort))
     for start, block in coefficient_chunks(prior, n_ref, effort, seed):
-        fwd = np.zeros((len(block), model.data_dim))
+        fwd = np.zeros((len(block), model.data_dim), order="F")
         for i, cols in enumerate(added):
             fwd += block[:, cols] @ design[:, cols].T
             pots[i, start : start + len(block)] = phi.misfit(fwd, y)
@@ -644,7 +644,7 @@ def run_metrics(cfg: dict) -> dict:
 
     # identical pair: weights cancel algebraically
     phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "metrics"))
-    fwd = np.empty((effort, model.data_dim))
+    fwd = np.empty((effort, model.data_dim), order="F")
     hv = np.empty(effort)  # the test function of the expectation-gap check
     for start, block in coefficient_chunks(prior, model.truncation, effort, seed):
         fwd[start : start + len(block)] = model.apply_many(block)

@@ -153,11 +153,24 @@ def _shifted(p) -> tuple:
     return p - low, low
 
 
+def _exp_neg(q: np.ndarray) -> np.ndarray:
+    """exp(-q), written over q."""
+    np.negative(q, out=q)
+    return np.exp(q, out=q)
+
+
+def _kong_ess(s: np.ndarray) -> tuple:
+    """The total of the weights s and Kong's effective sample size
+    (sum s)^2 / sum s^2."""
+    total = float(np.sum(s))
+    return total, total * total / float(np.dot(s, s))
+
+
 def _weights(p) -> tuple:
     """Weights w = exp(-(p - min p)), their total, and the shift min p;
     the true weights are w * exp(-min p)."""
     shifted, low = _shifted(p)
-    w = np.exp(-shifted)
+    w = _exp_neg(shifted)
     return w, float(np.sum(w)), low
 
 
@@ -200,6 +213,9 @@ class MetricReport:
     method: str
     effort: int
     clamped: bool = False
+    # Kong's effective sample size of the thinner of the two posteriors on
+    # prior draws; None on the quadrature grid
+    ess: float | None = None
 
 
 def _resolve_effort(method: str, effort: int | None) -> int:
@@ -252,7 +268,7 @@ def _paired_potentials(spec1: PosteriorSpec, spec2: PosteriorSpec, method: str, 
     points, weights = _quadrature_grid(spec1, effort)
     p1 = spec1.potential.evaluate_many(points)
     p2 = spec2.potential.evaluate_many(points)
-    s1, s2 = np.exp(-_shifted(p1)[0]), np.exp(-_shifted(p2)[0])
+    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
     Z1 = float(np.sum(weights * s1))
     Z2 = float(np.sum(weights * s2))
     return p1, p2, (weights, s1, s2, Z1, Z2), effort
@@ -286,20 +302,29 @@ def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
     q1, q2 = _shifted(p1)[0], _shifted(p2)[0]
     if np.array_equal(p1, p2):
         # identical potentials on identical draws: distance is exactly zero
-        return MetricReport(0.0, 0.0, "prior_mc", n, False)
-    s1, s2 = np.exp(-q1), np.exp(-q2)
-    sT = np.exp(-0.5 * (q1 + q2))
-    Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
+        return MetricReport(0.0, 0.0, "prior_mc", n, False, _kong_ess(_exp_neg(q1))[1])
+    sT = q1 + q2
+    sT *= -0.5
+    np.exp(sT, out=sT)
+    s1, s2 = _exp_neg(q1), _exp_neg(q2)
+    (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
+    Z1, Z2, T = t1 / n, t2 / n, float(np.mean(sT))
     g = T / math.sqrt(Z1 * Z2)
     raw = 1.0 - g
     clamped = raw < 0
     value = math.sqrt(max(raw, 0.0))
     # delta method through the three sample means: the variance of the
-    # linearized statistic, summed so that swapping p1 and p2 moves no bit
+    # linearized statistic a*sT + (b*s1 + c*s2), summed so that swapping p1
+    # and p2 moves no bit
     a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
-    se_g = math.sqrt(float(np.var(a * sT + (b * s1 + c * s2), ddof=1)) / n)
+    s1 *= b
+    s2 *= c
+    s1 += s2
+    sT *= a
+    sT += s1
+    se_g = math.sqrt(float(np.var(sT, ddof=1)) / n)
     stderr = se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
-    return MetricReport(value, stderr, "prior_mc", n, clamped)
+    return MetricReport(value, stderr, "prior_mc", n, clamped, min(ess1, ess2))
 
 
 def total_variation(
@@ -326,18 +351,27 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     n = len(p1)
     if p1.shape != (n,) or p2.shape != (n,):
         raise ValueError("potential arrays must be equal-length vectors")
-    s1, s2 = np.exp(-_shifted(p1)[0]), np.exp(-_shifted(p2)[0])
-    Z1, Z2 = float(np.mean(s1)), float(np.mean(s2))
-    diff = s1 / Z1 - s2 / Z2
-    value = 0.5 * float(np.mean(np.abs(diff)))
-    # influence function of the statistic, normalizers held as sample means
-    sign = np.sign(diff)
+    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
+    (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
+    Z1, Z2 = t1 / n, t2 / n
+    # diff = s1/Z1 - s2/Z2; absdiff holds s2/Z2 until it takes |diff|
+    diff, absdiff = s1 / Z1, s2 / Z2
+    diff -= absdiff
+    np.abs(diff, out=absdiff)
+    value = 0.5 * float(np.mean(absdiff))
+    # influence function of the statistic, normalizers held as sample means:
+    # 0.5*|diff| + (c1*s1 + c2*s2)
+    sign = np.sign(diff, out=diff)
     c1 = -float(np.mean(sign * s1)) / (2.0 * Z1 * Z1)
-    c2 = float(np.mean(sign * s2)) / (2.0 * Z2 * Z2)
-    infl = 0.5 * np.abs(diff) + (c1 * s1 + c2 * s2)
-    stderr = float(np.std(infl, ddof=1) / math.sqrt(n))
+    c2 = float(np.mean(np.multiply(sign, s2, out=sign))) / (2.0 * Z2 * Z2)
+    s1 *= c1
+    s2 *= c2
+    s1 += s2
+    absdiff *= 0.5
+    absdiff += s1
+    stderr = float(np.std(absdiff, ddof=1) / math.sqrt(n))
     clamped = value > 1.0
-    return MetricReport(min(value, 1.0), stderr, "prior_mc", n, clamped)
+    return MetricReport(min(value, 1.0), stderr, "prior_mc", n, clamped, min(ess1, ess2))
 
 
 def _snis(values: np.ndarray, weights: np.ndarray, total: float):
@@ -471,7 +505,9 @@ def rw_metropolis(
     for t in range(num_steps):
         prop = cur + step * normals[t]
         lp_prop = log_target(prop)
-        if math.log(u_acc[t]) < lp_prop - lp_cur:
+        # random() can return 0.0: log 0 = -inf accepts any positive density
+        log_u = math.log(u_acc[t]) if u_acc[t] > 0.0 else -math.inf
+        if log_u < lp_prop - lp_cur:
             cur, lp_cur = prop, lp_prop
             if t >= burn_in:
                 accepts_post += 1

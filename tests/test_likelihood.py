@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbayes import (
     CustomPotential,
@@ -95,6 +97,42 @@ def test_misfit_scalar_noise_matches_plain_formula(sigma2):
     fwd = model.apply_many(gen.normal(size=(500, model.dim)))
     expected = 0.5 * np.sum((fwd - y) ** 2, axis=1) / sigma2
     assert np.array_equal(phi.misfit(fwd, y), expected)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 300),
+    width=st.integers(1, 300) | st.sampled_from([7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 257]),
+    order=st.sampled_from("CF"),
+    dense=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=3, width=129, order="F", dense=False, seed=0)
+@example(rows=2, width=300, order="C", dense=True, seed=1)
+def test_misfit_matches_row_sum_bit_for_bit(rows, width, order, dense, seed):
+    # the column kernel must reproduce np.sum's pairwise order along rows,
+    # which only shows on terms of very different sizes
+    gen = np.random.default_rng(seed)
+    fwd = np.asarray(gen.normal(size=(rows, width)) * np.exp(gen.uniform(-15.0, 15.0, (rows, width))), order=order)
+    y = gen.normal(size=width)
+    if dense:
+        B = gen.normal(size=(width, width))
+        phi = GaussianAdditive(LinearModel(np.eye(width)), B @ B.T + width * np.eye(width), y)
+        white, s2 = phi._white, 1.0
+    else:
+        phi = GaussianAdditive(LinearModel(np.eye(width)), 0.37, y)
+        white, s2 = None, 0.37
+    before = fwd.copy(order="A")
+
+    def expected(f):
+        r = f - y
+        if white is not None:
+            r = r @ white.T
+        return 0.5 * np.sum(r * r, axis=-1) / s2
+
+    assert np.array_equal(phi.misfit(fwd, y), expected(np.ascontiguousarray(fwd)))
+    assert np.array_equal(fwd, before)
+    assert np.array_equal(phi.misfit(fwd[0], y), expected(fwd[0].copy()))
 
 
 def test_misfit_dense_covariance_matches_solve():

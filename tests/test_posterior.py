@@ -30,6 +30,7 @@ from cbayes import (
     total_variation,
     weighted_probability,
 )
+from cbayes import streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
     gap_check_from_potentials,
@@ -276,6 +277,20 @@ def test_small_noise_estimates_stay_finite(sigma2):
     assert z.value == pytest.approx(math.exp(z.log_value), rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("sigma2, ess", [(4.0, 15.69), (1e-3, 1.0)])
+def test_metric_reports_carry_the_smaller_ess(sigma2, ess):
+    # at 1e-3 one draw carries all the weight and d_H reads 0.0 +- 3.4e-23;
+    # the ESS is what shows the sample cannot support that number
+    spec1, spec2 = roadmap_pair(sigma2)
+    z1 = normalization(spec1, num_samples=20000, seed=0)
+    z2 = normalization(spec2, num_samples=20000, seed=0)
+    for metric in (hellinger, total_variation):
+        rep = metric(spec1, spec2, effort=20000, seed=0)
+        assert rep.ess == pytest.approx(min(z1.ess, z2.ess), rel=1e-12)
+        assert rep.ess == pytest.approx(ess, abs=0.01)
+        assert metric(tilt_spec(), flat_spec(), method="quadrature", effort=64).ess is None
+
+
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
@@ -309,6 +324,52 @@ def test_mc_distances_invariant_under_constant_shifts(pair, c1, c2):
         base, moved = metric(p1, p2), metric(p1 + c1, p2 + c2)
         assert moved.value == pytest.approx(base.value, rel=1e-12, abs=0.0)
         assert moved.stderr == pytest.approx(base.stderr, rel=1e-12, abs=0.0)
+
+
+def hellinger_formula(p1, p2):
+    q1, q2 = p1 - np.min(p1), p2 - np.min(p2)
+    s1, s2, sT = np.exp(-q1), np.exp(-q2), np.exp(-0.5 * (q1 + q2))
+    Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
+    g = T / math.sqrt(Z1 * Z2)
+    value = math.sqrt(max(1.0 - g, 0.0))
+    a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
+    se_g = math.sqrt(float(np.var(a * sT + (b * s1 + c * s2), ddof=1)) / len(p1))
+    return value, se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
+
+
+def total_variation_formula(p1, p2):
+    s1, s2 = np.exp(-(p1 - np.min(p1))), np.exp(-(p2 - np.min(p2)))
+    Z1, Z2 = float(np.mean(s1)), float(np.mean(s2))
+    diff = s1 / Z1 - s2 / Z2
+    sign = np.sign(diff)
+    c1 = -float(np.mean(sign * s1)) / (2.0 * Z1 * Z1)
+    c2 = float(np.mean(sign * s2)) / (2.0 * Z2 * Z2)
+    infl = 0.5 * np.abs(diff) + (c1 * s1 + c2 * s2)
+    return 0.5 * float(np.mean(np.abs(diff))), float(np.std(infl, ddof=1) / math.sqrt(len(p1)))
+
+
+def kong_ess(p):
+    s = np.exp(-(p - np.min(p)))
+    return float(np.sum(s)) ** 2 / float(np.sum(s * s))
+
+
+@_PROPERTY
+@given(potential_pairs())
+def test_mc_reductions_match_formulas_and_leave_inputs(pair):
+    # the reductions work in place on their own buffers only: stability
+    # reuses one potential array 56 times and metrics passes each pair to
+    # three functions
+    p1, p2 = pair
+    kept1, kept2 = p1.copy(), p2.copy()
+    for metric, formula in ((hellinger_from_potentials, hellinger_formula),
+                            (total_variation_from_potentials, total_variation_formula)):
+        for a, b in ((p1, p2), (p1, p1)):
+            rep = metric(a, b)
+            exact_zero = metric is hellinger_from_potentials and np.array_equal(a, b)
+            value, stderr = (0.0, 0.0) if exact_zero else formula(a, b)
+            assert (rep.value, rep.stderr) == (min(value, 1.0), stderr)
+            assert rep.ess == pytest.approx(min(kong_ess(a), kong_ess(b)), rel=1e-12)
+            assert np.array_equal(p1, kept1) and np.array_equal(p2, kept2)
 
 
 @_PROPERTY
@@ -428,6 +489,41 @@ def test_metropolis_deterministic_and_validated():
         rw_metropolis(flat_spec(), num_steps=100, burn_in=100)
     with pytest.raises(ValueError):
         rw_metropolis(flat_spec(), num_steps=100, step_size=0.0)
+
+
+class _AcceptanceStream:
+    """A CHAIN acceptance generator whose uniform at step k is replaced."""
+
+    def __init__(self, gen, k, u):
+        self.gen, self.k, self.u = gen, k, u
+
+    def random(self, n):
+        out = self.gen.random(n)
+        out[self.k] = self.u
+        return out
+
+
+def test_metropolis_zero_uniform_accepts(monkeypatch):
+    # Generator.random() can return exactly 0.0, whose log is -inf: that
+    # step accepts any proposal of positive density instead of raising
+    spec, _ = series_pair(n=2)
+    plain = rw_metropolis(spec, num_steps=600, seed=3, step_size=2.0, burn_in=100)
+    rejected = [t for t in range(101, 600) if np.array_equal(plain.samples[t - 100], plain.samples[t - 101])]
+    k = rejected[0]
+    real = streams.substream
+
+    def chains(u):
+        def substream(seed, *path):
+            gen = real(seed, *path)
+            return _AcceptanceStream(gen, k, u) if path == (streams.CHAIN, 2) else gen
+
+        monkeypatch.setattr(streams, "substream", substream)
+        return rw_metropolis(spec, num_steps=600, seed=3, step_size=2.0, burn_in=100)
+
+    zero, tiny = chains(0.0), chains(5e-324)
+    assert np.array_equal(zero.samples, tiny.samples)
+    assert np.array_equal(zero.samples[: k - 100], plain.samples[: k - 100])
+    assert not np.array_equal(zero.samples[k - 100], zero.samples[k - 101])
 
 
 def test_metropolis_fixed_step_size_is_kept():
