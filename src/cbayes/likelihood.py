@@ -217,7 +217,7 @@ class CustomPotential:
 
 
 def _ball_points(dim: int, num: int, radius: float, gen, on_sphere: bool) -> np.ndarray:
-    z = streams.normals(gen, (num, 2 * ((dim + 1) // 2)))[:, :dim]
+    z = streams.normals(gen, (num, dim))
     norms = np.maximum(np.sqrt(np.sum(z * z, axis=1)), np.finfo(float).tiny)
     dirs = z / norms[:, None]
     if on_sphere:

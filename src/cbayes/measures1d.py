@@ -12,17 +12,18 @@ intervals A, B and lam in [0, 1],
 
 where the left side uses the Minkowski combination of intervals.  The
 module provides densities, log densities, CDFs, exact samplers driven by
-uniform streams, a grid-based log-concavity checker, and interval masses
+explicit streams, a grid-based log-concavity checker, and interval masses
 from CDF differences, on which the convexity suite's closed-form oracles
 are computed.
 
-Samplers consume uniforms from an explicit generator (see streams) and use
-exact transforms only: inverse CDF for Uniform, Exponential, Laplace and
-Logistic, a Box-Muller transform for Gaussian, a sum of exponentials for
-integer shape Gamma, and a rejection sampler for non-integer shapes.
-Gaussian.sample and the Gamma rejection sampler draw their normals from
-streams.normals, the one pair-layout generator: uniform pair i gives
-variates 2i and 2i+1.
+Samplers consume an explicit generator (see streams).  Uniform,
+Exponential, Laplace and Logistic use inverse-CDF transforms of uniforms
+and integer-shape Gamma a sum of exponentials; Gaussian draws its
+normals from streams.normals and non-integer-shape Gamma calls
+Generator.standard_gamma (Marsaglia-Tsang), both numpy samplers whose
+output numpy may change between releases (NEP 19).  Every sampler reads
+its stream draw by draw, so a stream continued call by call gives the
+draws of one call.
 
 The moment helpers abs_mean and second_moment integrate against the
 density with one fixed Gauss-Legendre rule per knot piece of the support
@@ -309,7 +310,7 @@ class Gamma(Distribution1D):
             else:
                 out = self.lam * np.sum(-np.log1p(-u), axis=1)
         else:
-            out = self.lam * _gamma_reject(gen, self.k, n)
+            out = self.lam * gen.standard_gamma(self.k, n)
         return float(out[0]) if size is None else out
 
     def support(self):
@@ -317,28 +318,6 @@ class Gamma(Distribution1D):
 
     def scaled(self, c):
         return Gamma(self.k, c * self.lam)
-
-
-def _gamma_reject(gen, k, n):
-    # Marsaglia-Tsang squeeze for non-integer shape k >= 1, unit scale.
-    d = k - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = int((n - filled) * 1.4) + 16
-        z = streams.normals(gen, (m,))
-        u = gen.random(m)
-        v = (1.0 + c * z) ** 3
-        ok = v > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(ok, np.log(np.where(ok, v, 1.0)), 0.0)
-            accept = ok & (np.log(np.maximum(u, np.finfo(float).tiny)) < 0.5 * z * z + d - d * v + d * logs)
-        cand = d * v[accept]
-        take = min(len(cand), n - filled)
-        out[filled : filled + take] = cand[:take]
-        filled += take
-    return out
 
 
 @dataclass(frozen=True)

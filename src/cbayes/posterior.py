@@ -175,11 +175,11 @@ def _weights(p) -> tuple:
 
 
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
-    """Prior draws c, their shifted weights, the weight total, the effective
-    sample size (sum w)^2 / sum w^2, and the shift (see _weights)."""
+    """Prior draws c, their shifted weights, the weight total, Kong's
+    effective sample size (_kong_ess), and the shift (see _weights)."""
     c = spec.prior_samples(num_samples, seed)
-    w, total, low = _weights(spec.potential.evaluate_many(c))
-    return c, w, total, total * total / float(np.sum(w * w)), low
+    w, _, low = _weights(spec.potential.evaluate_many(c))
+    return (c, w, *_kong_ess(w), low)
 
 
 @dataclass(frozen=True)
@@ -496,7 +496,7 @@ def rw_metropolis(
     lp_cur = log_target(cur)
 
     gen_prop = streams.substream(seed, streams.CHAIN, 1)
-    normals = streams.normals(gen_prop, (num_steps, 2 * ((dim + 1) // 2)))[:, :dim]
+    normals = streams.normals(gen_prop, (num_steps, dim))
     u_acc = streams.substream(seed, streams.CHAIN, 2).random(num_steps)
 
     kept = np.empty((num_steps - burn_in, dim))

@@ -12,16 +12,11 @@ present, and projection commutes with sampling exactly.
 Chunked sampling
 ----------------
 coefficient_chunks yields the sample matrix a block of rows at a time,
-about 2^20 values per block and an even number of rows in every block
-but the last.  Each slot opens its stream once and every block continues
-it, so the blocks stacked are bit-identical to one draw of all rows,
-whatever the (even) block size: a slot's k-th draw is the same at every
-window level and every chunking.  This holds because every sampler reads
-a fixed number of uniforms per variate, or, for Gaussian, per pair of
-variates (streams.normals), which is why the rows come in pairs.  The
-one exception is Gamma with a non-integer shape, whose rejection sampler
-over-draws and discards; a slot with such a law draws its whole column
-at the first block and hands out slices of it.
+about 2^20 values per block.  Each slot opens its stream once and every
+block continues it, so the blocks stacked are bit-identical to one draw
+of all rows, whatever the block size: a slot's k-th draw is the same at
+every window level and every chunking.  This holds because every
+sampler reads its stream draw by draw (see measures1d).
 
 A block is column-major (Fortran order): each slot's draws fill one
 contiguous column, and a consumer gathering slot columns reads them
@@ -53,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .measures1d import Distribution1D, Gamma, abs_mean, second_moment
+from .measures1d import Distribution1D, abs_mean, second_moment
 
 __all__ = [
     "FourierCircle",
@@ -268,13 +263,6 @@ def _law_dists(law) -> tuple:
     return (law.dist,) if isinstance(law, IID) else (law.mode_law, law.scale_law)
 
 
-def _draws_continue(law) -> bool:
-    """Whether a slot stream continued call by call gives the draws of one
-    call.  True unless a law is Gamma with a non-integer shape, whose
-    rejection sampler reads a variable number of uniforms."""
-    return not any(isinstance(d, Gamma) and d.k != int(d.k) for d in _law_dists(law))
-
-
 def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
     """The generators of the signed index k, one per law of the slot."""
     uid = prior.basis.slot_uid(int(k))
@@ -294,8 +282,8 @@ def _slot_draws(law, gens: tuple, n: int) -> np.ndarray:
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     """Yield (start, block): rows start to start + len(block) of the
     sample_coefficients matrix, as F-order (rows, window size) arrays of
-    _CHUNK_VALUES // window size rows rounded down to an even count, at
-    least 2 (fewer in the last block).
+    _CHUNK_VALUES // window size rows, at least 1 (fewer in the last
+    block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
     that reduces each block never holds the whole matrix.  Each slot
@@ -306,16 +294,12 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     idx = prior.basis.window_indices(N)
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     slots = [_slot_streams(prior, seed, k) for k in idx]
-    whole = None
-    if not _draws_continue(prior.law):
-        whole = [_slot_draws(prior.law, gens, num_samples) for gens in slots]
-    rows = max(2, (_CHUNK_VALUES // len(idx)) & ~1)
+    rows = max(1, _CHUNK_VALUES // len(idx))
     for start in range(0, num_samples, rows):
         n = min(rows, num_samples - start)
         block = np.empty((n, len(idx)), order="F")
         for pos, gens in enumerate(slots):
-            draws = _slot_draws(prior.law, gens, n) if whole is None else whole[pos][start : start + n]
-            np.multiply(weights[pos], draws, out=block[:, pos])
+            np.multiply(weights[pos], _slot_draws(prior.law, gens, n), out=block[:, pos])
         yield start, block
 
 

@@ -4,20 +4,21 @@ Every stochastic routine in this package draws from a counter-based
 generator (Philox) keyed by an integer seed plus a small integer path.
 Distinct paths give statistically independent streams, and a stream's
 output depends only on (seed, path), never on how many other streams
-were opened.  All variates are produced from uniform doubles through
-explicit transforms, so results are reproducible bit for bit.
+were opened.  For a fixed numpy version, results are reproducible bit
+for bit.
 
 normals() is the one normal generator: Gaussian.sample (and so every
-Gaussian coefficient slot), the Gamma rejection sampler, the suites'
-synthetic data and design matrices, the probes' ball points and the
-Metropolis proposals all draw through it.  A stream continued call by
-call gives the variates of one call only while every call but the last
-asks for an even count, since an odd count leaves a sine unused.
+Gaussian coefficient slot), the suites' synthetic data and design
+matrices, the probes' ball points and the Metropolis proposals all draw
+through it.  It is numpy's Generator.standard_normal (the ziggurat of
+Marsaglia and Tsang, J. Stat. Softw. 2000), which reads the stream
+variate by variate, so a stream continued call by call at any counts
+gives the variates of one call.  numpy may change what its Generator
+methods return between releases (NEP 19), which is why reports record
+numpy's version and the golden digests are keyed to it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,15 +38,5 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal variates by Box-Muller in the pair layout: uniform
-    pair i gives variates 2i (cosine) and 2i+1 (sine) of the flattened
-    C-order output."""
-    shape = tuple(shape)
-    flat = math.prod(shape)
-    pairs = (flat + 1) // 2
-    u = gen.random((pairs, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(2.0 * math.pi * u[:, 1])
-    z[1::2] = r * np.sin(2.0 * math.pi * u[:, 1])
-    return z[:flat].reshape(shape)
+    """Standard normal variates of the given shape, in C order."""
+    return gen.standard_normal(tuple(shape))

@@ -142,7 +142,7 @@ def test_truncation_distances_never_hold_the_coefficient_matrix():
     assert peak < effort * 2 * n_ref * 8
 
 
-SMALL_CHUNK = 256 * 1237  # 1236 rows (even) at window 256, 9896 at 32, 19792 at 16
+SMALL_CHUNK = 256 * 1237  # 1237 rows (an odd count) at window 256, 9896 at 32, 19792 at 16
 
 
 @pytest.mark.parametrize("name, config", [

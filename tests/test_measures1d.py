@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from cbayes import measures1d
+from cbayes import measures1d, streams
 from cbayes import (
     Distribution1D,
     Exponential,
@@ -156,14 +156,18 @@ def test_integer_gamma_sample_bit_reference(k, lam):
 @pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (-1.5, 0.3)])
 def test_gaussian_sample_bit_reference(m, sigma):
     d = Gaussian(m, sigma)
-    for gen_of in (lambda: np.random.default_rng(3), EdgeUniforms):
+    for gen_of in (lambda: np.random.default_rng(3), lambda: streams.substream(3, streams.COEFFS, 5, 0)):
         for n in SIZES:
-            # pair layout: uniform pair i gives the cosine variate 2i and the sine variate 2i+1
-            u = gen_of().random(((n + 1) // 2, 2))
-            r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-            z = np.stack([r * np.cos(2.0 * math.pi * u[:, 1]), r * np.sin(2.0 * math.pi * u[:, 1])], axis=1)
-            ref = m + sigma * z.ravel()[:n]
-            assert same_bits(d.sample(gen_of(), n), ref)
+            assert same_bits(d.sample(gen_of(), n), m + sigma * gen_of().standard_normal(n))
+        assert d.sample(gen_of()) == m + sigma * gen_of().standard_normal(1)[0]
+
+
+@pytest.mark.parametrize("k, lam", [(1.5, 2.0), (2.5, 1.0), (7.5, 0.37)])
+def test_noninteger_gamma_sample_bit_reference(k, lam):
+    d = Gamma(k, lam)
+    for gen_of in (lambda: np.random.default_rng(5), lambda: streams.substream(5, streams.COEFFS, 2, 1)):
+        for n in SIZES:
+            assert same_bits(d.sample(gen_of(), n), lam * gen_of().standard_gamma(k, n))
 
 
 @pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (2.0, 0.7)])

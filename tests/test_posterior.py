@@ -277,7 +277,7 @@ def test_small_noise_estimates_stay_finite(sigma2):
     assert z.value == pytest.approx(math.exp(z.log_value), rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("sigma2, ess", [(4.0, 15.69), (1e-3, 1.0)])
+@pytest.mark.parametrize("sigma2, ess", [(4.0, 15.69), (2.0, 8.89), (1e-3, 1.0)])
 def test_metric_reports_carry_the_smaller_ess(sigma2, ess):
     # at 1e-3 one draw carries all the weight and d_H reads 0.0 +- 3.4e-23;
     # the ESS is what shows the sample cannot support that number
@@ -286,7 +286,7 @@ def test_metric_reports_carry_the_smaller_ess(sigma2, ess):
     z2 = normalization(spec2, num_samples=20000, seed=0)
     for metric in (hellinger, total_variation):
         rep = metric(spec1, spec2, effort=20000, seed=0)
-        assert rep.ess == pytest.approx(min(z1.ess, z2.ess), rel=1e-12)
+        assert rep.ess == min(z1.ess, z2.ess)
         assert rep.ess == pytest.approx(ess, abs=0.01)
         assert metric(tilt_spec(), flat_spec(), method="quadrature", effort=64).ess is None
 

@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {
-    "stability": "7e8d579688dcaf922e58205ceafd88953af29ce2ac268db79030e1cea5b089e9",
-    "consistency": "702af9de10f4a60cfa37f410eec7746bcbb057d10da5fa52ad184628cfd2a824",
-    "metrics": "c78264c1e9a7d031d7ff2a4b2c4b9e87c5fcf4b357ecda56508071d010196d95",
-    "convexity": "0c9c35e77ab8b92a6b39235c71675008c83dd88b17379d190df550e7a004cf8f",
-    "audit": "078b2440617622a26d5d3c0fb6f501e726e3bd1c09234822cb7e59871b62b375",
-    "map_demo": "d3aa3f817036238e15dae971932c731b2195fd9299431fd3a45a57a984559bc9",
+DIGESTS = {  # report revision 0.3.0
+    "stability": "98648d2b28385f338054c639299f8b3879e0a7a7269268c704955e47c4f17ca7",
+    "consistency": "9a6a6a45d9f45047c2678a96883201232ee681c0c1150fe6f1a6f047fe66a730",
+    "metrics": "3782a39095a326a13c35c2c2d104f716a400102aa4e59ee2cf65c13809e69050",
+    "convexity": "001ad2b2092a44fc95c032fdcc80db168ecd160b307e18813919df062e6c41b8",
+    "audit": "d4f3f667da253f9193d9c9e69477f0a3df3c501679896892e44f398c6abcf5fd",
+    "map_demo": "2ca704b663711b45259c83e3299119639b6418442e8f92f1f80c054436a90094",
 }
 
 

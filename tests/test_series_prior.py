@@ -166,9 +166,11 @@ def test_projection_commutes_for_hierarchical_law():
 
 
 def test_sample_coefficients_first_row_matches_single_draw():
-    # Gaussian slots too: pair 0's cosine variate comes first at any row count
+    # every sampler reads its stream draw by draw, so a slot's first draw is
+    # the same at any row count (Gaussian and non-integer Gamma slots too)
     gauss = SeriesPrior(BASIS, AlgebraicFourier(1.0), IID(Gaussian(0.0, 1.0)))
-    for p in (laplace_prior(), hierarchical_prior(), gauss):
+    gamma = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS["gamma2.5_x_gaussian"])
+    for p in (laplace_prior(), hierarchical_prior(), gauss, gamma):
         mat = sample_coefficients(p, 6, 5, seed=2)
         assert mat.shape == (5, 12)
         assert np.array_equal(mat[0], sample_field(p, 6, seed=2).coefficients)
@@ -187,7 +189,7 @@ CHUNK_LAWS = {
     "uniform": IID(Uniform(0.0, 1.0)),
     "gamma2": IID(Gamma(2.0, 1.0)),
     "gamma2_x_gaussian": Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0)),
-    # rejection sampling over-draws: only a whole-column draw matches
+    # non-integer shape: standard_gamma also streams block by block
     "gamma2.5_x_gaussian": Hierarchical(Gamma(2.5, 1.0), Gaussian(0.0, 1.0)),
 }
 
@@ -246,17 +248,17 @@ def test_single_block_is_returned_whole():
 )
 @example(name="gamma2_x_gaussian", N=3, rows=5, blocks=1, short=0, seed=1)
 @example(name="gamma2.5_x_gaussian", N=4, rows=3, blocks=3, short=2, seed=2)
+@example(name="gaussian", N=2, rows=3, blocks=3, short=1, seed=3)
 def test_chunked_draws_stack_to_one_shot_property(name, N, rows, blocks, short, seed):
-    # a patched block size of `rows` rows gives blocks of that count rounded
-    # down to an even one (at least 2), so the Gaussian pair layout continues
-    # across blocks; the last block may be short, and of odd length
+    # a patched block size of `rows` rows gives blocks of exactly that many
+    # rows, odd counts included, since every sampler continues its stream
+    # draw by draw; the last block may be short
     p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
-    step = max(2, rows & ~1)
-    n = blocks * step - min(short, step - 1)
+    n = blocks * rows - min(short, rows - 1)
     with mock.patch.object(series_prior, "_CHUNK_VALUES", rows * 2 * N):
         chunks = list(coefficient_chunks(p, N, n, seed))
         full = sample_coefficients(p, N, n, seed)
-    assert [start for start, _ in chunks] == list(range(0, n, step))
+    assert [start for start, _ in chunks] == list(range(0, n, rows))
     assert all(block.flags.f_contiguous for _, block in chunks)
     assert full.flags.c_contiguous
     stacked = np.concatenate([block for _, block in chunks])

@@ -1,6 +1,4 @@
-"""Counter-based substreams and the pair-layout normal generator."""
-
-import math
+"""Counter-based substreams and the normal generator."""
 
 import numpy as np
 import pytest
@@ -28,35 +26,23 @@ def test_substream_seed_separation():
     assert not np.array_equal(a, b)
 
 
-def _ball_points_box_muller(gen, num, dim):
-    # the per-row transform the audit's _ball_points wrote out before
-    # it called streams.normals
-    u = gen.random((num, 2 * ((dim + 1) // 2)))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, ::2]))
-    z = np.empty((num, 2 * ((dim + 1) // 2)))
-    z[:, ::2] = r * np.cos(2.0 * math.pi * u[:, 1::2])
-    z[:, 1::2] = r * np.sin(2.0 * math.pi * u[:, 1::2])
-    return z[:, :dim]
-
-
 @pytest.mark.parametrize("dim", [1, 3, 8])
-def test_normals_per_row_layout_matches_written_out_box_muller(dim):
-    gen = streams.substream(5, streams.PROBES, 11)
-    got = streams.normals(gen, (257, 2 * ((dim + 1) // 2)))[:, :dim]
-    want = _ball_points_box_muller(streams.substream(5, streams.PROBES, 11), 257, dim)
-    assert got.shape == (257, dim)
-    assert np.array_equal(got, want)
+def test_normals_are_standard_normal_bit_for_bit(dim):
+    got = streams.normals(streams.substream(5, streams.PROBES, 11), (257, dim))
+    want = streams.substream(5, streams.PROBES, 11).standard_normal((257, dim))
+    assert got.shape == (257, dim) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
-def test_normals_pair_layout_and_odd_count():
-    # pair i gives variates 2i and 2i+1; an odd count drops the last sine
-    full = streams.normals(streams.substream(0, streams.DATA, 0), (4, 3))
-    odd = streams.normals(streams.substream(0, streams.DATA, 0), (11,))
-    assert np.array_equal(full.ravel()[:11], odd)
-    u = streams.substream(0, streams.DATA, 0).random((6, 2))
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    assert np.array_equal(full.ravel()[0::2], r * np.cos(2.0 * math.pi * u[:, 1]))
-    assert np.array_equal(full.ravel()[1::2], r * np.sin(2.0 * math.pi * u[:, 1]))
+def test_normals_continue_at_odd_counts():
+    # a stream continued at any counts, odd ones included, gives the
+    # variates of one call; a shaped call is the flat one in C order
+    one = streams.normals(streams.substream(0, streams.DATA, 0), (4101,))
+    gen = streams.substream(0, streams.DATA, 0)
+    parts = [streams.normals(gen, (n,)) for n in (1, 3, 4097)]
+    assert np.concatenate(parts).tobytes() == one.tobytes()
+    shaped = streams.normals(streams.substream(0, streams.DATA, 0), (4, 3))
+    assert shaped.tobytes() == one[:12].tobytes()
 
 
 def test_domain_constants_distinct():
