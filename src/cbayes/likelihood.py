@@ -7,11 +7,17 @@ The central potential is the Gaussian additive-noise misfit
 optionally evaluated through a window projection so that
 Phi_N(u; y) = Phi(P_N u; y).  GaussianAdditive.misfit is the one kernel
 for this formula: the scalar, batched and data-varied evaluations and the
-verification suites all call it, with L^-1 (Gamma = L L^T) computed once
-at construction.  On a 2-D batch of forward outputs it sums the squared
-residual columns in numpy's pairwise order, so it matches a row-wise
-np.sum bit for bit in either layout; column-major (order="F") batches are
-the fast path, and the suites allocate theirs that way.
+verification suites all call it.  Scalar noise (Gamma = sigma2 * I) needs
+only numpy.  A dense Gamma loads scipy.linalg at construction, which
+computes L^-1 (Gamma = L L^T) once.
+
+On a 2-D batch of forward outputs, a scalar-noise misfit squares a
+column-major residual and adds its columns left to right, so a row's value
+depends on neither the layout nor the row count of the batch (np.sum
+would sum a one-row batch in its pairwise order); column-major
+(order="F") batches are the fast path, and the suites allocate theirs
+that way.  A dense-noise residual is whitened into row-major order and
+summed along each row by np.sum.
 
 A multiplicative-noise potential is also provided: Phi(u; y) = log||u||
 when ||u|| < y and +inf otherwise.  It is deliberately irregular
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 from . import streams
 
@@ -52,32 +57,6 @@ def _data_vector(y, m: int) -> np.ndarray:
     if len(y) != m:
         raise ValueError("data length does not match the model")
     return y
-
-
-def _pairwise_column_sum(r: np.ndarray, lo: int, hi: int) -> None:
-    """Sum columns lo..hi-1 of r into column lo, in place, in the order of
-    numpy's pairwise_sum (numpy/_core/src/umath/loops_utils.h.src): under 8
-    terms left to right; up to 128 on 8 accumulators joined as
-    ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)), then the rest; more than 128 as
-    two halves split at a multiple of 8.  Column lo then equals
-    np.sum(r[:, lo:hi], axis=-1) on a C-order copy bit for bit."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_column_sum(r, lo, lo + half)
-        _pairwise_column_sum(r, lo + half, hi)
-        r[:, lo] += r[:, lo + half]
-        return
-    rest = lo + 1
-    if n >= 8:
-        rest = hi - n % 8
-        for i in range(lo + 8, rest, 8):
-            r[:, lo : lo + 8] += r[:, i : i + 8]
-        r[:, lo : lo + 8 : 2] += r[:, lo + 1 : lo + 8 : 2]
-        r[:, lo : lo + 8 : 4] += r[:, lo + 2 : lo + 8 : 4]
-        r[:, lo] += r[:, lo + 4]
-    for j in range(rest, hi):
-        r[:, lo] += r[:, j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +85,8 @@ class GaussianAdditive:
             G = np.asarray(self.noise, dtype=float)
             if G.shape != (m, m) or np.max(np.abs(G - G.T)) > 1e-12 * np.max(np.abs(G)):
                 raise ValueError("noise covariance must be symmetric (m, m)")
+            from scipy.linalg import cholesky, solve_triangular
+
             L = cholesky(G, lower=True)  # raises LinAlgError unless SPD
             s2, white = 1.0, solve_triangular(L, np.eye(m), lower=True)
         object.__setattr__(self, "_s2", s2)
@@ -129,7 +110,7 @@ class GaussianAdditive:
         """0.5 * ||L^-1 (fwd - y)||^2 along the last axis of the forward
         outputs, with Gamma = L L^T.  Scalar noise divides the squared
         residual by sigma2 instead of whitening it.  A 2-D batch is summed
-        column by column (see the module docstring)."""
+        as the module docstring says."""
         if np.ndim(fwd) != 2:
             r = fwd - y
             if self._white is not None:
@@ -137,11 +118,15 @@ class GaussianAdditive:
             return 0.5 * np.sum(r * r, axis=-1) / self._s2
         if self._white is None:
             r = np.subtract(fwd, y, order="F")
+            np.multiply(r, r, out=r)
+            out = r[:, 0].copy()
+            for j in range(1, r.shape[1]):
+                out += r[:, j]
         else:
             r = np.subtract(fwd, y, order="C") @ self._white.T
-        np.multiply(r, r, out=r)
-        _pairwise_column_sum(r, 0, r.shape[1])
-        out = r[:, 0] * 0.5
+            np.multiply(r, r, out=r)
+            out = r.sum(axis=1)
+        out *= 0.5
         out /= self._s2
         return out
 

@@ -25,10 +25,15 @@ output numpy may change between releases (NEP 19).  Every sampler reads
 its stream draw by draw, so a stream continued call by call gives the
 draws of one call.
 
+The CDFs are closed forms in numpy and math: Gaussian through math.erfc,
+integer-shape Gamma through Poisson sums (_integer_gamma_cdf).  Only a
+non-integer Gamma shape loads scipy, for scipy.special.gammainc.
+
 The moment helpers abs_mean and second_moment integrate against the
 density with one fixed Gauss-Legendre rule per knot piece of the support
 clipped to its 1e-15 quantiles; the rule is computed once per node count
-(_gauss_legendre) and shared with the posterior quadrature grid.
+by Newton's method on the Legendre recurrence (_gauss_legendre) and
+shared with the posterior quadrature grid.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
+
+
+def _erfc(t: np.ndarray):
+    """math.erfc elementwise over a float array; a float for a 0-d one."""
+    if t.ndim == 0:
+        return math.erfc(t)
+    return np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size).reshape(t.shape)
 
 
 def _maybe_scalar(x, res):
@@ -119,11 +132,10 @@ class Gaussian(Distribution1D):
         return _maybe_scalar(x, res)
 
     def cdf(self, x):
-        from scipy.special import erf
-
+        # the erfc form keeps its relative accuracy in the lower tail
         x = np.asarray(x, dtype=float)
-        res = 0.5 * (1.0 + erf((x - self.m) / (self.sigma * math.sqrt(2.0))))
-        return _maybe_scalar(x, res)
+        z = (x - self.m) / self.sigma
+        return _maybe_scalar(x, 0.5 * _erfc(-z / _SQRT2))
 
     def sample(self, gen, size=None):
         n = 1 if size is None else int(size)
@@ -289,10 +301,13 @@ class Gamma(Distribution1D):
         return _maybe_scalar(x, res)
 
     def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        t = np.maximum(x, 0.0) / self.lam
+        if float(int(self.k)) == self.k and self.k <= _POISSON_MAX_K:
+            return _maybe_scalar(x, _integer_gamma_cdf(int(self.k), t))
         from scipy.special import gammainc
 
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(x, gammainc(self.k, np.maximum(x, 0.0) / self.lam))
+        return _maybe_scalar(x, gammainc(self.k, t))
 
     def sample(self, gen, size=None):
         n = 1 if size is None else int(size)
@@ -318,6 +333,39 @@ class Gamma(Distribution1D):
 
     def scaled(self, c):
         return Gamma(self.k, c * self.lam)
+
+
+# Above this shape the Poisson weight e^-t of _integer_gamma_cdf could
+# underflow where the lower sum still matters (t > 745 needs k > ~500).
+_POISSON_MAX_K = 256
+
+
+def _integer_gamma_cdf(k: int, t: np.ndarray) -> np.ndarray:
+    """P(k, t) for integer k through the Poisson weights p_j = e^-t t^j / j!.
+
+    Where t < k the CDF is the upper Poisson tail sum_{j >= k} p_j, summed
+    until its terms stop adding; elsewhere it is 1 - sum_{j < k} p_j, a
+    value of at least about 1/2, so the subtraction costs no relative
+    accuracy.  The result keeps its relative accuracy down to the smallest
+    probabilities, where 1 - Q(k, t) would cancel."""
+    shape = np.shape(t)
+    t = np.minimum(np.ravel(t), np.finfo(float).max)  # no 0 * inf at t = inf
+    p = np.exp(-t)
+    below = np.zeros_like(t)
+    for j in range(k):
+        below += p
+        p *= t / (j + 1)
+    low = t < k
+    tl, term = t[low], p[low]
+    tail = np.zeros_like(tl)
+    j = k
+    while np.any(term > 2.0**-53 * tail):
+        tail += term
+        j += 1
+        term *= tl / j
+    out = 1.0 - below
+    out[low] = tail
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -446,12 +494,47 @@ def _split_points(d: Distribution1D):
 
 @functools.lru_cache(maxsize=8)
 def _gauss_legendre(nodes: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once
-    per node count.  scipy solves the Golub-Welsch tridiagonal eigenproblem
-    in banded form, so a large rule needs no dense nodes x nodes matrix."""
-    from scipy.special import roots_legendre
+    """Read-only Gauss-Legendre nodes (ascending) and weights on [-1, 1],
+    computed once per node count.
 
-    x, w = roots_legendre(nodes)
+    Newton's method on P_n(cos theta) finds the nodes x = cos theta of the
+    right half, from Tricomi's initial guess; P_n and P_(n-1) come from the
+    three-term recurrence, O(n) per node.  Working in theta keeps
+    1 - x^2 = sin^2 theta accurate next to the end points, and the left half
+    is the mirror image (Hale and Townsend, SIAM J. Sci. Comput. 2013)."""
+    n = int(nodes)
+    if n < 1:
+        raise ValueError("nodes must be positive")
+    k = np.arange(1, n // 2 + 1)
+    phi = math.pi * (4 * k - 1) / (4 * n + 2)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos(phi))
+    converged = False
+    for _ in range(100):
+        x, s = np.cos(theta), np.sin(theta)
+        pn, pm, t = x.copy(), np.ones_like(x), np.empty_like(x)  # P_j, P_(j-1) from j = 1
+        for j in range(1, n):
+            np.multiply(x, pn, out=t)
+            t *= (2 * j + 1) / (j + 1)
+            pm *= j / (j + 1)
+            t -= pm
+            pm, pn, t = pn, t, pm
+        dp = n * (pm - x * pn)  # n (P_(n-1) - x P_n) = -sin(theta) dP_n/dtheta
+        if converged:
+            break
+        step = pn * s / dp
+        theta += step
+        converged = not np.any(np.abs(step) > 1e-10)
+    else:
+        raise RuntimeError("Gauss-Legendre nodes did not converge")
+    half_w = 2.0 * (s / dp) ** 2  # 2 / ((1 - x^2) P_n'(x)^2) at the converged node
+    mid_x, mid_w = np.empty(0), np.empty(0)
+    if n % 2:
+        p0 = 1.0  # P_(n-1)(0) by the recurrence at x = 0, for the middle node
+        for j in range(1, n - 1, 2):
+            p0 *= -j / (j + 1)
+        mid_x, mid_w = np.zeros(1), np.array([2.0 / (n * p0) ** 2])
+    x = np.concatenate([-x, mid_x, x[::-1]])
+    w = np.concatenate([half_w, mid_w, half_w[::-1]])
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

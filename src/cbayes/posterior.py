@@ -161,9 +161,11 @@ def _exp_neg(q: np.ndarray) -> np.ndarray:
 
 def _kong_ess(s: np.ndarray) -> tuple:
     """The total of the weights s and Kong's effective sample size
-    (sum s)^2 / sum s^2."""
+    (sum s)^2 / sum s^2.  Both sums are numpy's, not BLAS's: a threaded
+    dot product would make the suites' min_ess verdicts, which report the
+    ESS, depend on the BLAS thread count."""
     total = float(np.sum(s))
-    return total, total * total / float(np.dot(s, s))
+    return total, total * total / float(np.sum(s * s))
 
 
 def _weights(p) -> tuple:

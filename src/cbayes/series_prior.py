@@ -22,10 +22,8 @@ A block is column-major (Fortran order): each slot's draws fill one
 contiguous column, and a consumer gathering slot columns reads them
 contiguously.  Since every slot has its own stream, the layout moves no
 bit of any draw, and the BLAS products the suites take of a block give
-the same bits in either order.  sample_coefficients still returns a
-row-major (C order) matrix: numpy's row reductions sum an F-order
-array of 8 or more columns in another order, so handing callers such as
-estimate_exp_moment a column-major matrix would move their results.
+the same bits in either order.  sample_coefficients returns the same
+column-major layout, the block itself when one block holds every row.
 
 Enumeration contract
 --------------------
@@ -287,7 +285,10 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
     that reduces each block never holds the whole matrix.  Each slot
-    fills one contiguous column of a block.
+    fills one contiguous column of a block.  The generator drops a block
+    before it allocates the next, so a caller that also drops it (del
+    block at the end of its loop body, as the suites do) holds one block
+    at a time, and the allocator can reuse its memory for the next.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
@@ -301,6 +302,7 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
         for pos, gens in enumerate(slots):
             np.multiply(weights[pos], _slot_draws(prior.law, gens, n), out=block[:, pos])
         yield start, block
+        del block
 
 
 def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int) -> np.ndarray:
@@ -309,14 +311,15 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
     Row i is the i-th field; column order is the enumeration order of the
     window.  Each index has its own stream, so the first row equals the
     single sample for the same seed at any window level.  The matrix is
-    C order, copied from the column-major blocks of coefficient_chunks
-    even when one block holds every row, so that row reductions over it
-    sum in numpy's row-major order.
+    column-major, like the blocks of coefficient_chunks, and is the one
+    block itself when a block holds every row.
     """
     out = None
     for start, block in coefficient_chunks(prior, N, num_samples, seed):
+        if len(block) == num_samples:
+            return block
         if out is None:
-            out = np.empty((num_samples, block.shape[1]))
+            out = np.empty((num_samples, block.shape[1]), order="F")
         out[start : start + len(block)] = block
     return out
 

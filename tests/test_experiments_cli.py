@@ -163,6 +163,30 @@ def test_reports_invariant_under_block_size(monkeypatch, name, config):
     assert json.dumps(small, sort_keys=True) == json.dumps(base, sort_keys=True)
 
 
+def test_min_ess_verdict_has_a_tenfold_margin_at_the_defaults():
+    for name in ("stability", "consistency", "metrics"):
+        verdict = cached_report(name)["verdicts"]["min_ess"]
+        assert verdict["passed"] and verdict["observed"] >= 10000.0, name
+
+
+def test_min_ess_verdict_flags_a_tiny_noise_variance():
+    # at sigma2 = 1e-3 a handful of prior draws carry all the weight
+    report = run_experiment("stability", {"sigma2": 1e-3, "effort": 20000})
+    verdict = report["verdicts"]["min_ess"]
+    assert not verdict["passed"] and verdict["observed"] < 1000.0
+
+
+@pytest.mark.parametrize("seed", [5, 7, 8])
+def test_map_demo_kkt_certificate_holds_where_the_true_support_is_missed(seed):
+    # at these seeds no grid weight recovers the true support, which depends
+    # on the random design, yet every estimate's own support is certified
+    report = run_experiment("map_demo", seed=seed)
+    assert report["fits"]["true_support_weights"] == 0
+    verdict = report["verdicts"]["kkt_certified"]
+    active, inactive = verdict["observed"]
+    assert verdict["passed"] and active <= 1e-6 and inactive < 1.0
+
+
 def test_audit_report_details():
     report = cached_report("audit")
     verdicts = report["verdicts"]
@@ -301,18 +325,46 @@ def test_cli_map_matches_library(tmp_path):
     assert np.allclose(est, direct.estimate, atol=1e-12)
 
 
+SMALL_EFFORTS = {
+    "stability": {"effort": 2000},
+    "consistency": {"effort": 2000},
+    "convexity": {"effort": 2000},
+    "metrics": {"effort": 2000},
+    "audit": {"num_samples": 50},
+    "map_demo": {},
+}
+ESTIMATOR_SETUP = (
+    "import numpy as np\n"
+    "from cbayes import GaussianAdditive, PosteriorSpec, config, posterior\n"
+    "prior = config.prior_from_json({'kind': 'series', 'basis': {'kind': 'fourier_circle'},\n"
+    "    'schedule': {'kind': 'algebraic_fourier', 's': 1.0}, 'law': {'kind': 'hierarchical',\n"
+    "    'scale': {'kind': 'gamma', 'params': {'k': 2.0, 'lam': 1.0}},\n"
+    "    'mode': {'kind': 'gaussian', 'params': {'m': 0.0, 'sigma': 1.0}}}, 'dilation': 1.0})\n"
+    "model = config.model_from_json({'kind': 'deconvolution', 'multipliers': {'algebraic': 1.0},\n"
+    "    'observation_points': [j / 8 for j in range(8)], 'truncation': 8})\n"
+    "a, b = (PosteriorSpec(prior, GaussianAdditive(model, 1.0, np.full(8, y)), 8) for y in (0.0, 0.5))\n"
+)
+ESTIMATOR_CALLS = (
+    "posterior.hellinger(a, b, effort=2000)",
+    "posterior.total_variation(a, b, effort=2000)",
+    "posterior.normalization(a, 2000)",
+    "posterior.posterior_mean(a, 2000)",
+)
+
+
 def test_suites_leave_scipy_integrate_unimported():
-    # the moment oracles and the quadrature grid share one Gauss-Legendre rule
-    code = (
-        "import sys\n"
-        "from cbayes import run_experiment\n"
-        "for name in ('consistency', 'metrics'):\n"
-        "    run_experiment(name, {'effort': 2000})\n"
-        "print('scipy.integrate' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    # Each suite and each estimator call in a fresh process loads none of
+    # scipy.integrate, scipy.special and scipy.linalg: the CDFs and the
+    # Gauss-Legendre rule are numpy, and only dense noise needs scipy.linalg.
+    codes = [f"from cbayes import run_experiment\nrun_experiment({n!r}, {c!r})\n" for n, c in SMALL_EFFORTS.items()]
+    codes += [ESTIMATOR_SETUP + call + "\n" for call in ESTIMATOR_CALLS]
+    tail = "import sys\nprint([m for m in ('scipy.integrate', 'scipy.special', 'scipy.linalg') if m in sys.modules])\n"
+    procs = [subprocess.Popen([sys.executable, "-c", code + tail], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for code in codes]
+    for code, proc in zip(codes, procs):
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert out.strip() == "[]", code
 
 
 def test_python_m_cbayes_lists_commands():

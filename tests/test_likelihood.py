@@ -7,6 +7,8 @@ modes of the multiplicative potential and nothing on the quadratic one.
 """
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,14 +91,17 @@ def test_gaussian_potential_data_swap():
 
 @pytest.mark.parametrize("sigma2", [1.0, 4.0])
 def test_misfit_scalar_noise_matches_plain_formula(sigma2):
-    # the formula the verification suites used before they called misfit
+    # the plain formula, with the squared residual columns added left to right
     model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
     gen = np.random.default_rng(5)
     y = gen.normal(size=8)
     phi = GaussianAdditive(model, sigma2, y)
     fwd = model.apply_many(gen.normal(size=(500, model.dim)))
-    expected = 0.5 * np.sum((fwd - y) ** 2, axis=1) / sigma2
-    assert np.array_equal(phi.misfit(fwd, y), expected)
+    sq = (fwd - y) ** 2
+    expected = sq[:, 0].copy()
+    for j in range(1, 8):
+        expected += sq[:, j]
+    assert np.array_equal(phi.misfit(fwd, y), 0.5 * expected / sigma2)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -109,9 +114,10 @@ def test_misfit_scalar_noise_matches_plain_formula(sigma2):
 )
 @example(rows=3, width=129, order="F", dense=False, seed=0)
 @example(rows=2, width=300, order="C", dense=True, seed=1)
-def test_misfit_matches_row_sum_bit_for_bit(rows, width, order, dense, seed):
-    # the column kernel must reproduce np.sum's pairwise order along rows,
-    # which only shows on terms of very different sizes
+def test_misfit_matches_column_sum_bit_for_bit(rows, width, order, dense, seed):
+    # scalar noise adds the squared residual columns left to right at every
+    # row count and layout; dense noise sums each whitened row with np.sum.
+    # Orders differ only on terms of very different sizes.
     gen = np.random.default_rng(seed)
     fwd = np.asarray(gen.normal(size=(rows, width)) * np.exp(gen.uniform(-15.0, 15.0, (rows, width))), order=order)
     y = gen.normal(size=width)
@@ -128,11 +134,20 @@ def test_misfit_matches_row_sum_bit_for_bit(rows, width, order, dense, seed):
         r = f - y
         if white is not None:
             r = r @ white.T
-        return 0.5 * np.sum(r * r, axis=-1) / s2
+            return 0.5 * np.sum(r * r, axis=-1) / s2
+        sq = r * r
+        total = sq[..., 0].copy()
+        for j in range(1, width):
+            total += sq[..., j]
+        return 0.5 * total / s2
 
     assert np.array_equal(phi.misfit(fwd, y), expected(np.ascontiguousarray(fwd)))
     assert np.array_equal(fwd, before)
-    assert np.array_equal(phi.misfit(fwd[0], y), expected(fwd[0].copy()))
+    # a single residual vector is summed by np.sum, as in the 1-D path
+    r = fwd[0] - y
+    if white is not None:
+        r = r @ white.T
+    assert np.array_equal(phi.misfit(fwd[0], y), 0.5 * np.sum(r * r) / s2)
 
 
 def test_misfit_dense_covariance_matches_solve():
@@ -150,6 +165,25 @@ def test_misfit_dense_covariance_matches_solve():
     y2 = gen.normal(size=4)
     r = A @ coeffs[0] - y2
     assert phi.evaluate_with_data(coeffs[0], y2) == pytest.approx(0.5 * r @ np.linalg.solve(cov, r), abs=1e-12)
+
+
+def test_dense_covariance_loads_scipy_linalg_when_built():
+    # scalar noise needs only numpy; a dense covariance imports scipy.linalg
+    # on construction and then evaluates as before
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from cbayes import GaussianAdditive, LinearModel\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "cov = np.array([[2.0, 0.5], [0.5, 1.0]])\n"
+        "phi = GaussianAdditive(LinearModel(np.eye(2)), cov, [0.0, 0.0])\n"
+        "u = np.array([1.0, -1.0])\n"
+        "ok = abs(phi.evaluate(u) - 0.5 * u @ np.linalg.solve(cov, u)) <= 1e-14\n"
+        "print(before, 'scipy.linalg' in sys.modules, ok)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 def test_dense_covariance_must_be_symmetric_to_relative_1e12():

@@ -341,3 +341,57 @@ def test_moment_helpers_match_quadrature(d):
     e_sq = ref.expect(lambda x: x * x)
     assert abs_mean(d) == pytest.approx(e_abs, rel=1e-6, abs=1e-9)
     assert second_moment(d) == pytest.approx(e_sq, rel=1e-6, abs=1e-9)
+
+
+# ------------------------------------------- numpy CDFs and rule against scipy
+
+
+def test_gaussian_cdf_matches_ndtr_in_both_tails():
+    from scipy.special import ndtr
+
+    z = np.linspace(-14.0, 8.0, 2201)
+    for m, sigma in ((0.0, 1.0), (-1.5, 0.25)):
+        x = m + sigma * z
+        ref = ndtr((x - m) / sigma)
+        assert np.max(np.abs(Gaussian(m, sigma).cdf(x) - ref) / ref) <= 1e-13
+    # the lower tail that quantile_interval bisects: 0.5 + 0.5 erf(z/sqrt 2)
+    # keeps only the absolute accuracy 1e-16 there
+    assert Gaussian(0.0, 1.0).cdf(-8.0) == pytest.approx(float(ndtr(-8.0)), rel=1e-13)
+    assert isinstance(Gaussian(0.0, 1.0).cdf(-8.0), float)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+def test_integer_gamma_cdf_matches_gammainc(k):
+    from scipy.special import gammainc
+
+    lam = 2.0  # a power of two, so x / lam gives back t exactly
+    t = np.concatenate([k * np.logspace(-16.0, 0.0, 400), np.linspace(0.0, 6.0 * k + 40.0, 400)])
+    got = Gamma(float(k), lam).cdf(lam * t)
+    ref = gammainc(k, t)
+    tiny = ref > 0.0
+    assert np.all(got[~tiny] == 0.0)
+    assert np.max(np.abs(got[tiny] - ref[tiny]) / ref[tiny]) <= 1e-13
+    assert np.any((ref > 1e-16) & (ref < 1e-14))  # probabilities near 1e-15 are covered
+    assert Gamma(float(k), lam).cdf(np.inf) == 1.0
+    assert isinstance(Gamma(float(k), lam).cdf(1.0), float)
+
+
+@pytest.mark.parametrize("n", [2, 20, 256, 1600])
+def test_gauss_legendre_matches_roots_legendre(n):
+    from scipy.special import roots_legendre
+
+    x, w = measures1d._gauss_legendre(n)
+    xr, wr = roots_legendre(n)
+    assert np.max(np.abs(x - xr)) <= 1e-15
+    assert abs(float(np.sum(w)) - 2.0) <= 1e-12
+
+    def worst_even_moment_error(x, w):
+        # the rule integrates x^d exactly for every even d <= 2n - 2
+        worst, power, sq = 0.0, np.ones_like(x), x * x
+        for d in range(0, 2 * n - 1, 2):
+            worst = max(worst, abs(float(np.sum(w * power)) - 2.0 / (d + 1)))
+            power *= sq
+        return worst
+
+    # scipy's two-node rule is exact; allow rounding of a few ulp there
+    assert worst_even_moment_error(x, w) <= max(worst_even_moment_error(xr, wr), 4 * np.finfo(float).eps)

@@ -7,6 +7,9 @@ are cross-checked against each other and the scalar soft-threshold rule.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,6 +292,25 @@ def test_metric_reports_carry_the_smaller_ess(sigma2, ess):
         assert rep.ess == min(z1.ess, z2.ess)
         assert rep.ess == pytest.approx(ess, abs=0.01)
         assert metric(tilt_spec(), flat_spec(), method="quadrature", effort=64).ess is None
+
+
+def test_ess_does_not_depend_on_the_blas_thread_count():
+    # the suites report the ESS in their min_ess verdicts; a threaded BLAS
+    # dot product would make those bytes depend on OPENBLAS_NUM_THREADS
+    code = (
+        "import numpy as np\n"
+        "from cbayes.posterior import hellinger_from_potentials\n"
+        "gen = np.random.default_rng(3)\n"
+        "p1, p2 = gen.exponential(size=(2, 200001)) * 4.0\n"
+        "print(repr(hellinger_from_potentials(p1, p2).ess))\n"
+    )
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout.strip())
+    assert len(outs) == 1
 
 
 _PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)

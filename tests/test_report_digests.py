@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.3.0
-    "stability": "98648d2b28385f338054c639299f8b3879e0a7a7269268c704955e47c4f17ca7",
-    "consistency": "9a6a6a45d9f45047c2678a96883201232ee681c0c1150fe6f1a6f047fe66a730",
-    "metrics": "3782a39095a326a13c35c2c2d104f716a400102aa4e59ee2cf65c13809e69050",
-    "convexity": "001ad2b2092a44fc95c032fdcc80db168ecd160b307e18813919df062e6c41b8",
-    "audit": "d4f3f667da253f9193d9c9e69477f0a3df3c501679896892e44f398c6abcf5fd",
-    "map_demo": "2ca704b663711b45259c83e3299119639b6418442e8f92f1f80c054436a90094",
+DIGESTS = {  # report revision 0.4.0
+    "stability": "9bd02174d99c79df8db1b49bcd3a4cfa41260536d9017801573a51a35ab1bd41",
+    "consistency": "4f426aecbc418e1fa295d7144764ec268a7c0532254b1f3402f652258ced33f5",
+    "metrics": "61e3f47d3273affa69f2bca4f2d41a862530615613f70ea8922ffba5f4b4c2b8",
+    "convexity": "6e898d5539b03fb8fe8c143088ef24a8c4c1d11bfe77f645590a764f047a3062",
+    "audit": "b9e84fcf2f0ffa25d223ade2b76cff457fe7d949a82b53657ba19c22e5c812f4",
+    "map_demo": "1cec541fb13e6348b82aafa81c1bc3ab5f6a4f29d3cd6bce09a8787a30bd99c9",
 }
 
 

@@ -260,7 +260,7 @@ def test_chunked_draws_stack_to_one_shot_property(name, N, rows, blocks, short, 
         full = sample_coefficients(p, N, n, seed)
     assert [start for start, _ in chunks] == list(range(0, n, rows))
     assert all(block.flags.f_contiguous for _, block in chunks)
-    assert full.flags.c_contiguous
+    assert full.flags.f_contiguous
     stacked = np.concatenate([block for _, block in chunks])
     assert stacked.tobytes() == full.tobytes() == column_loop(p, N, n, seed).tobytes()
 
