@@ -3,7 +3,7 @@ dimensional Bayesian posteriors for linear and deconvolution models, and
 numerical well-posedness checks (stability in the data, truncation
 consistency, convexity inequalities, exponential integrability)."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .measures1d import (
     Distribution1D,
@@ -51,7 +51,6 @@ from .posterior import (
     hellinger,
     map_estimate_l1,
     normalization,
-    rw_metropolis,
     total_variation,
     weighted_probability,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "hellinger",
     "total_variation",
     "weighted_probability",
-    "rw_metropolis",
     "map_estimate_l1",
     "EXPERIMENT_NAMES",
     "default_config",

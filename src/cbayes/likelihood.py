@@ -11,13 +11,21 @@ verification suites all call it.  Scalar noise (Gamma = sigma2 * I) needs
 only numpy.  A dense Gamma loads scipy.linalg at construction, which
 computes L^-1 (Gamma = L L^T) once.
 
-On a 2-D batch of forward outputs, a scalar-noise misfit squares a
-column-major residual and adds its columns left to right, so a row's value
-depends on neither the layout nor the row count of the batch (np.sum
-would sum a one-row batch in its pairwise order); column-major
+On a 2-D batch of forward outputs, a scalar-noise misfit works column by
+column: it subtracts the data, squares in place and adds the column into a
+running sum, left to right, with no batch-sized residual held.  A row's
+value so depends on neither the layout nor the row count of the batch
+(np.sum would sum a one-row batch in its pairwise order); column-major
 (order="F") batches are the fast path, and the suites allocate theirs
 that way.  A dense-noise residual is whitened into row-major order and
-summed along each row by np.sum.
+summed along each row by np.sum.  The data may be one vector or one row
+per forward output.
+
+evaluate_with_data takes one input and one data vector, or an (n, dim)
+batch of inputs with an (n, data_dim) batch of data, evaluated through
+apply_many and one misfit call.  A batched forward map (a matrix product)
+rounds differently from the one-vector product, so the two forms agree to
+rounding, not bit for bit.
 
 A multiplicative-noise potential is also provided: Phi(u; y) = log||u||
 when ||u|| < y and +inf otherwise.  It is deliberately irregular
@@ -31,6 +39,9 @@ data in the ball ("bounded_above"), a Lipschitz constant in the input
 ("lipschitz_u", reported, never flagged by sampling alone), and data
 continuity ("data_continuity", reported as a log-constant).  Sampling can
 certify violations, not satisfaction; reported constants are empirical.
+The shrinking rays behind the lower-bound flag are probed point by point
+with evaluate; the ball samples, the Lipschitz pairs and the data pairs
+are each one batched evaluate_many or evaluate_with_data call.
 """
 
 from __future__ import annotations
@@ -117,11 +128,14 @@ class GaussianAdditive:
                 r = r @ self._white.T
             return 0.5 * np.sum(r * r, axis=-1) / self._s2
         if self._white is None:
-            r = np.subtract(fwd, y, order="F")
-            np.multiply(r, r, out=r)
-            out = r[:, 0].copy()
-            for j in range(1, r.shape[1]):
-                out += r[:, j]
+            y = np.asarray(y)
+            out = np.subtract(fwd[:, 0], y[..., 0])
+            out *= out
+            col = np.empty_like(out)
+            for j in range(1, fwd.shape[1]):
+                np.subtract(fwd[:, j], y[..., j], out=col)
+                col *= col
+                out += col
         else:
             r = np.subtract(fwd, y, order="C") @ self._white.T
             np.multiply(r, r, out=r)
@@ -140,7 +154,14 @@ class GaussianAdditive:
     def evaluate_many(self, coeffs: np.ndarray) -> np.ndarray:
         return self.misfit(self.model.apply_many(self._projected(coeffs)), self.y)
 
-    def evaluate_with_data(self, coeffs, y) -> float:
+    def evaluate_with_data(self, coeffs, y):
+        """Phi(u; y) for one input and data vector, or the (n,) values for
+        an (n, dim) batch of inputs with an (n, data_dim) batch of data."""
+        if np.ndim(coeffs) == 2:
+            ys = np.asarray(y, dtype=float)
+            if ys.shape != (len(coeffs), self.data_dim):
+                raise ValueError(f"expected ({len(coeffs)}, {self.data_dim}) data for the batch")
+            return self.misfit(self.model.apply_many(self._projected(coeffs)), ys)
         y = _data_vector(y, self.data_dim)
         return float(self.misfit(self.model.apply(self._projected(coeffs)), y))
 
@@ -166,12 +187,19 @@ class MultiplicativeUniform:
         return self.evaluate_with_data(coeffs, self.y)
 
     def evaluate_many(self, coeffs: np.ndarray) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        norms = np.sqrt(np.sum(coeffs * coeffs, axis=1))
-        with np.errstate(divide="ignore"):
-            return np.where(norms < self.y, np.log(norms), np.inf)
+        return self.evaluate_with_data(coeffs, np.full((len(coeffs), 1), self.y))
 
-    def evaluate_with_data(self, coeffs, y) -> float:
+    def evaluate_with_data(self, coeffs, y):
+        """Scalar form, or an (n, dim) batch with an (n, 1) batch of
+        thresholds, one per row."""
+        if np.ndim(coeffs) == 2:
+            coeffs = np.asarray(coeffs, dtype=float)
+            ys = np.asarray(y, dtype=float)
+            if ys.shape != (len(coeffs), 1):
+                raise ValueError(f"expected ({len(coeffs)}, 1) thresholds for the batch")
+            norms = np.sqrt(np.sum(coeffs * coeffs, axis=1))
+            with np.errstate(divide="ignore"):
+                return np.where(norms < ys[:, 0], np.log(norms), np.inf)
         norm = float(np.linalg.norm(np.asarray(coeffs, dtype=float)))
         y = float(np.asarray(y).reshape(()))
         if norm >= y:
@@ -211,6 +239,17 @@ def _ball_points(dim: int, num: int, radius: float, gen, on_sphere: bool) -> np.
     return radii[:, None] * dirs
 
 
+def _max_pair_ratio(vals: np.ndarray, points: np.ndarray) -> float:
+    """max |v_a - v_b| / ||p_a - p_b|| over the pairs (row i of the first
+    half, row i of the second) whose values are finite and whose points
+    differ; nan when no pair qualifies."""
+    n = len(vals) // 2
+    va, vb = vals[:n], vals[n:]
+    dist = np.linalg.norm(points[:n] - points[n:], axis=1)
+    ok = np.isfinite(va) & np.isfinite(vb) & (dist > 0)
+    return float(np.max(np.abs(va[ok] - vb[ok]) / dist[ok])) if ok.any() else math.nan
+
+
 @dataclass(frozen=True)
 class AuditReport:
     lower_bound_ok: bool
@@ -227,7 +266,9 @@ def assumption_audit(phi, r: float, num_samples: int, seed: int) -> AuditReport:
     Flags "lower_bound" when the potential keeps falling, by drops that do
     not shrink, along inputs shrinking to zero, and "bounded_above" when
     some input and data in the ball produce an infinite value.  The Lipschitz and
-    data-continuity constants are empirical maxima over finite pairs.
+    data-continuity constants are empirical maxima over finite pairs.  The
+    potential needs dim, evaluate and evaluate_many; data_dim and a batch-capable
+    evaluate_with_data vary the data too.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -266,41 +307,26 @@ def assumption_audit(phi, r: float, num_samples: int, seed: int) -> AuditReport:
     if has_data:
         gen_y = streams.substream(seed, streams.PROBES, 12)
         ys = _ball_points(data_dim, num_samples, r, gen_y, on_sphere=False)
-        vals = np.asarray([phi.evaluate_with_data(u, yv) for u, yv in zip(us, ys)])
+        vals = phi.evaluate_with_data(us, ys)
     else:
-        vals = np.asarray([phi.evaluate(u) for u in us])
+        vals = phi.evaluate_many(us)
     if np.any(np.isposinf(vals)):
         violations.append("bounded_above")
     finite = vals[np.isfinite(vals)]
-    all_finite_vals.extend(finite.tolist())
-    empirical_M = float(np.min(all_finite_vals)) if all_finite_vals else math.inf
-    empirical_K = float(np.max(finite)) if len(finite) else -math.inf
+    empirical_M = float(np.min(np.concatenate([all_finite_vals, finite]), initial=math.inf))
+    empirical_K = float(np.max(finite, initial=-math.inf))
 
     # Lipschitz ratios in the input, on finite pairs.
     gen = streams.substream(seed, streams.PROBES, 13)
     pairs = _ball_points(dim, 2 * num_samples, r, gen, on_sphere=False)
-    u1, u2 = pairs[:num_samples], pairs[num_samples:]
-    ratios = []
-    for a, b in zip(u1, u2):
-        va, vb = phi.evaluate(a), phi.evaluate(b)
-        du = float(np.linalg.norm(a - b))
-        if math.isfinite(va) and math.isfinite(vb) and du > 0:
-            ratios.append(abs(va - vb) / du)
-    empirical_L = float(np.max(ratios)) if ratios else math.nan
+    empirical_L = _max_pair_ratio(phi.evaluate_many(pairs), pairs)
 
     # Data continuity, log-constant with the exponential factor at zero rate.
     empirical_C = None
     if has_data:
         gen = streams.substream(seed, streams.PROBES, 14)
         y_pairs = _ball_points(data_dim, 2 * num_samples, r, gen, on_sphere=False)
-        y1s, y2s = y_pairs[:num_samples], y_pairs[num_samples:]
-        log_ratios = []
-        for u, ya, yb in zip(us, y1s, y2s):
-            va = phi.evaluate_with_data(u, ya)
-            vb = phi.evaluate_with_data(u, yb)
-            dy = float(np.linalg.norm(ya - yb))
-            if math.isfinite(va) and math.isfinite(vb) and dy > 0 and va != vb:
-                log_ratios.append(math.log(abs(va - vb) / dy))
-        empirical_C = float(np.max(log_ratios)) if log_ratios else None
+        ratio = _max_pair_ratio(phi.evaluate_with_data(np.concatenate([us, us]), y_pairs), y_pairs)
+        empirical_C = math.log(ratio) if ratio > 0 else None
 
     return AuditReport(lower_ok, empirical_M, empirical_K, empirical_L, empirical_C, tuple(violations))

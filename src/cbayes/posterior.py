@@ -21,9 +21,9 @@ exactly 1 and no finite potential underflows whole.  The distances and
 every self-normalized estimate are unchanged by the shift; a potential
 that is +inf everywhere is refused, and a NaN or -inf one is an error.
 
-Also here: random-walk Metropolis over product priors, normalization
-constants with importance-sampling diagnostics, and l1-penalized MAP
-estimates (proximal gradient, with a coordinate-descent cross-check).
+Also here: normalization constants with importance-sampling diagnostics,
+and l1-penalized MAP estimates (proximal gradient, with a
+coordinate-descent cross-check).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "ProbabilityReport",
     "weighted_probability",
     "posterior_mean",
-    "ChainResult",
-    "rw_metropolis",
     "MapResult",
     "map_estimate_l1",
     "map_estimate_l1_cd",
@@ -453,79 +451,6 @@ def posterior_mean(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0)
 
 
 @dataclass(frozen=True, eq=False)
-class ChainResult:
-    samples: np.ndarray
-    acceptance_rate: float
-    step_size: float
-    burn_in: int
-
-
-def rw_metropolis(
-    spec: PosteriorSpec,
-    num_steps: int = 20000,
-    seed: int = 0,
-    step_size="auto",
-    burn_in: int | None = None,
-) -> ChainResult:
-    """Random-walk Metropolis on the window coefficients.
-
-    The target density against Lebesgue measure is the prior coordinate
-    density times exp(-Phi), so only priors with explicit independent
-    coordinate laws are supported.  With step_size="auto" the proposal
-    scale adapts during burn-in toward an acceptance rate near 0.3 and
-    is frozen afterwards.
-    """
-    laws = spec.coefficient_laws()
-    if laws is None:
-        raise ValueError("random-walk sampling needs independent coordinate laws")
-    if burn_in is None:
-        burn_in = num_steps // 5
-    if burn_in >= num_steps:
-        raise ValueError("burn_in must be smaller than num_steps")
-    dim = spec.dim
-    adapt = step_size == "auto"
-    step = 0.5 if adapt else float(step_size)
-    if step <= 0:
-        raise ValueError("step_size must be positive")
-
-    def log_target(x):
-        lp = -spec.potential.evaluate(x)
-        for j, d in enumerate(laws):
-            lp += float(d.log_density(x[j]))
-        return lp
-
-    cur = spec.prior_samples(1, seed)[0]
-    lp_cur = log_target(cur)
-
-    gen_prop = streams.substream(seed, streams.CHAIN, 1)
-    normals = streams.normals(gen_prop, (num_steps, dim))
-    u_acc = streams.substream(seed, streams.CHAIN, 2).random(num_steps)
-
-    kept = np.empty((num_steps - burn_in, dim))
-    accepts_post = 0
-    block_accepts = 0
-    for t in range(num_steps):
-        prop = cur + step * normals[t]
-        lp_prop = log_target(prop)
-        # random() can return 0.0: log 0 = -inf accepts any positive density
-        log_u = math.log(u_acc[t]) if u_acc[t] > 0.0 else -math.inf
-        if log_u < lp_prop - lp_cur:
-            cur, lp_cur = prop, lp_prop
-            if t >= burn_in:
-                accepts_post += 1
-            else:
-                block_accepts += 1
-        if adapt and t < burn_in and (t + 1) % 50 == 0:
-            rate = block_accepts / 50.0
-            step = min(max(step * math.exp(rate - 0.3), 1e-6), 1e3)
-            block_accepts = 0
-        if t >= burn_in:
-            kept[t - burn_in] = cur
-    rate = accepts_post / (num_steps - burn_in)
-    return ChainResult(kept, rate, step, burn_in)
-
-
-@dataclass(frozen=True, eq=False)
 class MapResult:
     estimate: np.ndarray
     objective: float
@@ -537,9 +462,9 @@ def _soft(x: np.ndarray, a: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - a, 0.0)
 
 
-def _l1_objective(A, y, z, weight):
-    r = A @ z - y
-    return 0.5 * float(r @ r) + weight * float(np.sum(np.abs(z)))
+def _l1_objective(r, z, weight):
+    """0.5 ||r||^2 + weight ||z||_1 for the residual r = A z - y."""
+    return 0.5 * float(r @ r) + weight * float(np.abs(z).sum())
 
 
 def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter: int = 200000) -> MapResult:
@@ -554,14 +479,17 @@ def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter
     weight = sigma * sigma / lam
     L = float(np.linalg.norm(A, 2)) ** 2
     z = np.zeros(A.shape[1])
-    history = [_l1_objective(A, y, z, weight)]
+    r = A @ z - y  # each iterate's residual feeds its objective and the next gradient
+    history = [_l1_objective(r, z, weight)]
     if L == 0.0:
         return MapResult(z, history[0], 0, np.asarray(history))
     t = 1.0 / L
+    threshold = t * weight
     for it in range(max_iter):
-        z_new = _soft(z - t * (A.T @ (A @ z - y)), t * weight)
-        history.append(_l1_objective(A, y, z_new, weight))
-        delta = float(np.max(np.abs(z_new - z)))
+        z_new = _soft(z - t * (A.T @ r), threshold)
+        r = A @ z_new - y
+        history.append(_l1_objective(r, z_new, weight))
+        delta = float(np.abs(z_new - z).max())
         z = z_new
         if delta < tol:
             return MapResult(z, history[-1], it + 1, np.asarray(history))
@@ -579,22 +507,30 @@ def map_estimate_l1_cd(A, y, sigma: float, lam: float, tol: float = 1e-12, max_i
         raise ValueError("sigma and lam must be positive")
     weight = sigma * sigma / lam
     n = A.shape[1]
-    colsq = np.sum(A * A, axis=0)
-    z = np.zeros(n)
+    # Column views and Python floats: the dot products read A[:, j] as a
+    # view (a contiguous copy would change their bits), and the scalar soft
+    # threshold sign(rho) * max(|rho| - weight, 0) needs no numpy call; a
+    # zero rho gives +0.0, as np.sign does.
+    cols = [A[:, j] for j in range(n)]
+    colsq = np.sum(A * A, axis=0).tolist()
+    est = np.zeros(n)
+    history = [_l1_objective(A @ est - y, est, weight)]
+    z = est.tolist()
     r = y.copy()
-    history = [_l1_objective(A, y, z, weight)]
     for sweep in range(max_iter):
         delta = 0.0
         for j in range(n):
-            if colsq[j] == 0.0:
+            cs = colsq[j]
+            if cs == 0.0:
                 continue  # no data influence, penalty keeps it at zero
-            rho = float(A[:, j] @ r) + colsq[j] * z[j]
-            new = float(_soft(np.asarray(rho), weight)) / colsq[j]
+            rho = float(cols[j] @ r) + cs * z[j]
+            new = (math.copysign(max(abs(rho) - weight, 0.0), rho) if rho else 0.0) / cs
             if new != z[j]:
-                r -= A[:, j] * (new - z[j])
+                r -= cols[j] * (new - z[j])
                 delta = max(delta, abs(new - z[j]))
                 z[j] = new
-        history.append(_l1_objective(A, y, z, weight))
+        est = np.array(z)
+        history.append(_l1_objective(A @ est - y, est, weight))
         if delta < tol:
-            return MapResult(z, history[-1], sweep + 1, np.asarray(history))
+            return MapResult(est, history[-1], sweep + 1, np.asarray(history))
     raise RuntimeError(f"coordinate descent did not converge in {max_iter} iterations")

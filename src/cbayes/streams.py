@@ -9,8 +9,7 @@ for bit.
 
 normals() is the one normal generator: Gaussian.sample (and so every
 Gaussian coefficient slot), the suites' synthetic data and design
-matrices, the probes' ball points and the Metropolis proposals all draw
-through it.  It is numpy's Generator.standard_normal (the ziggurat of
+matrices and the probes' ball points all draw through it.  It is numpy's Generator.standard_normal (the ziggurat of
 Marsaglia and Tsang, J. Stat. Softw. 2000), which reads the stream
 variate by variate, so a stream continued call by call at any counts
 gives the variates of one call.  numpy may change what its Generator
@@ -24,10 +23,9 @@ import numpy as np
 
 # Path-domain tags.  Keeping the first path component distinct per use
 # guarantees that, e.g., coefficient draws never collide with probe draws
-# made under the same user seed.  Tag 1 is not used.
+# made under the same user seed.  Tags 1 and 3 are not used.
 COEFFS = 0
 PROBES = 2
-CHAIN = 3
 DATA = 4
 
 

@@ -117,7 +117,8 @@ def test_misfit_scalar_noise_matches_plain_formula(sigma2):
 def test_misfit_matches_column_sum_bit_for_bit(rows, width, order, dense, seed):
     # scalar noise adds the squared residual columns left to right at every
     # row count and layout; dense noise sums each whitened row with np.sum.
-    # Orders differ only on terms of very different sizes.
+    # Orders differ only on terms of very different sizes.  The data may be
+    # one vector or one row per forward output.
     gen = np.random.default_rng(seed)
     fwd = np.asarray(gen.normal(size=(rows, width)) * np.exp(gen.uniform(-15.0, 15.0, (rows, width))), order=order)
     y = gen.normal(size=width)
@@ -129,9 +130,10 @@ def test_misfit_matches_column_sum_bit_for_bit(rows, width, order, dense, seed):
         phi = GaussianAdditive(LinearModel(np.eye(width)), 0.37, y)
         white, s2 = None, 0.37
     before = fwd.copy(order="A")
+    ys = gen.normal(size=(rows, width))
 
-    def expected(f):
-        r = f - y
+    def expected(f, data):
+        r = f - data
         if white is not None:
             r = r @ white.T
             return 0.5 * np.sum(r * r, axis=-1) / s2
@@ -141,7 +143,8 @@ def test_misfit_matches_column_sum_bit_for_bit(rows, width, order, dense, seed):
             total += sq[..., j]
         return 0.5 * total / s2
 
-    assert np.array_equal(phi.misfit(fwd, y), expected(np.ascontiguousarray(fwd)))
+    assert np.array_equal(phi.misfit(fwd, y), expected(np.ascontiguousarray(fwd), y))
+    assert np.array_equal(phi.misfit(fwd, ys), expected(np.ascontiguousarray(fwd), ys))
     assert np.array_equal(fwd, before)
     # a single residual vector is summed by np.sum, as in the 1-D path
     r = fwd[0] - y
@@ -308,3 +311,156 @@ def test_audit_deterministic():
     a = assumption_audit(phi, r=1.0, num_samples=200, seed=7)
     b = assumption_audit(phi, r=1.0, num_samples=200, seed=7)
     assert a == b
+
+
+# Reference copy of the scalar-loop audit: one evaluate or
+# evaluate_with_data call per probe point and per pair.  The shipped audit
+# batches the ball, Lipschitz and data-continuity probes; its flags must
+# match and its constants agree to rounding.
+
+
+def _scalar_loop_audit(phi, r, num_samples, seed):
+    from cbayes import streams
+    from cbayes.likelihood import _ball_points
+
+    dim = phi.dim
+    violations = []
+    gen = streams.substream(seed, streams.PROBES, 10)
+    lower_ok = True
+    all_finite_vals = []
+    for d in _ball_points(dim, 8, 1.0, gen, on_sphere=True):
+        vals = [v for v in (phi.evaluate(r * (2.0**-j) * d) for j in range(41)) if math.isfinite(v)]
+        all_finite_vals.extend(vals)
+        if len(vals) >= 6:
+            drops = -np.diff(vals[-5:])
+            if vals[-1] < vals[0] - 15.0 and np.all(drops > 0) and drops[-1] >= 0.5 * drops[0]:
+                lower_ok = False
+    if not lower_ok:
+        violations.append("lower_bound")
+    us = _ball_points(dim, num_samples, r, streams.substream(seed, streams.PROBES, 11), on_sphere=False)
+    data_dim = getattr(phi, "data_dim", 0)
+    has_data = data_dim > 0 and hasattr(phi, "evaluate_with_data")
+    if has_data:
+        ys = _ball_points(data_dim, num_samples, r, streams.substream(seed, streams.PROBES, 12), on_sphere=False)
+        vals = np.asarray([phi.evaluate_with_data(u, yv) for u, yv in zip(us, ys)])
+    else:
+        vals = np.asarray([phi.evaluate(u) for u in us])
+    if np.any(np.isposinf(vals)):
+        violations.append("bounded_above")
+    finite = vals[np.isfinite(vals)]
+    all_finite_vals.extend(finite.tolist())
+    M = float(np.min(all_finite_vals)) if all_finite_vals else math.inf
+    K = float(np.max(finite)) if len(finite) else -math.inf
+    pairs = _ball_points(dim, 2 * num_samples, r, streams.substream(seed, streams.PROBES, 13), on_sphere=False)
+    ratios = []
+    for a, b in zip(pairs[:num_samples], pairs[num_samples:]):
+        va, vb = phi.evaluate(a), phi.evaluate(b)
+        du = float(np.linalg.norm(a - b))
+        if math.isfinite(va) and math.isfinite(vb) and du > 0:
+            ratios.append(abs(va - vb) / du)
+    L = float(np.max(ratios)) if ratios else math.nan
+    C = None
+    if has_data:
+        y_pairs = _ball_points(data_dim, 2 * num_samples, r, streams.substream(seed, streams.PROBES, 14),
+                               on_sphere=False)
+        log_ratios = []
+        for u, ya, yb in zip(us, y_pairs[:num_samples], y_pairs[num_samples:]):
+            va, vb = phi.evaluate_with_data(u, ya), phi.evaluate_with_data(u, yb)
+            dy = float(np.linalg.norm(ya - yb))
+            if math.isfinite(va) and math.isfinite(vb) and dy > 0 and va != vb:
+                log_ratios.append(math.log(abs(va - vb) / dy))
+        C = float(np.max(log_ratios)) if log_ratios else None
+    return lower_ok, M, K, L, C, tuple(violations)
+
+
+def _audit_potentials():
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    y = np.array([0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0])
+    A = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [0.0, -0.5, 1.2]])
+    cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])
+    return {
+        "scalar_noise": GaussianAdditive(model, 4.0, y, 3),
+        "dense_noise": GaussianAdditive(LinearModel(A), cov, [0.5, -1.0, 0.2]),
+        "multiplicative": MultiplicativeUniform(1.0, dim=4),
+        # unbounded on part of the ball, with no batch function
+        "custom": CustomPotential(lambda u: float(u @ u) if u[0] < 0.5 else math.inf, dim=3),
+    }
+
+
+@pytest.mark.parametrize("name", ["scalar_noise", "dense_noise", "multiplicative", "custom"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_audit_matches_scalar_loop_oracle(name, seed):
+    phi = _audit_potentials()[name]
+    rep = assumption_audit(phi, r=1.0, num_samples=300, seed=seed)
+    lower_ok, M, K, L, C, violations = _scalar_loop_audit(phi, 1.0, 300, seed)
+    assert rep.lower_bound_ok == lower_ok
+    assert rep.violations == violations
+    for got, want in ((rep.empirical_M, M), (rep.empirical_K_r, K), (rep.empirical_L_r, L)):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0, nan_ok=True)
+    if C is None:
+        assert rep.empirical_C is None
+    else:
+        assert rep.empirical_C == pytest.approx(C, rel=1e-12, abs=0.0)
+    # the designed failure modes are seen
+    if name == "multiplicative":
+        assert set(violations) == {"lower_bound", "bounded_above"}
+    if name == "custom":
+        assert violations == ("bounded_above",) and C is None
+
+
+@pytest.mark.parametrize("name", ["scalar_noise", "dense_noise", "multiplicative"])
+def test_evaluate_with_data_batch_matches_rows(name):
+    phi = _audit_potentials()[name]
+    gen = np.random.default_rng(11)
+    coeffs = 0.4 * gen.normal(size=(64, phi.dim))
+    ys = gen.normal(size=(64, phi.data_dim))
+    if name == "multiplicative":
+        ys = np.abs(ys) + 0.2
+    got = phi.evaluate_with_data(coeffs, ys)
+    want = np.asarray([phi.evaluate_with_data(c, yv) for c, yv in zip(coeffs, ys)])
+    assert got.shape == (64,)
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[~finite], want[~finite])
+    if name == "multiplicative":
+        assert 0 < np.sum(finite) < 64
+    with pytest.raises(ValueError):
+        phi.evaluate_with_data(coeffs, ys[:-1])
+    with pytest.raises(ValueError):
+        phi.evaluate_with_data(coeffs, ys[:, :1] if phi.data_dim > 1 else np.ones((64, 2)))
+    with pytest.raises(ValueError):
+        phi.evaluate_with_data(coeffs, ys[0])
+
+
+class _CountingPotential:
+    """Forwards to a potential and counts its scalar and batched calls."""
+
+    def __init__(self, phi):
+        self.phi, self.dim, self.data_dim = phi, phi.dim, phi.data_dim
+        self.scalar, self.batched = 0, 0
+
+    def evaluate(self, coeffs):
+        self.scalar += 1
+        return self.phi.evaluate(coeffs)
+
+    def evaluate_many(self, coeffs):
+        self.batched += 1
+        return self.phi.evaluate_many(coeffs)
+
+    def evaluate_with_data(self, coeffs, y):
+        if np.ndim(coeffs) == 2:
+            self.batched += 1
+        else:
+            self.scalar += 1
+        return self.phi.evaluate_with_data(coeffs, y)
+
+
+@pytest.mark.parametrize("name", ["scalar_noise", "multiplicative"])
+def test_audit_call_count_is_rays_plus_constant(name):
+    # only the 8 rays of 41 halvings go through scalar calls; the ball,
+    # Lipschitz and data-continuity probes are a few batched calls
+    phi = _CountingPotential(_audit_potentials()[name])
+    assumption_audit(phi, r=1.0, num_samples=2000, seed=0)
+    assert phi.scalar <= 8 * 41
+    assert phi.batched <= 3

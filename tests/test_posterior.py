@@ -1,9 +1,10 @@
-"""Posterior construction, metric estimators, samplers, MAP solvers.
+"""Posterior construction, metric estimators, MAP solvers.
 
 Closed-form Gaussian pairs pin the estimators: tilting a standard normal
 prior by the linear potential 1/2 - u gives N(1,1) against N(0,1), whose
 Hellinger and total-variation distances are known exactly.  MAP solvers
-are cross-checked against each other and the scalar soft-threshold rule.
+are cross-checked against each other and the scalar soft-threshold rule,
+and held bit for bit to reference copies of their plain loops.
 """
 
 import math
@@ -29,11 +30,9 @@ from cbayes import (
     hellinger,
     map_estimate_l1,
     normalization,
-    rw_metropolis,
     total_variation,
     weighted_probability,
 )
-from cbayes import streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
     gap_check_from_potentials,
@@ -463,96 +462,6 @@ def test_posterior_mean_tilt_oracle():
     assert means[0] == pytest.approx(1.0, abs=4 * errs[0])
 
 
-# -------------------------------------------------------------------- chains
-
-
-def test_metropolis_flat_potential_reproduces_prior():
-    # thinned chain marginal vs the prior CDF at the 1% KS level
-    chain = rw_metropolis(flat_spec(), num_steps=40000, seed=0)
-    thinned = chain.samples[::20, 0]
-    n = len(thinned)
-    g = Gaussian(0.0, 1.0)
-    sorted_x = np.sort(thinned)
-    ecdf = np.arange(1, n + 1) / n
-    stat = float(np.max(np.abs(np.asarray(g.cdf(sorted_x)) - ecdf)))
-    assert stat < 1.6276 / math.sqrt(n)
-
-
-def test_metropolis_conjugate_posterior_mean():
-    # identity observation, y = 0.8, noise 0.5: posterior mean 0.8/1.5
-    phi = GaussianAdditive(LinearModel(np.eye(1)), 0.5, [0.8])
-    spec = PosteriorSpec(STD_PRIOR, phi)
-    chain = rw_metropolis(spec, num_steps=60000, seed=1)
-    assert chain.samples.mean() == pytest.approx(0.8 / 1.5, abs=0.03)
-    assert chain.samples.var() == pytest.approx(1.0 / 3.0, rel=0.15)
-
-
-def test_metropolis_acceptance_rate_in_window():
-    spec, _ = series_pair(n=8)
-    chain = rw_metropolis(spec, num_steps=20000, seed=0)
-    assert 0.1 < chain.acceptance_rate < 0.7
-    assert chain.samples.shape == (16000, spec.dim)
-    assert chain.burn_in == 4000
-    assert chain.step_size > 0
-
-
-def test_metropolis_deterministic_and_validated():
-    a = rw_metropolis(flat_spec(), num_steps=2000, seed=5)
-    b = rw_metropolis(flat_spec(), num_steps=2000, seed=5)
-    assert np.array_equal(a.samples, b.samples)
-    assert a.acceptance_rate == b.acceptance_rate
-    hier = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0),
-                       Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0)))
-    spec = PosteriorSpec(hier, CustomPotential(lambda u: 0.0, dim=2,
-                                               batch_fn=lambda c: np.zeros(len(c))), N=1)
-    with pytest.raises(ValueError):
-        rw_metropolis(spec, num_steps=100)
-    with pytest.raises(ValueError):
-        rw_metropolis(flat_spec(), num_steps=100, burn_in=100)
-    with pytest.raises(ValueError):
-        rw_metropolis(flat_spec(), num_steps=100, step_size=0.0)
-
-
-class _AcceptanceStream:
-    """A CHAIN acceptance generator whose uniform at step k is replaced."""
-
-    def __init__(self, gen, k, u):
-        self.gen, self.k, self.u = gen, k, u
-
-    def random(self, n):
-        out = self.gen.random(n)
-        out[self.k] = self.u
-        return out
-
-
-def test_metropolis_zero_uniform_accepts(monkeypatch):
-    # Generator.random() can return exactly 0.0, whose log is -inf: that
-    # step accepts any proposal of positive density instead of raising
-    spec, _ = series_pair(n=2)
-    plain = rw_metropolis(spec, num_steps=600, seed=3, step_size=2.0, burn_in=100)
-    rejected = [t for t in range(101, 600) if np.array_equal(plain.samples[t - 100], plain.samples[t - 101])]
-    k = rejected[0]
-    real = streams.substream
-
-    def chains(u):
-        def substream(seed, *path):
-            gen = real(seed, *path)
-            return _AcceptanceStream(gen, k, u) if path == (streams.CHAIN, 2) else gen
-
-        monkeypatch.setattr(streams, "substream", substream)
-        return rw_metropolis(spec, num_steps=600, seed=3, step_size=2.0, burn_in=100)
-
-    zero, tiny = chains(0.0), chains(5e-324)
-    assert np.array_equal(zero.samples, tiny.samples)
-    assert np.array_equal(zero.samples[: k - 100], plain.samples[: k - 100])
-    assert not np.array_equal(zero.samples[k - 100], zero.samples[k - 101])
-
-
-def test_metropolis_fixed_step_size_is_kept():
-    chain = rw_metropolis(flat_spec(), num_steps=2000, seed=2, step_size=0.77)
-    assert chain.step_size == 0.77
-
-
 # ----------------------------------------------------------------------- MAP
 
 
@@ -619,3 +528,80 @@ def test_map_validation_and_nonconvergence():
     A = np.random.default_rng(1).normal(size=(5, 8))
     with pytest.raises(RuntimeError):
         map_estimate_l1(A, np.ones(5), sigma=1.0, lam=1.0, tol=0.0, max_iter=3)
+
+
+# Reference copies of the plain solver loops: the residual recomputed for
+# the objective and the gradient, numpy soft thresholds on every scalar.
+# The shipped solvers must reproduce their iterates bit for bit.
+
+
+def _reference_soft(x, a):
+    return np.sign(x) * np.maximum(np.abs(x) - a, 0.0)
+
+
+def _reference_objective(A, y, z, weight):
+    r = A @ z - y
+    return 0.5 * float(r @ r) + weight * float(np.sum(np.abs(z)))
+
+
+def _reference_ista(A, y, weight, tol):
+    t = 1.0 / float(np.linalg.norm(A, 2)) ** 2
+    z = np.zeros(A.shape[1])
+    history = [_reference_objective(A, y, z, weight)]
+    for it in range(200000):
+        z_new = _reference_soft(z - t * (A.T @ (A @ z - y)), t * weight)
+        history.append(_reference_objective(A, y, z_new, weight))
+        delta = float(np.max(np.abs(z_new - z)))
+        z = z_new
+        if delta < tol:
+            return z, it + 1, np.asarray(history)
+    raise AssertionError("reference ISTA did not converge")
+
+
+def _reference_cd(A, y, weight, tol):
+    n = A.shape[1]
+    colsq = np.sum(A * A, axis=0)
+    z = np.zeros(n)
+    r = y.copy()
+    history = [_reference_objective(A, y, z, weight)]
+    for sweep in range(10000):
+        delta = 0.0
+        for j in range(n):
+            if colsq[j] == 0.0:
+                continue
+            rho = float(A[:, j] @ r) + colsq[j] * z[j]
+            new = float(_reference_soft(np.asarray(rho), weight)) / colsq[j]
+            if new != z[j]:
+                r -= A[:, j] * (new - z[j])
+                delta = max(delta, abs(new - z[j]))
+                z[j] = new
+        history.append(_reference_objective(A, y, z, weight))
+        if delta < tol:
+            return z, sweep + 1, np.asarray(history)
+    raise AssertionError("reference coordinate descent did not converge")
+
+
+def _lasso_problem(seed, zero_column=False):
+    # the map_demo design: 12 x 8 Gaussian matrix, three-sparse truth
+    gen = np.random.default_rng(seed)
+    A = gen.normal(size=(12, 8)) / math.sqrt(12.0)
+    if zero_column:
+        A[:, 5] = 0.0
+    truth = np.zeros(8)
+    truth[[0, 3, 6]] = [1.5, -2.0, 1.0]
+    return A, A @ truth + 0.1 * gen.normal(size=12)
+
+
+@pytest.mark.parametrize("seed,zero_column", [(0, False), (7, False), (21, True)])
+@pytest.mark.parametrize("weight", [1e-3, 0.05, 1.0])
+def test_map_solvers_match_reference_loops_bit_for_bit(seed, zero_column, weight):
+    A, y = _lasso_problem(seed, zero_column)
+    lam = 1.0 / weight
+    for solve, reference, tol in ((map_estimate_l1, _reference_ista, 1e-12),
+                                  (map_estimate_l1_cd, _reference_cd, 1e-14)):
+        res = solve(A, y, sigma=1.0, lam=lam, tol=tol)
+        z, iterations, history = reference(A, y, 1.0 / lam, tol)
+        assert res.iterations == iterations
+        assert res.estimate.tobytes() == z.tobytes()
+        assert res.objective_history.tobytes() == history.tobytes()
+        assert res.objective == history[-1]

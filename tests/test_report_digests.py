@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.4.0
-    "stability": "9bd02174d99c79df8db1b49bcd3a4cfa41260536d9017801573a51a35ab1bd41",
-    "consistency": "4f426aecbc418e1fa295d7144764ec268a7c0532254b1f3402f652258ced33f5",
-    "metrics": "61e3f47d3273affa69f2bca4f2d41a862530615613f70ea8922ffba5f4b4c2b8",
-    "convexity": "6e898d5539b03fb8fe8c143088ef24a8c4c1d11bfe77f645590a764f047a3062",
-    "audit": "b9e84fcf2f0ffa25d223ade2b76cff457fe7d949a82b53657ba19c22e5c812f4",
-    "map_demo": "1cec541fb13e6348b82aafa81c1bc3ab5f6a4f29d3cd6bce09a8787a30bd99c9",
+DIGESTS = {  # report revision 0.5.0
+    "stability": "1dd7778d8d867470f867b8487c94271f6e68c4af451db4fd10dfcb7bd32924f3",
+    "consistency": "b9eb489a636dab9f35676c090f7fdd22d56bce5e45ce74544db99572f586cefe",
+    "metrics": "ab1dc3bb5896a3ea389787c953def07a5fe7ddcb0e1d2deeee910e074feec626",
+    "convexity": "8fca05b2d8cf6ae7eea7a003cc67717579d72be4b604d44b766284e5229e4546",
+    "audit": "1a091f49985e07fcbb7f148699a90935df0dacd68d3fd00160bef26c25807b78",
+    "map_demo": "55456b995c57d77f15bd63fce4ec35eac7670cb7cfada53bccd9a0b191017de1",
 }
 
 

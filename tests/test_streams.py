@@ -15,7 +15,7 @@ def test_substream_deterministic():
 def test_substream_paths_are_independent():
     base = streams.substream(7, streams.COEFFS, 3, 0).random(16)
     for path in [(streams.COEFFS, 3, 1), (streams.COEFFS, 4, 0),
-                 (1, 3, 0), (streams.CHAIN, 3, 0)]:
+                 (1, 3, 0), (3, 3, 0)]:
         other = streams.substream(7, *path).random(16)
         assert not np.array_equal(base, other)
 
@@ -46,5 +46,5 @@ def test_normals_continue_at_odd_counts():
 
 
 def test_domain_constants_distinct():
-    doms = [streams.COEFFS, streams.PROBES, streams.CHAIN, streams.DATA]
+    doms = [streams.COEFFS, streams.PROBES, streams.DATA]
     assert len(set(doms)) == len(doms)
