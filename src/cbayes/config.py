@@ -59,7 +59,12 @@ def dist_to_json(d) -> dict:
 
 
 def dist_from_json(obj: dict):
+    if obj["kind"] not in _DIST_KINDS:
+        raise ValueError(f"unknown distribution kind {obj['kind']!r}")
     cls, fields = _DIST_KINDS[obj["kind"]]
+    for f in fields:
+        if f not in obj["params"]:
+            raise ValueError(f"{obj['kind']} distribution is missing parameter {f!r}")
     return cls(**{f: float(obj["params"][f]) for f in fields})
 
 

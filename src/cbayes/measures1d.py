@@ -23,7 +23,11 @@ normals from streams.normals and non-integer-shape Gamma calls
 Generator.standard_gamma (Marsaglia-Tsang), both numpy samplers whose
 output numpy may change between releases (NEP 19).  Every sampler reads
 its stream draw by draw, so a stream continued call by call gives the
-draws of one call.
+draws of one call.  A sampler given out= writes its draws into that
+buffer (a contiguous 1-D float64 array, such as one column of an F-order
+block) and returns it; the transform runs in place with at most one
+draw-sized scratch array, and the draws have the same bits as without
+out=.
 
 The CDFs are closed forms in numpy and math: Gaussian through math.erfc,
 integer-shape Gamma through Poisson sums (_integer_gamma_cdf).  Only a
@@ -79,6 +83,25 @@ def _maybe_scalar(x, res):
     return res
 
 
+def _buffer(size, out) -> np.ndarray:
+    """The array a sampler fills: out itself, or a fresh array of size
+    draws (one draw when size is None)."""
+    if out is None:
+        return np.empty(1 if size is None else int(size))
+    if size is not None and int(size) != len(out):
+        raise ValueError("size must equal len(out)")
+    return out
+
+
+def _result(x: np.ndarray, size, out):
+    """What sample returns: a float for size None without out, else x."""
+    return float(x[0]) if size is None and out is None else x
+
+
+_TINY = np.finfo(float).tiny
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def _softplus(t):
     # log(1 + exp(t)) without overflow for large |t|
     t = np.asarray(t, dtype=float)
@@ -98,8 +121,17 @@ class Distribution1D:
     def cdf(self, x):
         raise NotImplementedError
 
-    def sample(self, gen: np.random.Generator, size=None):
-        """Draw exact samples using uniforms from ``gen`` only."""
+    def sample(self, gen: np.random.Generator, size=None, out=None):
+        """Exact draws from the stream ``gen``: a float when size and out
+        are None, else an array of size draws.
+
+        With out= (a contiguous 1-D float64 array; size, if given, must
+        equal its length) the draws are written into out and out itself
+        is returned, with the same bits as a call without it.  Uniform,
+        Exponential, Laplace, Logistic and integer-shape Gamma transform
+        uniforms from gen; Gaussian reads ziggurat normals
+        (streams.normals) and non-integer-shape Gamma
+        Generator.standard_gamma."""
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -137,10 +169,12 @@ class Gaussian(Distribution1D):
         z = (x - self.m) / self.sigma
         return _maybe_scalar(x, 0.5 * _erfc(-z / _SQRT2))
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
-        out = self.m + self.sigma * streams.normals(gen, (n,))
-        return float(out[0]) if size is None else out
+    def sample(self, gen, size=None, out=None):
+        x = _buffer(size, out)
+        streams.normals(gen, x.shape, out=x)
+        x *= self.sigma
+        x += self.m
+        return _result(x, size, out)
 
     def scaled(self, c):
         return Gaussian(c * self.m, c * self.sigma)
@@ -169,11 +203,12 @@ class Exponential(Distribution1D):
         res = np.where(x >= 0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
         return _maybe_scalar(x, res)
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
-        u = gen.random(n)
-        out = -np.log1p(-u) / self.lam
-        return float(out[0]) if size is None else out
+    def sample(self, gen, size=None, out=None):
+        x = gen.random(out=_buffer(size, out))
+        np.log1p(np.negative(x, out=x), out=x)
+        np.negative(x, out=x)
+        x /= self.lam
+        return _result(x, size, out)
 
     def support(self):
         return (0.0, math.inf)
@@ -207,12 +242,24 @@ class Laplace(Distribution1D):
         res = np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
         return _maybe_scalar(x, res)
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
-        q = gen.random(n) - 0.5
-        radicand = np.maximum(1.0 - 2.0 * np.abs(q), np.finfo(float).tiny)
-        out = self.m - self.sigma * np.sign(q) * np.log(radicand)
-        return float(out[0]) if size is None else out
+    def sample(self, gen, size=None, out=None):
+        # m - sigma*sign(q)*L for q = u - 0.5 and L = log(max(1 - 2|q|, tiny)),
+        # op by op.  sigma*sign(q)*L is sigma*L with q's sign bit XORed in:
+        # exact, since rounding is sign-symmetric, and +0 at q = +0 (q is
+        # never -0).  np.sign in place runs a branchy scalar loop and
+        # np.copysign is several times slower than the two integer passes.
+        x = gen.random(out=_buffer(size, out))
+        x -= 0.5
+        r = np.abs(x)
+        r *= 2.0
+        np.subtract(1.0, r, out=r)
+        np.log(np.maximum(r, _TINY, out=r), out=r)
+        r *= self.sigma
+        bits = x.view(np.uint64)
+        np.bitwise_and(bits, _SIGN_BIT, out=bits)
+        np.bitwise_xor(bits, r.view(np.uint64), out=bits)
+        np.subtract(self.m, x, out=x)
+        return _result(x, size, out)
 
     def scaled(self, c):
         return Laplace(c * self.m, c * self.sigma)
@@ -242,11 +289,14 @@ class Logistic(Distribution1D):
         res = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
         return _maybe_scalar(x, res)
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
-        u = np.maximum(gen.random(n), np.finfo(float).tiny)
-        out = self.m + self.s * np.log(u / (1.0 - u))
-        return float(out[0]) if size is None else out
+    def sample(self, gen, size=None, out=None):
+        x = gen.random(out=_buffer(size, out))
+        np.maximum(x, _TINY, out=x)
+        x /= np.subtract(1.0, x)
+        np.log(x, out=x)
+        x *= self.s
+        x += self.m
+        return _result(x, size, out)
 
     def scaled(self, c):
         return Logistic(c * self.m, c * self.s)
@@ -309,24 +359,24 @@ class Gamma(Distribution1D):
 
         return _maybe_scalar(x, gammainc(self.k, t))
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
+    def sample(self, gen, size=None, out=None):
+        x = _buffer(size, out)
         k_int = int(self.k)
         if float(k_int) == self.k:
-            u = gen.random((n, k_int))
+            u = gen.random((len(x), k_int))
+            np.log1p(np.negative(u, out=u), out=u)
             if k_int < 8:
                 # numpy sums rows shorter than 8 left to right, so adding
                 # the columns in turn gives its bits without a strided reduction
-                np.log1p(np.negative(u, out=u), out=u)
-                total = -u[:, 0]
+                np.negative(u[:, 0], out=x)
                 for j in range(1, k_int):
-                    total -= u[:, j]
-                out = self.lam * total
+                    x -= u[:, j]
             else:
-                out = self.lam * np.sum(-np.log1p(-u), axis=1)
+                np.sum(np.negative(u, out=u), axis=1, out=x)
         else:
-            out = self.lam * gen.standard_gamma(self.k, n)
-        return float(out[0]) if size is None else out
+            gen.standard_gamma(self.k, len(x), out=x)
+        x *= self.lam
+        return _result(x, size, out)
 
     def support(self):
         return (0.0, math.inf)
@@ -392,10 +442,11 @@ class Uniform(Distribution1D):
         res = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
         return _maybe_scalar(x, res)
 
-    def sample(self, gen, size=None):
-        n = 1 if size is None else int(size)
-        out = self.a + (self.b - self.a) * gen.random(n)
-        return float(out[0]) if size is None else out
+    def sample(self, gen, size=None, out=None):
+        x = gen.random(out=_buffer(size, out))
+        x *= self.b - self.a
+        x += self.a
+        return _result(x, size, out)
 
     def support(self):
         return (self.a, self.b)

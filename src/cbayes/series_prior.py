@@ -25,6 +25,14 @@ bit of any draw, and the BLAS products the suites take of a block give
 the same bits in either order.  sample_coefficients returns the same
 column-major layout, the block itself when one block holds every row.
 
+Each slot is drawn with its samplers' out= form straight into its
+column: an IID law fills the column, a hierarchical slot's mode law
+fills the column and its scale law one scratch array per block, then the
+column is multiplied by the scale draws and by the slot's weight in
+place.  IEEE multiplication is commutative, so (xi * zeta) * weight has
+the bits of weight * (zeta * xi), and no draw-sized temporary is made
+beyond the samplers' own scratch.
+
 Enumeration contract
 --------------------
 Fourier indices are enumerated 0, 1, -1, 2, -2, ...  The truncation
@@ -267,14 +275,18 @@ def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
     return tuple(streams.substream(seed, streams.COEFFS, uid, c) for c in range(len(_law_dists(prior.law))))
 
 
-def _slot_draws(law, gens: tuple, n: int) -> np.ndarray:
-    """The next n unweighted coefficient draws of a slot whose generators
-    _slot_streams opened."""
+def _slot_draws(law, gens: tuple, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Fill out with the next len(out) unweighted coefficient draws of a
+    slot whose generators _slot_streams opened, and return it.
+
+    A hierarchical slot draws its mode law into out and its scale law
+    into scratch (an array of len(out), fresh when None), then multiplies
+    out by scratch in place: xi * zeta, the same bits as zeta * xi."""
     if isinstance(law, IID):
-        return law.dist.sample(gens[0], n)
-    xi = law.mode_law.sample(gens[0], n)
-    zeta = law.scale_law.sample(gens[1], n)
-    return zeta * xi
+        return law.dist.sample(gens[0], len(out), out=out)
+    law.mode_law.sample(gens[0], len(out), out=out)
+    out *= law.scale_law.sample(gens[1], len(out), out=scratch)
+    return out
 
 
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
@@ -284,11 +296,14 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
-    that reduces each block never holds the whole matrix.  Each slot
-    fills one contiguous column of a block.  The generator drops a block
-    before it allocates the next, so a caller that also drops it (del
-    block at the end of its loop body, as the suites do) holds one block
-    at a time, and the allocator can reuse its memory for the next.
+    that reduces each block never holds the whole matrix.  Each slot's
+    samplers write straight into its contiguous column of the block,
+    which is then scaled by the slot's weight in place; a hierarchical
+    slot's scale draws go into one column-sized scratch array per block.
+    The generator drops a block, and every view of it, before it
+    allocates the next, so a caller that also drops it (del block at the
+    end of its loop body, as the suites do) holds one block at a time,
+    and the allocator can reuse its memory for the next.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
@@ -299,8 +314,12 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     for start in range(0, num_samples, rows):
         n = min(rows, num_samples - start)
         block = np.empty((n, len(idx)), order="F")
+        scratch = None if isinstance(prior.law, IID) else np.empty(n)
         for pos, gens in enumerate(slots):
-            np.multiply(weights[pos], _slot_draws(prior.law, gens, n), out=block[:, pos])
+            col = block[:, pos]
+            _slot_draws(prior.law, gens, col, scratch)
+            col *= weights[pos]
+        del col, scratch  # a live column view would keep this block past the next allocation
         yield start, block
         del block
 
@@ -440,11 +459,24 @@ def estimate_exp_moment(
     saturated flag instead of raising.  A flagged report means the
     exponential moment shows no sign of being finite at this effort, not
     a proof either way.
+
+    The draws stream through coefficient_chunks one block at a time, and
+    each block's squared coefficients are added column by column, left to
+    right, which is the order numpy sums the rows of the whole
+    column-major sample matrix in (a one-row block alone would be summed
+    pairwise).
     """
     if num_samples < 2:
         raise ValueError("num_samples must be at least 2")
-    coeffs = sample_coefficients(prior, N, num_samples, seed)
-    norms = np.sqrt(np.sum(coeffs * coeffs, axis=1))
+    norms = np.empty(num_samples)
+    for start, block in coefficient_chunks(prior, N, num_samples, seed):
+        acc = norms[start : start + len(block)]
+        sq = np.empty(len(block))
+        np.multiply(block[:, 0], block[:, 0], out=acc)
+        for j in range(1, block.shape[1]):
+            acc += np.multiply(block[:, j], block[:, j], out=sq)
+        del block  # one block at a time (see coefficient_chunks)
+    np.sqrt(norms, out=norms)
     with np.errstate(over="ignore"):
         w = np.exp(eps * norms)
     saturated = bool(np.any(~np.isfinite(w)))
@@ -528,10 +560,10 @@ def marginal_convexity_test(
 
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     index_pos = {int(k): i for i, k in enumerate(prior.basis.window_indices(N))}
-    cols = {
-        k: weights[index_pos[k]] * _slot_draws(prior.law, _slot_streams(prior, seed, k), num_samples)
-        for k in needed
-    }
+    cols = {}
+    for k in needed:
+        cols[k] = _slot_draws(prior.law, _slot_streams(prior, seed, k), np.empty(num_samples))
+        cols[k] *= weights[index_pos[k]]
 
     pts = np.zeros((num_samples, dim))
     for j, f in enumerate(funcs):

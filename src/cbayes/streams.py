@@ -9,12 +9,14 @@ for bit.
 
 normals() is the one normal generator: Gaussian.sample (and so every
 Gaussian coefficient slot), the suites' synthetic data and design
-matrices and the probes' ball points all draw through it.  It is numpy's Generator.standard_normal (the ziggurat of
-Marsaglia and Tsang, J. Stat. Softw. 2000), which reads the stream
-variate by variate, so a stream continued call by call at any counts
-gives the variates of one call.  numpy may change what its Generator
-methods return between releases (NEP 19), which is why reports record
-numpy's version and the golden digests are keyed to it.
+matrices and the probes' ball points all draw through it.  It is
+numpy's Generator.standard_normal (the ziggurat of Marsaglia and Tsang,
+J. Stat. Softw. 2000), which reads the stream variate by variate, so a
+stream continued call by call at any counts gives the variates of one
+call, and filling a caller's buffer gives the same variates as a fresh
+array.  numpy may change what its Generator methods return between
+releases (NEP 19), which is why reports record numpy's version and the
+golden digests are keyed to it.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def normals(gen: np.random.Generator, shape) -> np.ndarray:
-    """Standard normal variates of the given shape, in C order."""
-    return gen.standard_normal(tuple(shape))
+def normals(gen: np.random.Generator, shape, out=None) -> np.ndarray:
+    """Standard normal variates of the given shape, in C order, written
+    into ``out`` (a contiguous float64 array of that shape) when given."""
+    return gen.standard_normal(tuple(shape), out=out)

@@ -67,6 +67,27 @@ def test_distribution_rejects_unknown_kind():
         dist_from_json({"kind": "cauchy", "params": {}})
 
 
+def test_distribution_unknown_kind_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="unknown distribution kind 'cauchy'"):
+        dist_from_json({"kind": "cauchy", "params": {}})
+    prior = {
+        "kind": "series",
+        "basis": {"kind": "fourier_circle"},
+        "schedule": {"kind": "algebraic_fourier", "s": 1.0},
+        "law": {"kind": "iid", "dist": {"kind": "cauchy", "params": {"m": 0.0}}},
+        "dilation": 1.0,
+    }
+    with pytest.raises(ValueError, match="'cauchy'"):
+        prior_from_json(prior)
+
+
+def test_distribution_missing_parameter_is_a_value_error_naming_it():
+    with pytest.raises(ValueError, match="laplace distribution is missing parameter 'sigma'"):
+        dist_from_json({"kind": "laplace", "params": {"m": 0.0}})
+    with pytest.raises(ValueError, match="missing parameter 'k'"):
+        prior_from_json({"kind": "product", "dists": [{"kind": "gamma", "params": {"lam": 1.0}}]})
+
+
 @pytest.mark.parametrize(
     "prior",
     [

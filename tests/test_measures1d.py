@@ -137,7 +137,10 @@ class EdgeUniforms:
 
     VALUES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25, 0.75, 0.999])
 
-    def random(self, shape):
+    def random(self, shape=None, out=None):
+        if out is not None:
+            out[...] = np.resize(self.VALUES, out.size).reshape(out.shape)
+            return out
         n = int(np.prod(shape))
         return np.resize(self.VALUES, n).reshape(shape)
 
@@ -178,6 +181,66 @@ def test_laplace_sample_bit_reference(m, sigma):
             q = gen_of().random(n) - 0.5
             ref = m - sigma * np.sign(q) * np.log(np.maximum(1.0 - 2.0 * np.abs(q), np.finfo(float).tiny))
             assert same_bits(d.sample(gen_of(), n), ref)
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+def test_exponential_sample_bit_reference(lam):
+    d = Exponential(lam)
+    for gen_of in (lambda: np.random.default_rng(6), EdgeUniforms):
+        for n in SIZES:
+            assert same_bits(d.sample(gen_of(), n), -np.log1p(-gen_of().random(n)) / lam)
+
+
+@pytest.mark.parametrize("m, s", [(0.0, 1.0), (-1.0, 2.0)])
+def test_logistic_sample_bit_reference(m, s):
+    d = Logistic(m, s)
+    for gen_of in (lambda: np.random.default_rng(8), EdgeUniforms):
+        for n in SIZES:
+            u = np.maximum(gen_of().random(n), np.finfo(float).tiny)
+            assert same_bits(d.sample(gen_of(), n), m + s * np.log(u / (1.0 - u)))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 3.0)])
+def test_uniform_sample_bit_reference(a, b):
+    d = Uniform(a, b)
+    for gen_of in (lambda: np.random.default_rng(10), EdgeUniforms):
+        for n in SIZES:
+            assert same_bits(d.sample(gen_of(), n), a + (b - a) * gen_of().random(n))
+
+
+OUT_DISTS = [
+    Gaussian(-1.5, 0.3),
+    Exponential(0.25),
+    Laplace(2.0, 0.7),
+    Logistic(-1.0, 2.0),
+    Gamma(3.0, 0.37),
+    Gamma(9.0, 1.0),
+    Gamma(2.5, 2.0),
+    Uniform(-2.0, 3.0),
+]
+
+
+@pytest.mark.parametrize("d", OUT_DISTS, ids=str)
+def test_sample_into_block_column_returns_out_with_same_bits(d):
+    for n in SIZES:
+        block = np.full((n, 3), 7.0, order="F")
+        col = block[:, 1]
+        got = d.sample(streams.substream(4, streams.COEFFS, 1, 0), n, out=col)
+        assert got is col
+        assert same_bits(block[:, 1], d.sample(streams.substream(4, streams.COEFFS, 1, 0), n))
+        assert np.all(block[:, [0, 2]] == 7.0)
+        # size may be left out; the length of out sets the draw count
+        again = np.empty(n)
+        assert d.sample(streams.substream(4, streams.COEFFS, 1, 0), out=again) is again
+        assert same_bits(again, block[:, 1])
+    # a stream continued into buffers gives the draws of one call
+    gen = streams.substream(4, streams.COEFFS, 2, 0)
+    parts = np.empty(12)
+    d.sample(gen, 5, out=parts[:5])
+    d.sample(gen, out=parts[5:])
+    assert same_bits(parts, d.sample(streams.substream(4, streams.COEFFS, 2, 0), 12))
+    with pytest.raises(ValueError):
+        d.sample(np.random.default_rng(0), 3, out=np.empty(4))
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)

@@ -7,6 +7,7 @@ coefficients already present and projection commutes with sampling.
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -276,6 +277,38 @@ def test_projection_commutes_across_chunk_boundaries(prior):
     assert np.array_equal(coarse, fine[:, take])
 
 
+@pytest.mark.parametrize("name", ["laplace", "gamma2_x_gaussian", "gamma2.5_x_gaussian"])
+def test_draining_chunks_holds_one_block_plus_columns(name):
+    # a suite process's peak RSS moves with glibc's mmap threshold as soon
+    # as two 8 MB blocks are alive together, so the generator must release
+    # every view of a block before it allocates the next; the samplers'
+    # scratch is a few column-sized arrays (integer-shape Gamma(2) draws
+    # an (n, 2) uniform array, a hierarchical slot one scale column)
+    p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
+    N, blocks = 64, 3
+    for _ in coefficient_chunks(p, 2, 10, seed=3):
+        pass  # first-call caches outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        slots = [series_prior._slot_streams(p, 3, k) for k in BASIS.window_indices(N)]
+        slot_bytes = tracemalloc.get_traced_memory()[0] - base
+        del slots
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        shapes = []
+        for _, block in coefficient_chunks(p, N, blocks * (series_prior._CHUNK_VALUES // (2 * N)), seed=3):
+            shapes.append(block.shape)
+            del block
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    rows, width = shapes[0]
+    assert len(shapes) == blocks and width == 2 * N
+    column = 8 * rows
+    assert peak < rows * width * 8 + 4 * column + slot_bytes
+
+
 def test_dilation_scales_samples_linearly():
     full = sample_field(laplace_prior(dilation=1.0), 4, seed=7)
     half = sample_field(laplace_prior(dilation=0.5), 4, seed=7)
@@ -425,6 +458,51 @@ def test_exp_moment_saturation_sets_flags():
     rep = estimate_exp_moment(p, eps=50.0, N=1, num_samples=5000, seed=1)
     assert rep.saturated and rep.flagged
     assert math.isinf(rep.estimate)
+
+
+def exp_moment_whole_matrix(prior, eps, N, num_samples, seed, drift_tol=0.02):
+    """estimate_exp_moment as it was computed from the whole sample matrix."""
+    coeffs = sample_coefficients(prior, N, num_samples, seed)
+    norms = np.sqrt(np.sum(coeffs * coeffs, axis=1))
+    with np.errstate(over="ignore"):
+        w = np.exp(eps * norms)
+    if np.any(~np.isfinite(w)):
+        return (math.inf, math.inf, math.inf, True, True)
+    est = float(np.mean(w))
+    half = float(np.mean(w[: num_samples // 2]))
+    drift = abs(est - half) / est if est > 0 else math.inf
+    stderr = float(np.std(w) / math.sqrt(num_samples))
+    return (est, stderr, drift, False, drift >= drift_tol)
+
+
+@pytest.mark.parametrize(
+    "prior, eps, N, n, chunk, seed",
+    [
+        # 8192 rows per block at N=64: the last of two blocks has one row
+        (laplace_prior(), 0.1, 64, 8193, None, 5),
+        (hierarchical_prior(), 0.05, 64, 8193, None, 5),
+        # blocks of 4, 4 and 1 rows over a 16-slot window; at these seeds
+        # the one-row block summed pairwise moves the estimate's last bits
+        (laplace_prior(), 0.3, 8, 9, 64, 2),
+        (laplace_prior(), 0.1, 8, 9, 64, 5),
+        (hierarchical_prior(), 0.2, 8, 9, 64, 5),
+        (laplace_prior(), 0.1, 8, 2000, None, 5),
+        (SeriesPrior(AbstractOrthonormal(lambda n, x: np.ones_like(x)), ExplicitSchedule((1.0,)),
+                     IID(Gaussian(0.0, 100.0))), 50.0, 1, 5000, None, 5),
+    ],
+    ids=["laplace-8193", "hierarchical-8193", "laplace-4-4-1", "laplace-4-4-1-b", "hierarchical-4-4-1",
+         "one-block", "saturated"],
+)
+def test_exp_moment_streams_to_whole_matrix_bits(prior, eps, N, n, chunk, seed):
+    with mock.patch.object(series_prior, "_CHUNK_VALUES", chunk or series_prior._CHUNK_VALUES):
+        blocks = [len(b) for _, b in coefficient_chunks(prior, N, n, seed)]
+        rep = estimate_exp_moment(prior, eps=eps, N=N, num_samples=n, seed=seed)
+        ref = exp_moment_whole_matrix(prior, eps, N, n, seed)
+    if n % 8192 == 1 or chunk:
+        assert blocks[-1] == 1
+    got = (rep.estimate, rep.stderr, rep.doubling_drift, rep.saturated, rep.flagged)
+    assert repr(got) == repr(ref)
+    assert np.array(got[:3]).tobytes() == np.array(ref[:3]).tobytes()
 
 
 def test_exp_moment_validates_sample_count():
