@@ -19,6 +19,7 @@ import numpy as np
 
 from .config import potential_from_json, prior_from_json
 from .experiments import (
+    _LAPLACE_SERIES,
     EXPERIMENT_NAMES,
     all_verdicts_pass,
     report_points_csv,
@@ -26,15 +27,6 @@ from .experiments import (
 )
 from .posterior import PosteriorSpec, hellinger, map_estimate_l1, map_estimate_l1_cd
 from .series_prior import field_to_csv, sample_field
-
-_EXAMPLE_PRIOR = {
-    "kind": "series",
-    "basis": {"kind": "fourier_circle"},
-    "schedule": {"kind": "algebraic_fourier", "s": 1.25},
-    "law": {"kind": "iid", "dist": {"kind": "laplace", "params": {"m": 0.0, "sigma": 1.0}}},
-    "dilation": 1.0,
-}
-
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -85,7 +77,7 @@ def run_cmd(ctx, experiment, config_path, out_path, csv_path, seed):
               help="Write the coefficient CSV here instead of stdout.")
 def sample_prior_cmd(prior_path, level, seed, out_path):
     """Draw one truncated series sample and emit index,coefficient rows."""
-    prior = prior_from_json(_load_json(prior_path) if prior_path else _EXAMPLE_PRIOR)
+    prior = prior_from_json(_load_json(prior_path) if prior_path else _LAPLACE_SERIES)
     csv = field_to_csv(sample_field(prior, level, seed))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

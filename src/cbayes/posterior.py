@@ -81,10 +81,11 @@ class ProductPrior:
         return list(self.dists)
 
     def sample(self, num_samples: int, seed: int) -> np.ndarray:
-        out = np.empty((num_samples, self.dim))
+        """Column-major (num_samples, dim) draws: coordinate j's sampler
+        fills column j in place from its own stream."""
+        out = np.empty((num_samples, self.dim), order="F")
         for j, d in enumerate(self.dists):
-            gen = streams.substream(seed, streams.COEFFS, j, 0)
-            out[:, j] = d.sample(gen, num_samples)
+            d.sample(streams.substream(seed, streams.COEFFS, j, 0), out=out[:, j])
         return out
 
 
@@ -166,19 +167,13 @@ def _kong_ess(s: np.ndarray) -> tuple:
     return total, total * total / float(np.sum(s * s))
 
 
-def _weights(p) -> tuple:
-    """Weights w = exp(-(p - min p)), their total, and the shift min p;
-    the true weights are w * exp(-min p)."""
-    shifted, low = _shifted(p)
-    w = _exp_neg(shifted)
-    return w, float(np.sum(w)), low
-
-
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
-    """Prior draws c, their shifted weights, the weight total, Kong's
-    effective sample size (_kong_ess), and the shift (see _weights)."""
+    """Prior draws c, their weights w = exp(-(Phi - min Phi)), the weight
+    total, Kong's effective sample size (_kong_ess), and the shift min Phi;
+    the true weights are w * exp(-min Phi)."""
     c = spec.prior_samples(num_samples, seed)
-    w, _, low = _weights(spec.potential.evaluate_many(c))
+    shifted, low = _shifted(spec.potential.evaluate_many(c))
+    w = _exp_neg(shifted)
     return (c, w, *_kong_ess(w), low)
 
 
@@ -401,8 +396,8 @@ def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh
     holds up to Monte Carlo resolution.
     """
     hv = np.asarray(hv, dtype=float)
-    s1, z1, _ = _weights(p1)
-    s2, z2, _ = _weights(p2)
+    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
+    z1, z2 = float(np.sum(s1)), float(np.sum(s2))
     e1, se1 = _snis(hv, s1, z1)
     e2, se2 = _snis(hv, s2, z2)
     hv2 = hv * hv
@@ -426,18 +421,25 @@ def weighted_probability(
     upper,
     num_samples: int = 20000,
     seed: int = 0,
-) -> ProbabilityReport:
-    """Posterior probability of the axis box [lower, upper]."""
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    if lower.shape != (spec.dim,) or upper.shape != (spec.dim,):
-        raise ValueError("box bounds must match the window dimension")
+) -> ProbabilityReport | list[ProbabilityReport]:
+    """Posterior probability of the axis box [lower, upper].
+
+    lower and upper are (dim,) vectors for one ProbabilityReport, or
+    (k, dim) arrays for a list of k reports from one prior draw and one
+    evaluate_many call, each the single-box report's bits.
+    """
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    if lower.ndim not in (1, 2) or lower.shape != upper.shape or lower.shape[-1] != spec.dim:
+        raise ValueError("box bounds must be (dim,) or (k, dim) arrays matching the window dimension")
     if np.any(lower > upper):
         raise ValueError("box bounds must be ordered")
     c, w, total, ess, _ = _weighted_draws(spec, num_samples, seed)
-    inside = np.all((c >= lower[None, :]) & (c <= upper[None, :]), axis=1).astype(float)
-    est, se = _snis(inside, w, total)
-    return ProbabilityReport(est, se, ess)
+    reps = []
+    for lo, hi in zip(np.atleast_2d(lower), np.atleast_2d(upper)):
+        inside = np.all((c >= lo) & (c <= hi), axis=1).astype(float)
+        reps.append(ProbabilityReport(*_snis(inside, w, total), ess))
+    return reps if lower.ndim == 2 else reps[0]
 
 
 def posterior_mean(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0):

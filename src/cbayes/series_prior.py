@@ -503,22 +503,31 @@ class MarginalConvexityReport:
 def _normalize_functionals(functionals):
     norm = []
     for f in functionals:
-        if isinstance(f, dict):
-            pairs = [(int(k), float(w)) for k, w in f.items()]
-        else:
-            pairs = []
-            for item in f:
-                if np.ndim(item) == 0:
-                    pairs.append((int(item), 1.0))
-                else:
-                    k, w = item
-                    pairs.append((int(k), float(w)))
+        if not isinstance(f, dict):
+            raise TypeError(f"each functional must be an {{index: weight}} dict, not {f!r}")
+        pairs = [(int(k), float(w)) for k, w in f.items()]
         if not 1 <= len(pairs) <= 2:
             raise ValueError("each functional must use one or two coordinates")
         norm.append(pairs)
     if not 1 <= len(norm) <= 2:
         raise ValueError("at most two functionals are supported")
     return norm
+
+
+def _convexity_judge(c: tuple, a: tuple, b: tuple, lam: float) -> MarginalConvexityReport:
+    """Judge P(C) >= P(A)^lam * P(B)^(1-lam) on the (probability, stderr)
+    pairs c, a and b of boxes C, A and B: the right side's delta-method
+    stderr is 0 when P(A) or P(B) is 0, and the check passes at a margin
+    P(C) - rhs of at least -3 combined stderr."""
+    (p_c, se_c), (p_a, se_a), (p_b, se_b) = c, a, b
+    rhs = p_a**lam * p_b ** (1.0 - lam)
+    if p_a > 0 and p_b > 0:
+        se_rhs = rhs * math.sqrt((lam * se_a / p_a) ** 2 + ((1.0 - lam) * se_b / p_b) ** 2)
+    else:
+        se_rhs = 0.0
+    combined = math.sqrt(se_c**2 + se_rhs**2)
+    margin = p_c - rhs
+    return MarginalConvexityReport(p_c, rhs, se_c, se_rhs, margin, combined, margin >= -3.0 * combined)
 
 
 def _box_array(box, dim):
@@ -542,9 +551,11 @@ def marginal_convexity_test(
     marginal of the prior.
 
     The marginal is the joint law of up to two linear functionals of the
-    coefficients (each touching at most two coordinates).  With boxes A
-    and B and their Minkowski combination C = lam*A + (1-lam)*B the check
-    passes when P(C) >= P(A)^lam * P(B)^(1-lam) - 3 * combined stderr.
+    coefficients, each an {index: weight} dict over one or two window
+    indices.  With boxes A and B and their Minkowski combination
+    C = lam*A + (1-lam)*B the check passes when P(C) >= P(A)^lam *
+    P(B)^(1-lam) - 3 * combined stderr, all three box probabilities read
+    off one value vector per functional, summed from its terms' draws.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
@@ -552,41 +563,30 @@ def marginal_convexity_test(
     dim = len(funcs)
     A = _box_array(box_a, dim)
     B = _box_array(box_b, dim)
-    window = set(int(k) for k in prior.basis.window_indices(N))
-    needed = sorted({k for f in funcs for k, _ in f})
-    for k in needed:
-        if k not in window:
-            raise ValueError(f"functional index {k} outside window at level {N}")
-
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     index_pos = {int(k): i for i, k in enumerate(prior.basis.window_indices(N))}
-    cols = {}
-    for k in needed:
-        cols[k] = _slot_draws(prior.law, _slot_streams(prior, seed, k), np.empty(num_samples))
-        cols[k] *= weights[index_pos[k]]
+    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
 
-    pts = np.zeros((num_samples, dim))
-    for j, f in enumerate(funcs):
-        for k, w in f:
-            pts[:, j] += w * cols[k]
+    def term(k, w):
+        """Slot k's weighted draws times w, formed in place: the bits of w * (xi * weight)."""
+        if k not in index_pos:
+            raise ValueError(f"functional index {k} outside window at level {N}")
+        col = _slot_draws(prior.law, _slot_streams(prior, seed, k), np.empty(num_samples))
+        col *= weights[index_pos[k]]
+        col *= w
+        return col
 
-    C = lam * A + (1.0 - lam) * B
+    vals = []  # one value vector per functional
+    for (k0, w0), *rest in funcs:
+        v = term(k0, w0)
+        for k, w in rest:
+            v += term(k, w)
+        vals.append(v)
 
     def box_prob(box):
         inside = np.ones(num_samples, dtype=bool)
-        for j in range(dim):
-            inside &= (pts[:, j] >= box[j, 0]) & (pts[:, j] <= box[j, 1])
+        for v, (lo, hi) in zip(vals, box):
+            inside &= (v >= lo) & (v <= hi)
         p = float(np.mean(inside))
         return p, math.sqrt(max(p * (1.0 - p), 0.0) / num_samples)
 
-    p_c, se_c = box_prob(C)
-    p_a, se_a = box_prob(A)
-    p_b, se_b = box_prob(B)
-    rhs = p_a**lam * p_b ** (1.0 - lam)
-    if p_a > 0 and p_b > 0:
-        se_rhs = rhs * math.sqrt((lam * se_a / p_a) ** 2 + ((1.0 - lam) * se_b / p_b) ** 2)
-    else:
-        se_rhs = 0.0
-    combined = math.sqrt(se_c**2 + se_rhs**2)
-    margin = p_c - rhs
-    return MarginalConvexityReport(p_c, rhs, se_c, se_rhs, margin, combined, margin >= -3.0 * combined)
+    return _convexity_judge(box_prob(lam * A + (1.0 - lam) * B), box_prob(A), box_prob(B), lam)

@@ -88,6 +88,24 @@ def test_unknown_config_key_rejected():
         run_experiment("nonsense")
 
 
+LINEAR_MODEL = {"kind": "linear", "matrix": [[1.0, 0.3], [0.2, 1.0]]}
+
+
+@pytest.mark.parametrize("name,config,key", [
+    ("stability", {"deltas": [0.01]}, "deltas"),
+    ("stability", {"deltas": [0.0, 0.01]}, "deltas"),
+    ("stability", {"model": LINEAR_MODEL}, "model"),
+    ("consistency", {"n_grid": [2, 4]}, "n_grid"),
+    ("consistency", {"n_grid": [2, 4], "drop_smallest": False, "model": LINEAR_MODEL}, "model"),
+    ("metrics", {"model": LINEAR_MODEL}, "model"),
+    ("map_demo", {"weights": []}, "weights"),
+    ("map_demo", {"weights": [0.1, 0.0]}, "weights"),
+])
+def test_unrunnable_config_rejected_naming_the_key(name, config, key):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        run_experiment(name, config)
+
+
 def test_default_config_returns_fresh_copies():
     a = default_config("stability")
     a["effort"] = -1

@@ -33,6 +33,7 @@ from cbayes import (
     total_variation,
     weighted_probability,
 )
+from cbayes import streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
     gap_check_from_potentials,
@@ -95,7 +96,20 @@ def test_product_prior_validation_and_sampling():
     p = ProductPrior((Gaussian(0.0, 1.0), Laplace(0.0, 2.0)))
     a = p.sample(100, seed=1)
     assert a.shape == (100, 2)
+    assert a.flags.f_contiguous
     assert np.array_equal(a, p.sample(100, seed=1))
+    for j, d in enumerate(p.dists):
+        ref = d.sample(streams.substream(1, streams.COEFFS, j, 0), 100)
+        assert a[:, j].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1000, 4097, 100001])
+def test_linear_potential_bits_do_not_depend_on_layout(rows):
+    # ProductPrior draws are column-major; the batched potential of the
+    # convexity suite's posterior case must not see the layout
+    phi = GaussianAdditive(LinearModel(np.array([[1.0, 0.3], [0.2, 1.0]])), 1.0, np.array([0.5, -0.3]))
+    c = ProductPrior((Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))).sample(rows, seed=3)
+    assert phi.evaluate_many(c).tobytes() == phi.evaluate_many(np.ascontiguousarray(c)).tobytes()
 
 
 # ------------------------------------------------------------- normalization
@@ -455,6 +469,32 @@ def test_weighted_probability_validation():
         weighted_probability(tilt_spec(), [0.0, 1.0], [2.0], num_samples=2000)
     with pytest.raises(ValueError):
         weighted_probability(tilt_spec(), [2.0], [0.0], num_samples=2000)
+    with pytest.raises(ValueError):
+        weighted_probability(tilt_spec(), [[0.0], [1.0]], [[2.0], [3.0], [4.0]], num_samples=2000)
+    with pytest.raises(ValueError):
+        weighted_probability(tilt_spec(), [[2.0], [1.0]], [[3.0], [0.0]], num_samples=2000)
+
+
+def test_weighted_probability_stacked_boxes_share_one_draw():
+    calls = []
+
+    def batch(c):
+        calls.append(len(c))
+        return 0.5 * (c[:, 0] - 0.3) ** 2 + 0.2 * np.abs(c[:, 1])
+
+    phi = CustomPotential(lambda u: float(batch(np.asarray(u)[None, :])[0]), dim=2, batch_fn=batch)
+    spec = PosteriorSpec(ProductPrior((Gaussian(0.0, 1.0), Laplace(0.0, 1.0))), phi)
+    lower = np.array([[-1.0, -1.0], [0.5, 0.5], [-0.25, -0.25]])
+    upper = np.array([[0.0, 0.0], [1.5, 1.5], [0.75, 0.75]])
+    reps = weighted_probability(spec, lower, upper, num_samples=5000, seed=4)
+    assert calls == [5000]
+    assert len(reps) == 3
+    for lo, hi, rep in zip(lower, upper, reps):
+        single = weighted_probability(spec, lo, hi, num_samples=5000, seed=4)
+        assert repr(single) == repr(rep)
+        assert np.array([single.value, single.stderr, single.ess]).tobytes() == (
+            np.array([rep.value, rep.stderr, rep.ess]).tobytes()
+        )
 
 
 def test_posterior_mean_tilt_oracle():

@@ -37,6 +37,7 @@ from cbayes.series_prior import (
     FourierCircle,
     Hierarchical,
     IID,
+    _convexity_judge,
     coefficient_chunks,
     coefficient_weights,
     field_to_csv,
@@ -594,3 +595,18 @@ def test_marginal_convexity_validation():
     with pytest.raises(ValueError):
         marginal_convexity_test(p, [{0: 1.0, 1: 1.0, 2: 1.0}], [(-1.0, 1.0)],
                                 [(0.0, 1.0)], lam=0.5, N=4, num_samples=100, seed=0)
+    for bare in ([0], [(0, 1.0)]):  # functionals are {index: weight} dicts only
+        with pytest.raises(TypeError, match="dict"):
+            marginal_convexity_test(p, bare, [(-1.0, 1.0)], [(0.0, 1.0)],
+                                    lam=0.5, N=2, num_samples=100, seed=0)
+
+
+def test_convexity_judge_at_zero_probability():
+    # P(A) = 0 puts the right side at 0 with no delta-method stderr
+    rep = _convexity_judge((0.25, 0.01), (0.0, 0.0), (0.5, 0.02), 0.5)
+    assert rep.rhs == 0.0
+    assert rep.rhs_stderr == 0.0
+    assert rep.margin == 0.25
+    assert rep.combined_stderr == 0.01
+    assert rep.passed
+    assert not _convexity_judge((0.0, 0.001), (0.5, 0.001), (0.5, 0.001), 0.5).passed
