@@ -27,11 +27,18 @@ column-major layout, the block itself when one block holds every row.
 
 Each slot is drawn with its samplers' out= form straight into its
 column: an IID law fills the column, a hierarchical slot's mode law
-fills the column and its scale law one scratch array per block, then the
+fills the column and its scale law one scratch per half block, then the
 column is multiplied by the scale draws and by the slot's weight in
 place.  IEEE multiplication is commutative, so (xi * zeta) * weight has
 the bits of weight * (zeta * xi), and no draw-sized temporary is made
 beyond the samplers' own scratch.
+
+Two threads fill each block: another thread the columns of the first
+half of its slots, the caller's thread the rest, joined before the block
+is yielded.  A slot's generators serve one thread only, so the bits do
+not depend on scheduling (counter-based streams: Salmon et al., SC 2011);
+the halves overlap where numpy releases the GIL, in Generator fills and
+ufunc loops.
 
 Enumeration contract
 --------------------
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import io
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -260,6 +268,7 @@ class FieldSample:
 
 
 _CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
+_FILL_THREADS = 2  # threads filling each block: the caller's and one other
 
 
 def _law_dists(law) -> tuple:
@@ -289,6 +298,20 @@ def _slot_draws(law, gens: tuple, out: np.ndarray, scratch: np.ndarray | None = 
     return out
 
 
+def _fill_columns(law, slots: list, weights: np.ndarray, block: np.ndarray, span: range, errors: list) -> None:
+    """Draw the slots at the positions in span into their columns of
+    block, weighted, with one scale scratch column for a hierarchical
+    law; an exception goes to errors, for the joining thread to raise."""
+    try:
+        scratch = None if isinstance(law, IID) else np.empty(len(block))
+        for pos in span:
+            col = block[:, pos]
+            _slot_draws(law, slots[pos], col, scratch)
+            col *= weights[pos]
+    except BaseException as exc:
+        errors.append(exc)
+
+
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     """Yield (start, block): rows start to start + len(block) of the
     sample_coefficients matrix, as F-order (rows, window size) arrays of
@@ -296,11 +319,12 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
-    that reduces each block never holds the whole matrix.  Each slot's
-    samplers write straight into its contiguous column of the block,
-    which is then scaled by the slot's weight in place; a hierarchical
-    slot's scale draws go into one column-sized scratch array per block.
-    The generator drops a block, and every view of it, before it
+    that reduces each block never holds the whole matrix.  Another
+    thread fills the first half of a block's slot columns while the
+    caller's thread fills the rest (see Chunked sampling above; a 1-slot
+    window leaves the first half empty).  An exception in either half is
+    raised once both are joined, with no block for its rows.  The
+    generator drops a block, and every view of it, before it
     allocates the next, so a caller that also drops it (del block at the
     end of its loop body, as the suites do) holds one block at a time,
     and the allocator can reuse its memory for the next.
@@ -310,16 +334,17 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     idx = prior.basis.window_indices(N)
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     slots = [_slot_streams(prior, seed, k) for k in idx]
+    split = len(idx) // _FILL_THREADS
     rows = max(1, _CHUNK_VALUES // len(idx))
     for start in range(0, num_samples, rows):
-        n = min(rows, num_samples - start)
-        block = np.empty((n, len(idx)), order="F")
-        scratch = None if isinstance(prior.law, IID) else np.empty(n)
-        for pos, gens in enumerate(slots):
-            col = block[:, pos]
-            _slot_draws(prior.law, gens, col, scratch)
-            col *= weights[pos]
-        del col, scratch  # a live column view would keep this block past the next allocation
+        block = np.empty((min(rows, num_samples - start), len(idx)), order="F")
+        errors = []
+        other = threading.Thread(target=_fill_columns, args=(prior.law, slots, weights, block, range(split), errors))
+        other.start()
+        _fill_columns(prior.law, slots, weights, block, range(split, len(idx)), errors)
+        other.join()
+        if errors:
+            raise errors[0]
         yield start, block
         del block
 

@@ -5,7 +5,8 @@ generator (Philox) keyed by an integer seed plus a small integer path.
 Distinct paths give statistically independent streams, and a stream's
 output depends only on (seed, path), never on how many other streams
 were opened.  For a fixed numpy version, results are reproducible bit
-for bit.
+for bit.  A stream is used by one thread at a time; coefficient_chunks
+fills disjoint slot columns on two threads (see series_prior).
 
 normals() is the one normal generator: Gaussian.sample (and so every
 Gaussian coefficient slot), the suites' synthetic data and design

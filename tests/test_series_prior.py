@@ -7,6 +7,9 @@ coefficients already present and projection commutes with sampling.
 
 import io
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -283,8 +286,9 @@ def test_draining_chunks_holds_one_block_plus_columns(name):
     # a suite process's peak RSS moves with glibc's mmap threshold as soon
     # as two 8 MB blocks are alive together, so the generator must release
     # every view of a block before it allocates the next; the samplers'
-    # scratch is a few column-sized arrays (integer-shape Gamma(2) draws
-    # an (n, 2) uniform array, a hierarchical slot one scale column)
+    # scratch is a few column-sized arrays per filling thread (integer-shape
+    # Gamma(2) draws an (n, 2) uniform array, a hierarchical slot one scale
+    # column)
     p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
     N, blocks = 64, 3
     for _ in coefficient_chunks(p, 2, 10, seed=3):
@@ -307,7 +311,111 @@ def test_draining_chunks_holds_one_block_plus_columns(name):
     rows, width = shapes[0]
     assert len(shapes) == blocks and width == 2 * N
     column = 8 * rows
-    assert peak < rows * width * 8 + 4 * column + slot_bytes
+    assert peak < rows * width * 8 + 4 * column * series_prior._FILL_THREADS + slot_bytes
+
+
+# ------------------------------------------------------- threaded block fill
+
+SEQ = AbstractOrthonormal(lambda n, x: np.ones_like(x))
+FILL_LAWS = ("laplace", "gamma2_x_gaussian", "gamma2.5_x_gaussian")
+
+
+def serial_reference(prior, N, num_samples, seed):
+    """One thread, slot after slot: each slot's _slot_streams generators
+    drawn for every row through _slot_draws, then weighted."""
+    idx = prior.basis.window_indices(N)
+    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    out = np.empty((num_samples, len(idx)), order="F")
+    for pos, k in enumerate(idx):
+        series_prior._slot_draws(prior.law, series_prior._slot_streams(prior, seed, k), out[:, pos])
+        out[:, pos] *= weights[pos]
+    return out
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 256])
+@pytest.mark.parametrize("name", FILL_LAWS)
+def test_threaded_fill_equals_serial_reference(name, slots):
+    # 700-row blocks: 2000 rows are two full blocks and a short one of 600
+    p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS[name])
+    want = serial_reference(p, slots, 2000, 11).tobytes()
+    with mock.patch.object(series_prior, "_CHUNK_VALUES", 700 * slots):
+        chunks = list(coefficient_chunks(p, slots, 2000, seed=11))
+        full = sample_coefficients(p, slots, 2000, seed=11)
+    assert [(start, len(block)) for start, block in chunks] == [(0, 700), (700, 700), (1400, 600)]
+    assert np.concatenate([block for _, block in chunks]).tobytes() == full.tobytes() == want
+
+
+class FillError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("half", ["other", "caller"])
+def test_fill_error_in_either_half_is_raised_after_the_join(half, monkeypatch):
+    # the half that does not fail is slowed down, so a caller that raised
+    # without waiting for the other thread would leave it running
+    p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS["gamma2_x_gaussian"])
+    want = serial_reference(p, 4, 30, 5).tobytes()
+    caller, real, armed = threading.current_thread(), series_prior._slot_draws, []
+
+    def draws(law, gens, out, scratch=None):
+        if armed:
+            if (threading.current_thread() is caller) == (half == "caller"):
+                raise FillError(half)
+            time.sleep(0.05)
+        return real(law, gens, out, scratch)
+
+    baseline = threading.active_count()
+    monkeypatch.setattr(series_prior, "_slot_draws", draws)
+    monkeypatch.setattr(series_prior, "_CHUNK_VALUES", 10 * 4)
+    chunks = coefficient_chunks(p, 4, 30, seed=5)
+    assert next(chunks)[0] == 0
+    armed.append(True)
+    with pytest.raises(FillError, match=half):
+        next(chunks)
+    assert threading.active_count() == baseline
+    assert list(chunks) == []  # no block for rows 10 onwards
+    monkeypatch.undo()
+    assert sample_coefficients(p, 4, 30, seed=5).tobytes() == want
+
+
+def test_early_close_leaves_no_fill_thread():
+    p = hierarchical_prior()
+    want = sample_coefficients(p, 64, 9000, seed=8).tobytes()
+    baseline = threading.active_count()
+    chunks = coefficient_chunks(p, 64, 9000, seed=8)
+    for _, block in chunks:
+        break
+    assert threading.active_count() == baseline
+    chunks.close()
+    del block
+    assert threading.active_count() == baseline
+    assert sample_coefficients(p, 64, 9000, seed=8).tobytes() == want
+
+
+def test_concurrent_callers_with_fast_thread_switches_get_reference_bits():
+    # three callers at once put six filling threads on the machine's cores,
+    # and a 1 us switch interval interleaves their Python steps finely
+    p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS["gamma2_x_gaussian"])
+    seeds = (2, 3, 4)
+    want = {seed: serial_reference(p, 9, 3000, seed).tobytes() for seed in seeds}
+    got = {}
+
+    def draw(seed):
+        got[seed] = sample_coefficients(p, 9, 3000, seed).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(series_prior, "_CHUNK_VALUES", 500 * 9):
+            callers = [threading.Thread(target=draw, args=(seed,)) for seed in seeds]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
 
 
 def test_dilation_scales_samples_linearly():
