@@ -456,6 +456,12 @@ def run_consistency(cfg: dict) -> dict:
     _require(n_ref == model.truncation, "n_ref", "must equal the model truncation")
     fit_levels = 3 if cfg["drop_smallest"] else 2  # a slope fit needs two levels after the drop
     _require(len(set(n_grid) - {n_ref}) >= fit_levels, "n_grid", f"needs {fit_levels} distinct levels besides n_ref")
+    # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
+    _require(
+        isinstance(prior, SeriesPrior) and isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID),
+        "prior",
+        "must be a series with an algebraic_fourier schedule and an iid law",
+    )
 
     points = []
 

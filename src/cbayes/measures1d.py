@@ -10,11 +10,15 @@ intervals A, B and lam in [0, 1],
 
     mu(lam*A + (1-lam)*B) >= mu(A)**lam * mu(B)**(1-lam),
 
-where the left side uses the Minkowski combination of intervals.  The
-module provides densities, log densities, CDFs, exact samplers driven by
-explicit streams, a grid-based log-concavity checker, and interval masses
-from CDF differences, on which the convexity suite's closed-form oracles
-are computed.
+where the left side uses the Minkowski combination of intervals.
+
+The log density is what defines a law here, so each law states its log
+density and its CDF once, on float arrays; Distribution1D derives the
+density as exp(log density) and returns a float for a scalar input.  The
+module also provides exact samplers driven by explicit streams, a
+grid-based log-concavity checker, and interval masses from CDF
+differences, on which the convexity suite's closed-form oracles are
+computed.
 
 Samplers consume an explicit generator (see streams).  Uniform,
 Exponential, Laplace and Logistic use inverse-CDF transforms of uniforms
@@ -104,21 +108,33 @@ _SIGN_BIT = np.uint64(1 << 63)
 
 def _softplus(t):
     # log(1 + exp(t)) without overflow for large |t|
-    t = np.asarray(t, dtype=float)
-    out = np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
-    return out
+    return np.where(t > 0, t + np.log1p(np.exp(-np.abs(t))), np.log1p(np.exp(-np.abs(t))))
 
 
 class Distribution1D:
-    """Base for the one-dimensional laws; subclasses are frozen values."""
+    """Base for the one-dimensional laws; subclasses are frozen values.
+
+    A law states its log density and CDF once, as _log_density and _cdf
+    on float arrays.  density, log_density and cdf take a scalar or an
+    array: a float for a 0-d input, else an array of the input's shape."""
 
     def density(self, x):
-        raise NotImplementedError
+        """exp(log density)."""
+        x = np.asarray(x, dtype=float)
+        return _maybe_scalar(x, np.exp(self._log_density(x)))
 
     def log_density(self, x):
-        raise NotImplementedError
+        x = np.asarray(x, dtype=float)
+        return _maybe_scalar(x, self._log_density(x))
 
     def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return _maybe_scalar(x, self._cdf(x))
+
+    def _log_density(self, x: np.ndarray):
+        raise NotImplementedError
+
+    def _cdf(self, x: np.ndarray):
         raise NotImplementedError
 
     def sample(self, gen: np.random.Generator, size=None, out=None):
@@ -151,23 +167,14 @@ class Gaussian(Distribution1D):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_density(self, x):
         z = (x - self.m) / self.sigma
-        res = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        return _maybe_scalar(x, res)
+        return -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        z = (x - self.m) / self.sigma
-        res = -0.5 * z * z - math.log(self.sigma) - 0.5 * _LOG_2PI
-        return _maybe_scalar(x, res)
-
-    def cdf(self, x):
+    def _cdf(self, x):
         # the erfc form keeps its relative accuracy in the lower tail
-        x = np.asarray(x, dtype=float)
         z = (x - self.m) / self.sigma
-        return _maybe_scalar(x, 0.5 * _erfc(-z / _SQRT2))
+        return 0.5 * _erfc(-z / _SQRT2)
 
     def sample(self, gen, size=None, out=None):
         x = _buffer(size, out)
@@ -188,20 +195,11 @@ class Exponential(Distribution1D):
         if not self.lam > 0:
             raise ValueError("lam must be positive")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.where(x >= 0, self.lam * np.exp(-self.lam * np.maximum(x, 0.0)), 0.0)
-        return _maybe_scalar(x, res)
+    def _log_density(self, x):
+        return np.where(x >= 0, math.log(self.lam) - self.lam * x, -np.inf)
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.where(x >= 0, math.log(self.lam) - self.lam * x, -np.inf)
-        return _maybe_scalar(x, res)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.where(x >= 0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
-        return _maybe_scalar(x, res)
+    def _cdf(self, x):
+        return np.where(x >= 0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
 
     def sample(self, gen, size=None, out=None):
         x = gen.random(out=_buffer(size, out))
@@ -226,21 +224,12 @@ class Laplace(Distribution1D):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.exp(-np.abs(x - self.m) / self.sigma) / (2.0 * self.sigma)
-        return _maybe_scalar(x, res)
+    def _log_density(self, x):
+        return -np.abs(x - self.m) / self.sigma - math.log(2.0 * self.sigma)
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = -np.abs(x - self.m) / self.sigma - math.log(2.0 * self.sigma)
-        return _maybe_scalar(x, res)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         z = (x - self.m) / self.sigma
-        res = np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
-        return _maybe_scalar(x, res)
+        return np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
 
     def sample(self, gen, size=None, out=None):
         # m - sigma*sign(q)*L for q = u - 0.5 and L = log(max(1 - 2|q|, tiny)),
@@ -274,20 +263,13 @@ class Logistic(Distribution1D):
         if not self.s > 0:
             raise ValueError("s must be positive")
 
-    def density(self, x):
-        return _maybe_scalar(x, np.exp(self.log_density(np.asarray(x, dtype=float))))
-
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_density(self, x):
         z = (x - self.m) / self.s
-        res = -z - math.log(self.s) - 2.0 * _softplus(-z)
-        return _maybe_scalar(x, res)
+        return -z - math.log(self.s) - 2.0 * _softplus(-z)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         z = (x - self.m) / self.s
-        res = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
-        return _maybe_scalar(x, res)
+        return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
     def sample(self, gen, size=None, out=None):
         x = gen.random(out=_buffer(size, out))
@@ -319,25 +301,7 @@ class Gamma(Distribution1D):
         if not self.lam > 0:
             raise ValueError("lam must be positive")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.where(
-                x > 0,
-                np.exp(
-                    (self.k - 1.0) * np.log(np.where(x > 0, x, 1.0))
-                    - x / self.lam
-                    - math.lgamma(self.k)
-                    - self.k * math.log(self.lam)
-                ),
-                0.0,
-            )
-        if self.k == 1.0:
-            res = np.where(x == 0, 1.0 / self.lam, res)
-        return _maybe_scalar(x, res)
-
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
+    def _log_density(self, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             inside = (
                 (self.k - 1.0) * np.log(np.where(x > 0, x, 1.0))
@@ -348,16 +312,15 @@ class Gamma(Distribution1D):
         res = np.where(x > 0, inside, -np.inf)
         if self.k == 1.0:
             res = np.where(x == 0, -math.log(self.lam), res)
-        return _maybe_scalar(x, res)
+        return res
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+    def _cdf(self, x):
         t = np.maximum(x, 0.0) / self.lam
         if float(int(self.k)) == self.k and self.k <= _POISSON_MAX_K:
-            return _maybe_scalar(x, _integer_gamma_cdf(int(self.k), t))
+            return _integer_gamma_cdf(int(self.k), t)
         from scipy.special import gammainc
 
-        return _maybe_scalar(x, gammainc(self.k, t))
+        return gammainc(self.k, t)
 
     def sample(self, gen, size=None, out=None):
         x = _buffer(size, out)
@@ -427,20 +390,11 @@ class Uniform(Distribution1D):
         if not self.b > self.a:
             raise ValueError("b must exceed a")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-        return _maybe_scalar(x, res)
+    def _log_density(self, x):
+        return np.where((x >= self.a) & (x <= self.b), -math.log(self.b - self.a), -np.inf)
 
-    def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.where((x >= self.a) & (x <= self.b), -math.log(self.b - self.a), -np.inf)
-        return _maybe_scalar(x, res)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        res = np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
-        return _maybe_scalar(x, res)
+    def _cdf(self, x):
+        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
     def sample(self, gen, size=None, out=None):
         x = gen.random(out=_buffer(size, out))
@@ -483,20 +437,13 @@ def check_log_concavity(d: Distribution1D, grid, tol: float = 1e-8) -> LogConcav
         raise ValueError("grid must be strictly increasing")
     logp = np.asarray(d.log_density(grid), dtype=float)
     finite = np.isfinite(logp)
-    num_skipped = 0
-    worst = -math.inf
-    checked = 0
-    h = np.diff(grid)
-    for i in range(1, len(grid) - 1):
-        if not (finite[i - 1] and finite[i] and finite[i + 1]):
-            num_skipped += 1
-            continue
-        d2 = (logp[i + 1] - logp[i]) * h[i - 1] / h[i] - (logp[i] - logp[i - 1])
-        worst = max(worst, d2)
-        checked += 1
-    if checked == 0:
+    i = np.flatnonzero(finite[:-2] & finite[1:-1] & finite[2:]) + 1  # centres of finite triples
+    num_skipped = len(grid) - 2 - len(i)
+    if len(i) == 0:
         return LogConcavityReport(True, -math.inf, 0, num_skipped)
-    return LogConcavityReport(worst <= tol, worst, checked, num_skipped)
+    h = np.diff(grid)
+    worst = np.max((logp[i + 1] - logp[i]) * h[i - 1] / h[i] - (logp[i] - logp[i - 1]))
+    return LogConcavityReport(worst <= tol, worst, len(i), num_skipped)
 
 
 def interval_probability(d: Distribution1D, lo: float, hi: float) -> float:

@@ -83,8 +83,6 @@ __all__ = [
     "field_to_csv",
     "AdmissibilityReport",
     "admissibility_check",
-    "admissibility_partial_sums",
-    "coefficient_abs_variance",
     "ExpMomentReport",
     "estimate_exp_moment",
     "MarginalConvexityReport",
@@ -417,7 +415,7 @@ class AdmissibilityReport:
     heuristic: bool = True
 
 
-def admissibility_partial_sums(gamma_sq, var_abs, p: float, q: float) -> AdmissibilityReport:
+def _admissibility_partial_sums(gamma_sq, var_abs, p: float, q: float) -> AdmissibilityReport:
     """Partial-sum admissibility check on explicit sequences.
 
     gamma_sq is the sequence of squared decay weights, var_abs the
@@ -446,7 +444,7 @@ def admissibility_partial_sums(gamma_sq, var_abs, p: float, q: float) -> Admissi
     return AdmissibilityReport(gamma_sum, var_sum, gamma_ok, var_ok, conj, gamma_ok and var_ok and conj)
 
 
-def coefficient_abs_variance(law) -> float:
+def _coefficient_abs_variance(law) -> float:
     """Var|xi| for the coefficient law, by quadrature of the marginals."""
     if isinstance(law, IID):
         return second_moment(law.dist) - abs_mean(law.dist) ** 2
@@ -461,8 +459,8 @@ def admissibility_check(prior: SeriesPrior, p: float, q: float, K: int) -> Admis
         raise ValueError("K must be at least 2")
     N = K if not isinstance(prior.basis, FourierCircle) else (K + 1) // 2 + 1
     weights = coefficient_weights(prior.basis, prior.schedule, N)[:K]
-    var = coefficient_abs_variance(prior.law)
-    return admissibility_partial_sums(weights**2, np.full(K, var), p, q)
+    var = _coefficient_abs_variance(prior.law)
+    return _admissibility_partial_sums(weights**2, np.full(K, var), p, q)
 
 
 @dataclass(frozen=True)

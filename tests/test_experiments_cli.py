@@ -89,6 +89,8 @@ def test_unknown_config_key_rejected():
 
 
 LINEAR_MODEL = {"kind": "linear", "matrix": [[1.0, 0.3], [0.2, 1.0]]}
+LAPLACE_SERIES = default_config("consistency")["prior"]
+EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in range(256)]}  # the n_ref window
 
 
 @pytest.mark.parametrize("name,config,key", [
@@ -100,6 +102,12 @@ LINEAR_MODEL = {"kind": "linear", "matrix": [[1.0, 0.3], [0.2, 1.0]]}
     ("metrics", {"model": LINEAR_MODEL}, "model"),
     ("map_demo", {"weights": []}, "weights"),
     ("map_demo", {"weights": [0.1, 0.0]}, "weights"),
+    # the tail-sum oracle needs algebraic Fourier weights and one iid law
+    ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, schedule=EXPLICIT_256)}, "prior"),
+    ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, schedule={"kind": "algebraic_sequence", "s": 1.25})},
+     "prior"),
+    ("consistency", {"effort": 2000, "prior": default_config("consistency")["hierarchical_prior"]}, "prior"),
+    ("consistency", {"effort": 2000, "prior": {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}}, "prior"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):

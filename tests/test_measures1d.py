@@ -93,6 +93,32 @@ def test_log_density_consistent_with_density(d):
         assert np.allclose(d.log_density(x), np.log(d.density(x)), rtol=1e-10, atol=1e-10)
 
 
+# one law per family, with its support edges and points outside its support
+EDGE_POINTS = [
+    (Gaussian(0.5, 2.0), [0.5]),
+    (Exponential(3.0), [0.0, -1.0]),
+    (Laplace(-1.0, 0.5), [-1.0]),
+    (Logistic(0.0, 1.5), [0.0]),
+    (Gamma(1.0, 0.5), [0.0, -1.0]),
+    (Uniform(-1.0, 4.0), [-1.0, 4.0, -2.0, 5.0]),
+]
+
+
+@pytest.mark.parametrize("d,edges", EDGE_POINTS, ids=[str(d) for d, _ in EDGE_POINTS])
+def test_scalar_or_array_returns_and_density_is_exp_log_density(d, edges):
+    for f in (d.density, d.log_density, d.cdf):
+        assert type(f(0.25)) is float
+        assert type(f(np.array(0.25))) is float
+        for shape in [(5,), (2, 3)]:
+            out = f(np.linspace(-0.5, 1.5, math.prod(shape)).reshape(shape))
+            assert isinstance(out, np.ndarray) and out.shape == shape
+    lo, hi = d.support()
+    for x in edges + [0.25, 1.5]:
+        assert d.density(x) == np.exp(d.log_density(x)), x
+        if not lo <= x <= hi:
+            assert d.density(x) == 0.0
+
+
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_sampling_ks_against_own_cdf(d):
     n = 4000

@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.5.0
-    "stability": "1dd7778d8d867470f867b8487c94271f6e68c4af451db4fd10dfcb7bd32924f3",
-    "consistency": "b9eb489a636dab9f35676c090f7fdd22d56bce5e45ce74544db99572f586cefe",
-    "metrics": "ab1dc3bb5896a3ea389787c953def07a5fe7ddcb0e1d2deeee910e074feec626",
-    "convexity": "8fca05b2d8cf6ae7eea7a003cc67717579d72be4b604d44b766284e5229e4546",
-    "audit": "1a091f49985e07fcbb7f148699a90935df0dacd68d3fd00160bef26c25807b78",
-    "map_demo": "55456b995c57d77f15bd63fce4ec35eac7670cb7cfada53bccd9a0b191017de1",
+DIGESTS = {  # report revision 0.6.0
+    "stability": "d3be17d8254a7354c24ed68236ce66e0111a5e44cdd6bba3751a46a60600220d",
+    "consistency": "48d1cd0299aa0d1b70a3b8305d1217284501446e80d5c89df0970fadb9fa9ba5",
+    "metrics": "726f73156e2586afe76e58f915c53ea16f6edfeb08856235cfa74f0c9323721e",
+    "convexity": "b72b1e51891c936062744f4d1c9414bf1d5c2bf56f0cdf07fded130a365c8bcf",
+    "audit": "2229d6752235ffff15985db27795b4797ebb2725137b8e4e5a5f1e6c564a984b",
+    "map_demo": "2d219e2cbcaa7dc7a7493348e082526c1a8f472815b21427364f4a08517ce2e6",
 }
 
 
