@@ -74,6 +74,7 @@ from .posterior import (
 )
 from .series_prior import (
     AlgebraicFourier,
+    ExplicitSchedule,
     FourierCircle,
     IID,
     SeriesPrior,
@@ -318,6 +319,23 @@ def _require(ok: bool, key: str, what: str):
         raise ValueError(f"config key {key!r} {what}")
 
 
+def _effort(cfg: dict) -> int:
+    """The config's effort: two draws at least, for a sample stderr."""
+    effort = int(cfg["effort"])
+    _require(effort >= 2, "effort", "must be at least 2")
+    return effort
+
+
+def _series_prior(cfg: dict, key: str, N: int) -> SeriesPrior:
+    """The series prior under key, refused when it cannot be drawn at window level N."""
+    prior = prior_from_json(cfg[key])
+    _require(isinstance(prior, SeriesPrior), key, "must be a series prior")
+    schedule = prior.schedule
+    short = isinstance(schedule, ExplicitSchedule) and len(schedule.values) < len(prior.basis.window_indices(N))
+    _require(not short, key, f"has an explicit schedule shorter than the window at level {N}")
+    return prior
+
+
 def _subseed(seed: int, tag: str) -> int:
     digest = hashlib.sha256(f"{int(seed)}:{tag}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -335,11 +353,11 @@ def _synthetic_data(prior, model, sigma2: float, seed: int, tag: str) -> np.ndar
 
 
 def run_stability(cfg: dict) -> dict:
-    prior = prior_from_json(cfg["prior"])
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
+    prior = _series_prior(cfg, "prior", model.truncation)
     sigma2 = float(cfg["sigma2"])
-    effort = int(cfg["effort"])
+    effort = _effort(cfg)
     seed = int(cfg["seed"])
     deltas = [float(d) for d in cfg["deltas"]]
     _require(len(set(deltas)) >= 2 and min(deltas) > 0, "deltas", "must hold at least two distinct positive sizes")
@@ -420,23 +438,18 @@ def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
     truncation, sharing one batch of reference draws.
 
     Each block of draws is pushed through the levels in increasing order,
-    adding only the slots a level brings to the forward sum, and only the
-    per-level potentials are kept.
+    adding the columns a level brings (a view: windows are prefixes) to
+    the forward sum, and only the per-level potentials are kept.
     """
     levels = sorted(set(int(n) for n in n_grid) | {int(n_ref)})
     design = model.design_matrix()
-    added = []
-    prev_pos = np.array([], dtype=int)
-    for N in levels:
-        pos = model.window_positions(N)
-        added.append(np.setdiff1d(pos, prev_pos, assume_unique=True))
-        prev_pos = pos
+    ends = [len(model.window_positions(N)) for N in levels]
     phi = GaussianAdditive(model, sigma2, y)
     pots = np.empty((len(levels), effort))
     for start, block in coefficient_chunks(prior, n_ref, effort, seed):
         fwd = np.zeros((len(block), model.data_dim), order="F")
-        for i, cols in enumerate(added):
-            fwd += block[:, cols] @ design[:, cols].T
+        for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            fwd += block[:, lo:hi] @ design[:, lo:hi].T
             pots[i, start : start + len(block)] = phi.misfit(fwd, y)
         del block  # one block at a time (see coefficient_chunks)
     p_ref = pots[levels.index(int(n_ref))]
@@ -445,15 +458,15 @@ def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
 
 def run_consistency(cfg: dict) -> dict:
     prior = prior_from_json(cfg["prior"])
-    hier = prior_from_json(cfg["hierarchical_prior"])
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     sigma2 = float(cfg["sigma2"])
-    effort = int(cfg["effort"])
+    effort = _effort(cfg)
     seed = int(cfg["seed"])
     n_grid = [int(n) for n in cfg["n_grid"]]
     n_ref = int(cfg["n_ref"])
     _require(n_ref == model.truncation, "n_ref", "must equal the model truncation")
+    _require(all(1 <= n <= n_ref for n in n_grid), "n_grid", "levels must lie in [1, n_ref]")
     fit_levels = 3 if cfg["drop_smallest"] else 2  # a slope fit needs two levels after the drop
     _require(len(set(n_grid) - {n_ref}) >= fit_levels, "n_grid", f"needs {fit_levels} distinct levels besides n_ref")
     # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
@@ -462,6 +475,7 @@ def run_consistency(cfg: dict) -> dict:
         "prior",
         "must be a series with an algebraic_fourier schedule and an iid law",
     )
+    hier = _series_prior(cfg, "hierarchical_prior", n_ref)
 
     points = []
 
@@ -555,7 +569,7 @@ _CONVEXITY_CASES = (
 
 def run_convexity(cfg: dict) -> dict:
     seed = int(cfg["seed"])
-    effort = int(cfg["effort"])
+    effort = _effort(cfg)
     lam = float(cfg["lam"])
 
     points = []
@@ -662,12 +676,12 @@ def run_convexity(cfg: dict) -> dict:
 
 def run_metrics(cfg: dict) -> dict:
     seed = int(cfg["seed"])
-    effort = int(cfg["effort"])
+    effort = _effort(cfg)
     quad_effort = int(cfg["quad_effort"])
     num_pairs = int(cfg["num_pairs"])
-    prior = prior_from_json(cfg["prior"])
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
+    prior = _series_prior(cfg, "prior", model.truncation)
     sigma2 = float(cfg["sigma2"])
 
     points = []

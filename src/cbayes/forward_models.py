@@ -5,8 +5,8 @@ coefficient vector.  DeconvolutionModel acts diagonally on the basis
 (multiplier per index, the Fourier picture of circular convolution with a
 fixed kernel) and then collects point values at observation locations.
 Multipliers may be an algebraic closed form (1+k^2)^(-s) or an explicit
-per-slot list over the window; s = 0 gives flat multipliers, plain point
-evaluation with no smoothing.
+list over the window in enumeration order; s = 0 gives flat multipliers,
+plain point evaluation with no smoothing.
 """
 
 from __future__ import annotations
@@ -127,9 +127,7 @@ class DeconvolutionModel:
     def window_positions(self, M: int) -> np.ndarray:
         if M > self.truncation:
             raise ValueError("window level exceeds the model truncation")
-        wanted = self.basis.window_indices(M)
-        pos = {int(k): i for i, k in enumerate(self._indices)}
-        return np.asarray([pos[int(k)] for k in wanted], dtype=int)
+        return np.arange(len(self.basis.window_indices(M)))  # windows are prefixes
 
     def apply(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)

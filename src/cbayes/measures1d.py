@@ -14,11 +14,11 @@ where the left side uses the Minkowski combination of intervals.
 
 The log density is what defines a law here, so each law states its log
 density and its CDF once, on float arrays; Distribution1D derives the
-density as exp(log density) and returns a float for a scalar input.  The
-module also provides exact samplers driven by explicit streams, a
-grid-based log-concavity checker, and interval masses from CDF
-differences, on which the convexity suite's closed-form oracles are
-computed.
+density as exp(log density), returns a float for a scalar input and NaN
+for a NaN input.  The module also provides exact samplers driven by
+explicit streams, a grid-based log-concavity checker, and interval masses
+from CDF differences, on which the convexity suite's closed-form oracles
+are computed.
 
 Samplers consume an explicit generator (see streams).  Uniform,
 Exponential, Laplace and Logistic use inverse-CDF transforms of uniforms
@@ -81,10 +81,15 @@ def _erfc(t: np.ndarray):
     return np.fromiter(map(math.erfc, t.ravel().tolist()), float, t.size).reshape(t.shape)
 
 
-def _maybe_scalar(x, res):
-    if np.ndim(x) == 0:
-        return float(res)
-    return res
+def _evaluate(fn, x):
+    """fn on x as a float array, NaN wherever x is NaN; a float for a
+    0-d x, else an array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    res = fn(x)
+    nan = np.isnan(x)
+    if nan.any():
+        res = np.where(nan, np.nan, res)
+    return float(res) if x.ndim == 0 else res
 
 
 def _buffer(size, out) -> np.ndarray:
@@ -116,20 +121,18 @@ class Distribution1D:
 
     A law states its log density and CDF once, as _log_density and _cdf
     on float arrays.  density, log_density and cdf take a scalar or an
-    array: a float for a 0-d input, else an array of the input's shape."""
+    array: a float for a 0-d input, else an array of the input's shape,
+    and NaN wherever the input is NaN, whatever the law."""
 
     def density(self, x):
         """exp(log density)."""
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(x, np.exp(self._log_density(x)))
+        return _evaluate(lambda t: np.exp(self._log_density(t)), x)
 
     def log_density(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(x, self._log_density(x))
+        return _evaluate(self._log_density, x)
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(x, self._cdf(x))
+        return _evaluate(self._cdf, x)
 
     def _log_density(self, x: np.ndarray):
         raise NotImplementedError

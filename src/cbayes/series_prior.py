@@ -19,11 +19,11 @@ every window level and every chunking.  This holds because every
 sampler reads its stream draw by draw (see measures1d).
 
 A block is column-major (Fortran order): each slot's draws fill one
-contiguous column, and a consumer gathering slot columns reads them
-contiguously.  Since every slot has its own stream, the layout moves no
-bit of any draw, and the BLAS products the suites take of a block give
-the same bits in either order.  sample_coefficients returns the same
-column-major layout, the block itself when one block holds every row.
+contiguous column, and a smaller window's columns are a contiguous view.
+Since every slot has its own stream, the layout moves no bit of any draw,
+and the BLAS products the suites take of a block give the same bits in
+either order.  sample_coefficients returns the same column-major layout,
+the block itself when one block holds every row.
 
 Each slot is drawn with its samplers' out= form straight into its
 column: an IID law fills the column, a hierarchical slot's mode law
@@ -42,11 +42,12 @@ ufunc loops.
 
 Enumeration contract
 --------------------
-Fourier indices are enumerated 0, 1, -1, 2, -2, ...  The truncation
-window for level N is the index set {-N, ..., N-1}; listed in enumeration
-order it is [0, 1, -1, ..., N-1, -(N-1), -N], which has 2N entries and is
-not contiguous in the enumeration (it skips +N and ends with -N).
-Sequence bases enumerate 1, 2, 3, ... and window N is {1, ..., N}.
+Fourier indices are enumerated 0, -1, 1, -2, 2, ...  The truncation
+window for level N is the index set {-N, ..., N-1}, the first 2N entries
+[0, -1, 1, ..., N-1, -N]; sequence bases enumerate 1, 2, 3, ... and window
+N is {1, ..., N}.  So every window is a prefix of every larger one and
+projection keeps a leading slice; columns, multipliers and explicit
+weights are positional in this order.
 Algebraic Fourier weights apply to the signed index k as (1+k^2)^(-s);
 algebraic sequence weights apply to the 1-based enumeration position.
 """
@@ -103,15 +104,13 @@ class FourierCircle:
     def window_indices(self, N: int) -> np.ndarray:
         if N < 1:
             raise ValueError("window level must be at least 1")
-        out = [0]
-        for j in range(1, N):
-            out.extend((j, -j))
-        out.append(-N)
-        return np.asarray(out, dtype=int)
+        p = np.arange(2 * N)
+        return np.where(p % 2, -(p + 1) // 2, p // 2)
 
     @staticmethod
     def slot_uid(k: int) -> int:
-        # Stable stream id per signed index, independent of the window.
+        # Stable stream id per signed index, independent of the window: its
+        # position in the 0.6.0 enumeration 0, 1, -1, ..., so draws never move.
         if k == 0:
             return 0
         return 2 * k - 1 if k > 0 else -2 * k
@@ -169,7 +168,7 @@ class AlgebraicSequence:
 
 @dataclass(frozen=True)
 class ExplicitSchedule:
-    """Explicit positive nonincreasing weights, positional."""
+    """Explicit positive nonincreasing weights, in enumeration order."""
 
     values: tuple
 
@@ -351,10 +350,11 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
     """Matrix of coefficient draws, shape (num_samples, window size).
 
     Row i is the i-th field; column order is the enumeration order of the
-    window.  Each index has its own stream, so the first row equals the
-    single sample for the same seed at any window level.  The matrix is
-    column-major, like the blocks of coefficient_chunks, and is the one
-    block itself when a block holds every row.
+    window.  Each index has its own stream, so the first row is the single
+    sample for the same seed, and level M's matrix is the first columns of
+    level N's for any N >= M.  The matrix is column-major, like the blocks
+    of coefficient_chunks, and is the one block itself when a block holds
+    every row.
     """
     out = None
     for start, block in coefficient_chunks(prior, N, num_samples, seed):
@@ -382,9 +382,7 @@ def project(u: FieldSample, M: int) -> FieldSample:
     if M > u.truncation:
         raise ValueError("cannot refine by projection: target window exceeds the sample's")
     wanted = u.basis.window_indices(M)
-    pos = {int(k): i for i, k in enumerate(u.indices)}
-    take = np.asarray([pos[int(k)] for k in wanted], dtype=int)
-    return FieldSample(u.basis, M, wanted, u.coefficients[take])
+    return FieldSample(u.basis, M, wanted, u.coefficients[: len(wanted)].copy())
 
 
 def evaluate_field(u: FieldSample, x) -> np.ndarray:
@@ -457,7 +455,7 @@ def admissibility_check(prior: SeriesPrior, p: float, q: float, K: int) -> Admis
     """Admissibility of the prior's weight and variance sequences up to K terms."""
     if K < 2:
         raise ValueError("K must be at least 2")
-    N = K if not isinstance(prior.basis, FourierCircle) else (K + 1) // 2 + 1
+    N = K if not isinstance(prior.basis, FourierCircle) else (K + 1) // 2  # the first K slots
     weights = coefficient_weights(prior.basis, prior.schedule, N)[:K]
     var = _coefficient_abs_variance(prior.law)
     return _admissibility_partial_sums(weights**2, np.full(K, var), p, q)

@@ -91,6 +91,8 @@ def test_unknown_config_key_rejected():
 LINEAR_MODEL = {"kind": "linear", "matrix": [[1.0, 0.3], [0.2, 1.0]]}
 LAPLACE_SERIES = default_config("consistency")["prior"]
 EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in range(256)]}  # the n_ref window
+EXPLICIT_3 = {"kind": "explicit", "values": [1.0, 0.5, 0.25]}  # shorter than every suite's window
+PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
 
 
 @pytest.mark.parametrize("name,config,key", [
@@ -107,7 +109,16 @@ EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in r
     ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, schedule={"kind": "algebraic_sequence", "s": 1.25})},
      "prior"),
     ("consistency", {"effort": 2000, "prior": default_config("consistency")["hierarchical_prior"]}, "prior"),
-    ("consistency", {"effort": 2000, "prior": {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}}, "prior"),
+    ("consistency", {"effort": 2000, "prior": PRODUCT_PRIOR}, "prior"),
+    # a sample stderr needs two draws
+    *[(name, {"effort": effort}, "effort") for name in ("stability", "consistency", "convexity", "metrics")
+      for effort in (0, 1)],
+    ("consistency", {"n_grid": [0, 2, 4, 8]}, "n_grid"),
+    ("consistency", {"n_grid": [2, 4, 8, 256]}, "n_grid"),
+    # a prior the suite cannot draw at the model window
+    *[(name, {key: prior}, key) for name, key in (("stability", "prior"), ("metrics", "prior"),
+                                                   ("consistency", "hierarchical_prior"))
+      for prior in (PRODUCT_PRIOR, dict(LAPLACE_SERIES, schedule=EXPLICIT_3))],
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):

@@ -112,6 +112,7 @@ def test_truncation_commutes_with_zero_padding():
     c = random_coeffs(model, seed=6)
     for m_level in (1, 2, 4, 8):
         keep = model.window_positions(m_level)
+        assert np.array_equal(keep, np.arange(2 * m_level))  # windows are prefixes
         small = make_deconv(trunc=m_level)
         assert np.allclose(small.apply(c[keep]), model.apply(np.where(
             np.isin(np.arange(model.dim), keep), c, 0.0)))

@@ -120,6 +120,19 @@ def test_scalar_or_array_returns_and_density_is_exp_log_density(d, edges):
 
 
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
+def test_nan_input_gives_nan_and_leaves_other_values_alone(d):
+    # points on both sides of the support and at its finite edges
+    x = np.array([p for p in (-3.0, 0.0, 0.25, 1.5, 5.0) + d.support() if math.isfinite(p)])
+    with_nan = np.insert(x, [0, 2, len(x)], np.nan)
+    nan = np.isnan(with_nan)
+    for f in (d.density, d.log_density, d.cdf):
+        assert math.isnan(f(math.nan)) and type(f(math.nan)) is float
+        out = f(with_nan)
+        assert np.all(np.isnan(out[nan]))
+        assert out[~nan].tobytes() == f(x).tobytes()
+
+
+@pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_sampling_ks_against_own_cdf(d):
     n = 4000
     gen = np.random.default_rng(2024)

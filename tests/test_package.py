@@ -1,8 +1,10 @@
 """Package surface: every exported name resolves, so a deletion cannot
-leave a dead export behind, and the package states one version."""
+leave a dead export behind, the package states one version, and the
+benchmark's tracer still finds every method it wraps."""
 
 import importlib
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +28,14 @@ def test_pyproject_version_matches_package():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == cbayes.__version__
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps methods it reads from each class's own
+    # namespace (vars(cls)[name]): the models' apply*, the potentials'
+    # evaluate*, ProductPrior.sample and each law's sample, so moving one
+    # into a base class breaks every traced benchmark run
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport tracing\ntracing.install(tracing.Tracer())\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

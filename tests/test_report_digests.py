@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.6.0
-    "stability": "d3be17d8254a7354c24ed68236ce66e0111a5e44cdd6bba3751a46a60600220d",
-    "consistency": "48d1cd0299aa0d1b70a3b8305d1217284501446e80d5c89df0970fadb9fa9ba5",
-    "metrics": "726f73156e2586afe76e58f915c53ea16f6edfeb08856235cfa74f0c9323721e",
-    "convexity": "b72b1e51891c936062744f4d1c9414bf1d5c2bf56f0cdf07fded130a365c8bcf",
-    "audit": "2229d6752235ffff15985db27795b4797ebb2725137b8e4e5a5f1e6c564a984b",
-    "map_demo": "2d219e2cbcaa7dc7a7493348e082526c1a8f472815b21427364f4a08517ce2e6",
+DIGESTS = {  # report revision 0.7.0
+    "stability": "abd8873bec026ffb901d2aa5e7b8b335e6bb2c11d729cf94f6c7ede22706f3ba",
+    "consistency": "21566eed1c8de95ddfba54bee5182cb072cf5fd4404480d4133413fb3bba8b3f",
+    "metrics": "9c3f7dca075a9b47ea16a60247828890c9d71126e87a3ab2cf0b78611775d2d5",
+    "convexity": "5298eeb8727cf81645eb8f30d5cc3812ac11dd9620cd12049debd0f8b9db3ec8",
+    "audit": "f9fbb7d90b56d5666038a15bc5f3d3e38d8f13883bd5f8d1c55fecf3877e1736",
+    "map_demo": "b177d32e3e15b8bb8c5e99835a2e3a7ddf0afbe0099c65cdecc85606d7c5efae",
 }
 
 
