@@ -326,9 +326,17 @@ def _effort(cfg: dict) -> int:
     return effort
 
 
+def _prior(cfg: dict, key: str):
+    """The prior under key, refused naming the key when it does not parse."""
+    try:
+        return prior_from_json(cfg[key])
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r} is not a prior: {exc}") from None
+
+
 def _series_prior(cfg: dict, key: str, N: int) -> SeriesPrior:
     """The series prior under key, refused when it cannot be drawn at window level N."""
-    prior = prior_from_json(cfg[key])
+    prior = _prior(cfg, key)
     _require(isinstance(prior, SeriesPrior), key, "must be a series prior")
     schedule = prior.schedule
     short = isinstance(schedule, ExplicitSchedule) and len(schedule.values) < len(prior.basis.window_indices(N))
@@ -457,7 +465,7 @@ def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
 
 
 def run_consistency(cfg: dict) -> dict:
-    prior = prior_from_json(cfg["prior"])
+    prior = _prior(cfg, "prior")
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     sigma2 = float(cfg["sigma2"])
@@ -678,7 +686,9 @@ def run_metrics(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     effort = _effort(cfg)
     quad_effort = int(cfg["quad_effort"])
+    _require(quad_effort >= 1, "quad_effort", "must be at least 1")
     num_pairs = int(cfg["num_pairs"])
+    _require(num_pairs >= 1, "num_pairs", "must be at least 1, or no pair judges the sandwich and the gap")
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     prior = _series_prior(cfg, "prior", model.truncation)
@@ -773,6 +783,7 @@ def run_metrics(cfg: dict) -> dict:
 def run_audit(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     num = int(cfg["num_samples"])
+    _require(num >= 10, "num_samples", "must be at least 10")
     radius = float(cfg["radius"])
     points = []
     gaussian_clean = []

@@ -25,20 +25,25 @@ and the BLAS products the suites take of a block give the same bits in
 either order.  sample_coefficients returns the same column-major layout,
 the block itself when one block holds every row.
 
-Each slot is drawn with its samplers' out= form straight into its
-column: an IID law fills the column, a hierarchical slot's mode law
-fills the column and its scale law one scratch per half block, then the
-column is multiplied by the scale draws and by the slot's weight in
-place.  IEEE multiplication is commutative, so (xi * zeta) * weight has
-the bits of weight * (zeta * xi), and no draw-sized temporary is made
-beyond the samplers' own scratch.
+A block's slots are drawn in column groups of _GROUP_VALUES values
+(_GROUP_VALUES // rows columns, at least one): one sample call per law
+fills a group's contiguous F-order slab, each slot's generator reading
+its own stream into its own column, and the law's transform then runs
+once over the slab (see measures1d), so a group of short columns pays
+the Python dispatches of one.  An IID law fills the slab; a
+hierarchical group's mode law fills the slab and its scale law one
+scratch slab per half block, then the slab is multiplied by the scale
+draws and by the slots' weights in place.  IEEE multiplication is
+commutative, so (xi * zeta) * weight has the bits of weight * (zeta *
+xi), and no draw-sized temporary is made beyond the samplers' own
+group-sized scratch.
 
-Two threads fill each block: another thread the columns of the first
-half of its slots, the caller's thread the rest, joined before the block
-is yielded.  A slot's generators serve one thread only, so the bits do
-not depend on scheduling (counter-based streams: Salmon et al., SC 2011);
-the halves overlap where numpy releases the GIL, in Generator fills and
-ufunc loops.
+Two threads fill each block: another thread the column groups of the
+first half of its slots, the caller's thread the rest, joined before the
+block is yielded.  A slot's generators serve one thread only, so the
+bits do not depend on scheduling (counter-based streams: Salmon et
+al., SC 2011); the halves overlap where numpy releases the GIL, in
+Generator fills and ufunc loops.
 
 Enumeration contract
 --------------------
@@ -265,6 +270,7 @@ class FieldSample:
 
 
 _CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
+_GROUP_VALUES = 1 << 15  # values per column group that one sample call draws (256 KB)
 _FILL_THREADS = 2  # threads filling each block: the caller's and one other
 
 
@@ -281,30 +287,36 @@ def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
     return tuple(streams.substream(seed, streams.COEFFS, uid, c) for c in range(len(_law_dists(prior.law))))
 
 
-def _slot_draws(law, gens: tuple, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-    """Fill out with the next len(out) unweighted coefficient draws of a
-    slot whose generators _slot_streams opened, and return it.
+def _fill_group(dists: tuple, gens: list, weights: np.ndarray, slab: np.ndarray, scratch: np.ndarray | None = None):
+    """Fill slab, an F-order array with one column per slot, with the next
+    len(slab) weighted coefficient draws of its slots, and return it;
+    gens[c] holds the slots' generators of law dists[c] (see _law_dists).
 
-    A hierarchical slot draws its mode law into out and its scale law
-    into scratch (an array of len(out), fresh when None), then multiplies
-    out by scratch in place: xi * zeta, the same bits as zeta * xi."""
-    if isinstance(law, IID):
-        return law.dist.sample(gens[0], len(out), out=out)
-    law.mode_law.sample(gens[0], len(out), out=out)
-    out *= law.scale_law.sample(gens[1], len(out), out=scratch)
-    return out
+    One sample call per law draws the whole group: the mode (or IID) law
+    into slab and a hierarchical scale law into the leading columns of
+    scratch (an F-order array of len(slab) rows, fresh when None); then
+    slab *= scale and slab *= weights, which is (xi * zeta) * weight, the
+    bits of weight * (zeta * xi)."""
+    dists[0].sample(gens[0], out=slab)
+    if len(dists) > 1:
+        scale = np.empty_like(slab) if scratch is None else scratch[:, : slab.shape[1]]
+        slab *= dists[1].sample(gens[1], out=scale)
+    slab *= weights
+    return slab
 
 
-def _fill_columns(law, slots: list, weights: np.ndarray, block: np.ndarray, span: range, errors: list) -> None:
+def _fill_columns(dists: tuple, gens: list, weights: np.ndarray, block: np.ndarray, span: range, errors: list) -> None:
     """Draw the slots at the positions in span into their columns of
-    block, weighted, with one scale scratch column for a hierarchical
-    law; an exception goes to errors, for the joining thread to raise."""
+    block, a group of _GROUP_VALUES // len(block) columns (at least one)
+    at a time, with one scale scratch group for a hierarchical law; gens[c]
+    holds every slot's generator of law dists[c].  An exception goes to
+    errors, for the joining thread to raise."""
     try:
-        scratch = None if isinstance(law, IID) else np.empty(len(block))
-        for pos in span:
-            col = block[:, pos]
-            _slot_draws(law, slots[pos], col, scratch)
-            col *= weights[pos]
+        width = max(1, min(len(span), _GROUP_VALUES // len(block)))
+        scratch = np.empty((len(block), width), order="F") if len(dists) > 1 else None
+        for a in range(span.start, span.stop, width):
+            b = min(a + width, span.stop)
+            _fill_group(dists, [g[a:b] for g in gens], weights[a:b], block[:, a:b], scratch)
     except BaseException as exc:
         errors.append(exc)
 
@@ -318,9 +330,10 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
     that reduces each block never holds the whole matrix.  Another
     thread fills the first half of a block's slot columns while the
-    caller's thread fills the rest (see Chunked sampling above; a 1-slot
-    window leaves the first half empty).  An exception in either half is
-    raised once both are joined, with no block for its rows.  The
+    caller's thread fills the rest, a column group per sample call (see
+    Chunked sampling above; a 1-slot window leaves the first half
+    empty).  An exception in either half is raised once both are joined,
+    with no block for its rows.  The
     generator drops a block, and every view of it, before it
     allocates the next, so a caller that also drops it (del block at the
     end of its loop body, as the suites do) holds one block at a time,
@@ -330,15 +343,16 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
         raise ValueError("num_samples must be positive")
     idx = prior.basis.window_indices(N)
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
-    slots = [_slot_streams(prior, seed, k) for k in idx]
+    dists = _law_dists(prior.law)
+    gens = list(zip(*(_slot_streams(prior, seed, k) for k in idx)))  # per law, every slot's generator
     split = len(idx) // _FILL_THREADS
     rows = max(1, _CHUNK_VALUES // len(idx))
     for start in range(0, num_samples, rows):
         block = np.empty((min(rows, num_samples - start), len(idx)), order="F")
         errors = []
-        other = threading.Thread(target=_fill_columns, args=(prior.law, slots, weights, block, range(split), errors))
+        other = threading.Thread(target=_fill_columns, args=(dists, gens, weights, block, range(split), errors))
         other.start()
-        _fill_columns(prior.law, slots, weights, block, range(split, len(idx)), errors)
+        _fill_columns(dists, gens, weights, block, range(split, len(idx)), errors)
         other.join()
         if errors:
             raise errors[0]
@@ -591,8 +605,10 @@ def marginal_convexity_test(
         """Slot k's weighted draws times w, formed in place: the bits of w * (xi * weight)."""
         if k not in index_pos:
             raise ValueError(f"functional index {k} outside window at level {N}")
-        col = _slot_draws(prior.law, _slot_streams(prior, seed, k), np.empty(num_samples))
-        col *= weights[index_pos[k]]
+        pos = index_pos[k]
+        slab = np.empty((num_samples, 1), order="F")
+        gens = [(g,) for g in _slot_streams(prior, seed, k)]
+        col = _fill_group(_law_dists(prior.law), gens, weights[pos : pos + 1], slab)[:, 0]
         col *= w
         return col
 

@@ -119,6 +119,13 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
     *[(name, {key: prior}, key) for name, key in (("stability", "prior"), ("metrics", "prior"),
                                                    ("consistency", "hierarchical_prior"))
       for prior in (PRODUCT_PRIOR, dict(LAPLACE_SERIES, schedule=EXPLICIT_3))],
+    # with no pair, all([]) would pass the sandwich and gap verdicts
+    ("metrics", {"effort": 2000, "num_pairs": 0}, "num_pairs"),
+    ("metrics", {"effort": 2000, "quad_effort": 0}, "quad_effort"),
+    ("audit", {"num_samples": 9}, "num_samples"),
+    *[(name, {key: {"kind": "bogus"}}, key) for name, key in (("stability", "prior"), ("consistency", "prior"),
+                                                              ("consistency", "hierarchical_prior"),
+                                                              ("metrics", "prior"))],
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):

@@ -282,6 +282,29 @@ def test_sample_into_block_column_returns_out_with_same_bits(d):
         d.sample(np.random.default_rng(0), 3, out=np.empty(4))
 
 
+@pytest.mark.parametrize("d", OUT_DISTS, ids=str)
+def test_group_draws_equal_per_generator_draws(d):
+    # a tuple of generators fills one column each with one transform over
+    # the group; Gamma(9) sums its (n, 9) uniforms through np.sum
+    for n in SIZES:
+        for width in (1, 5):
+            gens = tuple(streams.substream(4, streams.COEFFS, j, 0) for j in range(width))
+            block = np.full((n, width + 2), 7.0, order="F")
+            slab = block[:, 1 : width + 1]
+            assert d.sample(gens, n, out=slab) is slab
+            for j in range(width):
+                assert same_bits(slab[:, j], d.sample(streams.substream(4, streams.COEFFS, j, 0), n))
+            assert np.all(block[:, [0, width + 1]] == 7.0)
+    # each generator continues its stream across group calls
+    gens = tuple(streams.substream(4, streams.COEFFS, j, 0) for j in range(3))
+    head, tail = np.empty((5, 3), order="F"), np.empty((7, 3), order="F")
+    d.sample(gens, out=head)
+    d.sample(gens, out=tail)
+    parts = np.concatenate([head, tail])
+    for j in range(3):
+        assert same_bits(parts[:, j], d.sample(streams.substream(4, streams.COEFFS, j, 0), 12))
+
+
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_scaled_law_density_identity(d):
     # c*X has density f(x/c)/c
@@ -415,6 +438,44 @@ def test_quantile_interval_brackets_mass(d):
     assert d.cdf(lo) <= 1e-9 + 1e-12
     assert d.cdf(hi) >= 1.0 - 1e-9 - 1e-12
     assert lo < hi
+
+
+def quantile_interval_200(d, p_lo, p_hi):
+    """quantile_interval with its fixed 200 bisection steps and no early stop."""
+    lo, hi = d.support()
+
+    def solve(p):
+        a, b = lo, hi
+        if not math.isfinite(a):
+            a = -1.0
+            while d.cdf(a) > p and a > -1e12:
+                a *= 2.0
+        if not math.isfinite(b):
+            b = 1.0
+            while d.cdf(b) < p and b < 1e12:
+                b *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            if d.cdf(mid) < p:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    return solve(p_lo), solve(p_hi)
+
+
+@pytest.mark.parametrize("p_lo, p_hi", [(1e-12, 1.0 - 1e-12), (1e-15, 1.0 - 1e-15)])
+@pytest.mark.parametrize("d", ALL_DISTS + [Gamma(9.0, 0.37)], ids=str)
+def test_quantile_interval_stops_early_with_the_200_step_bits(d, p_lo, p_hi, monkeypatch):
+    # the posterior quadrature grid asks for the 1e-12 pair, the moment
+    # helpers for the 1e-15 one
+    want = np.array(quantile_interval_200(d, p_lo, p_hi))
+    calls = []
+    cdf = type(d).cdf
+    monkeypatch.setattr(type(d), "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+    assert np.array(quantile_interval(d, p_lo, p_hi)).tobytes() == want.tobytes()
+    assert len(calls) < 2 * 100  # two solves, each a few doublings and about 60 steps
 
 
 def test_gauss_legendre_rule_is_cached_and_small():

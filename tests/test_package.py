@@ -39,3 +39,26 @@ def test_benchmark_tracer_installs():
     code = f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport tracing\ntracing.install(tracing.Tracer())\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("law", ["IID(Laplace(0.0, 1.0))", "Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0))"])
+def test_benchmark_tracer_records_law_sample_calls(law):
+    # the benchmark's span-coverage check fails a traced run that records
+    # no measures1d.*.sample call, so the block fill must go through each
+    # law's own sample method, on whichever thread fills the columns
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport tracing\n"
+        "tracer = tracing.Tracer()\ntracing.install(tracer)\n"
+        "from cbayes.measures1d import Gamma, Gaussian, Laplace\n"
+        "from cbayes.series_prior import AlgebraicFourier, FourierCircle, Hierarchical, IID, SeriesPrior\n"
+        "from cbayes.series_prior import sample_coefficients\n"
+        f"prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0), {law})\n"
+        "sample_coefficients(prior, 8, 20000, 0)\n"
+        "stats = tracer.take()['stats']\n"
+        "calls = sum(r[0] for n, r in stats.items() if n.startswith('measures1d.') and n.endswith('.sample'))\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 1

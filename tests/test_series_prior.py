@@ -286,9 +286,9 @@ def test_draining_chunks_holds_one_block_plus_columns(name):
     # a suite process's peak RSS moves with glibc's mmap threshold as soon
     # as two 8 MB blocks are alive together, so the generator must release
     # every view of a block before it allocates the next; the samplers'
-    # scratch is a few column-sized arrays per filling thread (integer-shape
-    # Gamma(2) draws an (n, 2) uniform array, a hierarchical slot one scale
-    # column)
+    # scratch is a few column-group-sized arrays per filling thread (Laplace
+    # one temporary group, integer-shape Gamma(2) an (n, 2) uniform array per
+    # slot of the group, a hierarchical law one scale group)
     p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
     N, blocks = 64, 3
     for _ in coefficient_chunks(p, 2, 10, seed=3):
@@ -310,8 +310,8 @@ def test_draining_chunks_holds_one_block_plus_columns(name):
         tracemalloc.stop()
     rows, width = shapes[0]
     assert len(shapes) == blocks and width == 2 * N
-    column = 8 * rows
-    assert peak < rows * width * 8 + 4 * column * series_prior._FILL_THREADS + slot_bytes
+    group = 8 * rows * max(1, series_prior._GROUP_VALUES // rows)
+    assert peak < rows * width * 8 + 4 * group * series_prior._FILL_THREADS + slot_bytes
 
 
 # ------------------------------------------------------- threaded block fill
@@ -321,14 +321,20 @@ FILL_LAWS = ("laplace", "gamma2_x_gaussian", "gamma2.5_x_gaussian")
 
 
 def serial_reference(prior, N, num_samples, seed):
-    """One thread, slot after slot: each slot's _slot_streams generators
-    drawn for every row through _slot_draws, then weighted."""
+    """One thread, slot after slot, one sample call per law and slot: each
+    slot's _slot_streams generators drawn for every row into its column,
+    times the scale draws, then weighted."""
     idx = prior.basis.window_indices(N)
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     out = np.empty((num_samples, len(idx)), order="F")
     for pos, k in enumerate(idx):
-        series_prior._slot_draws(prior.law, series_prior._slot_streams(prior, seed, k), out[:, pos])
-        out[:, pos] *= weights[pos]
+        gens, col = series_prior._slot_streams(prior, seed, k), out[:, pos]
+        if isinstance(prior.law, IID):
+            prior.law.dist.sample(gens[0], out=col)
+        else:
+            prior.law.mode_law.sample(gens[0], out=col)
+            col *= prior.law.scale_law.sample(gens[1], num_samples)
+        col *= weights[pos]
     return out
 
 
@@ -345,6 +351,77 @@ def test_threaded_fill_equals_serial_reference(name, slots):
     assert np.concatenate([block for _, block in chunks]).tobytes() == full.tobytes() == want
 
 
+GROUP_LAWS = ("laplace", "gaussian", "gamma2", "gamma2.5_x_gaussian", "gamma2_x_gaussian")
+
+
+@pytest.mark.parametrize("rows", [700, 250, 300], ids=["1-column", "4-column", "3-column"])
+@pytest.mark.parametrize("slots", [1, 3, 9, 256])
+@pytest.mark.parametrize("name", GROUP_LAWS)
+def test_column_groups_equal_per_slot_draws(name, slots, rows):
+    # 1000-value groups hold one column of a 700-row block and four or
+    # three of a 250-row or 300-row one; two full blocks and a short one,
+    # and a half's last group may be narrower than the rest
+    p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS[name])
+    n = 2 * rows + rows // 3
+    want = serial_reference(p, slots, n, 11).tobytes()
+    with mock.patch.object(series_prior, "_GROUP_VALUES", 1000), \
+            mock.patch.object(series_prior, "_CHUNK_VALUES", rows * slots):
+        chunks = list(coefficient_chunks(p, slots, n, seed=11))
+    assert [len(block) for _, block in chunks] == [rows, rows, rows // 3]
+    assert np.concatenate([block for _, block in chunks]).tobytes() == want
+
+
+class FlakyGenerator:
+    """Generator stand-in that counts its calls and raises at each."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def random(self, *args, **kwargs):
+        self.calls.append(self)
+        raise FillError("flaky")
+
+    standard_normal = standard_gamma = random
+
+
+def test_error_inside_a_group_is_raised_once():
+    # the third generator of a four-column group raises: sample stops
+    # there, once, before the transform, and leaves the last column undrawn
+    calls = []
+    good = [streams.substream(0, streams.COEFFS, j, 0) for j in range(4)]
+    slab = np.full((6, 4), 7.0, order="F")
+    with pytest.raises(FillError):
+        Laplace(0.0, 1.0).sample((good[0], good[1], FlakyGenerator(calls), good[3]), out=slab)
+    assert len(calls) == 1 and np.all(slab[:, 3] == 7.0)
+    assert slab[:, 0].tobytes() == streams.substream(0, streams.COEFFS, 0, 0).random(6).tobytes()
+
+    # in a block fill, slot 6 (the second of the caller's four-column
+    # group) raises once, and the generator yields nothing more
+    calls = []
+    p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS["gamma2_x_gaussian"])
+    real = series_prior._slot_streams
+
+    def slot_streams(prior, seed, k):
+        return (FlakyGenerator(calls),) * 2 if k == 6 else real(prior, seed, k)
+
+    with mock.patch.object(series_prior, "_GROUP_VALUES", 40), mock.patch.object(series_prior, "_CHUNK_VALUES", 80), \
+            mock.patch.object(series_prior, "_slot_streams", slot_streams):
+        chunks = coefficient_chunks(p, 8, 30, seed=5)  # 10-row blocks, 4-column groups
+        with pytest.raises(FillError):
+            next(chunks)
+        assert list(chunks) == []
+    assert len(calls) == 1
+
+
+def test_group_sample_refuses_a_mismatched_slab():
+    gens = tuple(streams.substream(0, streams.COEFFS, j, 0) for j in range(3))
+    for out in (None, np.empty((5, 2), order="F"), np.empty((5, 3)), np.empty(15)):
+        with pytest.raises(ValueError):
+            Laplace(0.0, 1.0).sample(gens, out=out)
+    with pytest.raises(ValueError):
+        Laplace(0.0, 1.0).sample(gens, 4, out=np.empty((5, 3), order="F"))
+
+
 class FillError(Exception):
     pass
 
@@ -355,17 +432,17 @@ def test_fill_error_in_either_half_is_raised_after_the_join(half, monkeypatch):
     # without waiting for the other thread would leave it running
     p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS["gamma2_x_gaussian"])
     want = serial_reference(p, 4, 30, 5).tobytes()
-    caller, real, armed = threading.current_thread(), series_prior._slot_draws, []
+    caller, real, armed = threading.current_thread(), series_prior._fill_group, []
 
-    def draws(law, gens, out, scratch=None):
+    def draws(dists, gens, weights, slab, scratch=None):
         if armed:
             if (threading.current_thread() is caller) == (half == "caller"):
                 raise FillError(half)
             time.sleep(0.05)
-        return real(law, gens, out, scratch)
+        return real(dists, gens, weights, slab, scratch)
 
     baseline = threading.active_count()
-    monkeypatch.setattr(series_prior, "_slot_draws", draws)
+    monkeypatch.setattr(series_prior, "_fill_group", draws)
     monkeypatch.setattr(series_prior, "_CHUNK_VALUES", 10 * 4)
     chunks = coefficient_chunks(p, 4, 30, seed=5)
     assert next(chunks)[0] == 0
