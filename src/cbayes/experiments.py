@@ -326,6 +326,13 @@ def _effort(cfg: dict) -> int:
     return effort
 
 
+def _sigma2(cfg: dict) -> float:
+    """The config's noise variance, refused unless positive (NaN too)."""
+    sigma2 = float(cfg["sigma2"])
+    _require(sigma2 > 0, "sigma2", "must be positive")
+    return sigma2
+
+
 def _prior(cfg: dict, key: str):
     """The prior under key, refused naming the key when it does not parse."""
     try:
@@ -364,11 +371,12 @@ def run_stability(cfg: dict) -> dict:
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     prior = _series_prior(cfg, "prior", model.truncation)
-    sigma2 = float(cfg["sigma2"])
+    sigma2 = _sigma2(cfg)
     effort = _effort(cfg)
     seed = int(cfg["seed"])
     deltas = [float(d) for d in cfg["deltas"]]
-    _require(len(set(deltas)) >= 2 and min(deltas) > 0, "deltas", "must hold at least two distinct positive sizes")
+    _require(len(set(deltas)) >= 2 and all(0 < d < math.inf for d in deltas), "deltas",
+             "must hold at least two distinct positive finite sizes")
     m = model.data_dim
     N = model.truncation
 
@@ -468,7 +476,7 @@ def run_consistency(cfg: dict) -> dict:
     prior = _prior(cfg, "prior")
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
-    sigma2 = float(cfg["sigma2"])
+    sigma2 = _sigma2(cfg)
     effort = _effort(cfg)
     seed = int(cfg["seed"])
     n_grid = [int(n) for n in cfg["n_grid"]]
@@ -477,6 +485,8 @@ def run_consistency(cfg: dict) -> dict:
     _require(all(1 <= n <= n_ref for n in n_grid), "n_grid", "levels must lie in [1, n_ref]")
     fit_levels = 3 if cfg["drop_smallest"] else 2  # a slope fit needs two levels after the drop
     _require(len(set(n_grid) - {n_ref}) >= fit_levels, "n_grid", f"needs {fit_levels} distinct levels besides n_ref")
+    cutoff = int(cfg["tail_cutoff"])
+    _require(cutoff > max(n_grid), "tail_cutoff", "must exceed every n_grid level, or a tail sum is empty")
     # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
     _require(
         isinstance(prior, SeriesPrior) and isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID),
@@ -505,7 +515,6 @@ def run_consistency(cfg: dict) -> dict:
     # deterministic projection-error oracle for the same schedule
     s = float(cfg["prior"]["schedule"]["s"])
     coeff_var = second_moment(prior.law.dist)  # centered law: variance
-    cutoff = int(cfg["tail_cutoff"])
     proj_x, proj_y = [], []
     for N in n_grid:
         e = _window_tail_norm(s, coeff_var, N, cutoff)
@@ -579,6 +588,7 @@ def run_convexity(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     effort = _effort(cfg)
     lam = float(cfg["lam"])
+    _require(0.0 < lam < 1.0, "lam", "must lie strictly between 0 and 1")
 
     points = []
     flat = {}
@@ -692,7 +702,7 @@ def run_metrics(cfg: dict) -> dict:
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     prior = _series_prior(cfg, "prior", model.truncation)
-    sigma2 = float(cfg["sigma2"])
+    sigma2 = _sigma2(cfg)
 
     points = []
 
@@ -785,6 +795,7 @@ def run_audit(cfg: dict) -> dict:
     num = int(cfg["num_samples"])
     _require(num >= 10, "num_samples", "must be at least 10")
     radius = float(cfg["radius"])
+    _require(radius > 0, "radius", "must be positive")
     points = []
     gaussian_clean = []
     mult_flags = None
@@ -822,9 +833,14 @@ def run_audit(cfg: dict) -> dict:
 def run_map_demo(cfg: dict) -> dict:
     seed = int(cfg["seed"])
     rows, cols = int(cfg["rows"]), int(cfg["cols"])
+    _require(rows >= 1, "rows", "must be at least 1")
+    _require(cols >= 1, "cols", "must be at least 1")
+    positions = [int(p) for p in cfg["truth_positions"]]
+    _require(all(0 <= p < cols for p in positions), "truth_positions", "must lie in [0, cols)")
+    _require(len(set(positions)) == len(positions), "truth_positions", "must not repeat a position")
+    _require(len(cfg["truth_values"]) == len(positions), "truth_values", "must hold one value per truth position")
     truth = np.zeros(cols)
-    for p, v in zip(cfg["truth_positions"], cfg["truth_values"]):
-        truth[int(p)] = float(v)
+    truth[positions] = [float(v) for v in cfg["truth_values"]]
     gen = streams.substream(seed, streams.DATA, 2)
     A = streams.normals(gen, (rows, cols)) / math.sqrt(rows)
     eta = streams.normals(streams.substream(seed, streams.DATA, 3), (rows,))

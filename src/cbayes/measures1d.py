@@ -20,22 +20,15 @@ explicit streams, a grid-based log-concavity checker, and interval masses
 from CDF differences, on which the convexity suite's closed-form oracles
 are computed.
 
-Samplers consume an explicit generator (see streams).  Uniform,
-Exponential, Laplace and Logistic use inverse-CDF transforms of uniforms
-and integer-shape Gamma a sum of exponentials; Gaussian draws its
-normals from streams.normals and non-integer-shape Gamma calls
-Generator.standard_gamma (Marsaglia-Tsang), both numpy samplers whose
-output numpy may change between releases (NEP 19).  Every sampler reads
-its stream draw by draw, so a stream continued call by call gives the
-draws of one call.  A sampler given out= writes its draws into that
-buffer (a contiguous 1-D float64 array, such as one column of an F-order
-block) and returns it; the transform runs in place with at most one
-draw-sized scratch array, and the draws have the same bits as without
-out=.  A sampler also draws a group: given a tuple of generators and a
-2-D F-order out with one column per generator, it reads each generator
-into its own column, then runs the transform once over the whole of
-out, and column j has the bits of a call with generator j alone.  A
-single generator is a group of one.
+Samplers consume an explicit generator (see streams) through the one
+Distribution1D.sample, which states the sampler contract: a law only
+turns uniforms into its draws in place (_transform), or reads its own
+variates from the stream (_draw).  Uniform, Exponential, Laplace and
+Logistic use inverse-CDF transforms of uniforms and integer-shape Gamma
+a sum of exponentials; Gaussian draws its normals from streams.normals
+and non-integer-shape Gamma calls Generator.standard_gamma
+(Marsaglia-Tsang), both numpy samplers whose output numpy may change
+between releases (NEP 19).
 
 The CDFs are closed forms in numpy and math: Gaussian through math.erfc,
 integer-shape Gamma through Poisson sums (_integer_gamma_cdf).  Only a
@@ -96,43 +89,9 @@ def _evaluate(fn, x):
     return float(res) if x.ndim == 0 else res
 
 
-def _slab(gen, size, out):
-    """The generators a sampler reads and a flat view of the draws it
-    writes, column j of the group (generator j's draws) after column j-1.
-    A tuple of generators fills out, a 2-D F-order array of one column per
-    generator; a single generator is a group of one, filling out (a
-    contiguous 1-D array) or a fresh array of size draws (one draw when
-    size is None)."""
-    if isinstance(gen, tuple):
-        if out is None or out.ndim != 2 or out.shape[1] != len(gen) or not out.flags.f_contiguous:
-            raise ValueError("a tuple of generators fills a 2-D F-order out, one column each")
-        gens, rows, x = gen, len(out), out.reshape(-1, order="F", copy=False)
-    else:
-        x = np.empty(1 if size is None else int(size)) if out is None else out
-        gens, rows = (gen,), len(x)
-    if size is not None and int(size) != rows:
-        raise ValueError("size must equal len(out)")
-    return gens, x
-
-
 def _columns(gens, x: np.ndarray):
     """x as a (len(gens), rows) view: row j is the group's column j."""
     return x.reshape(len(gens), len(x) // len(gens))
-
-
-def _result(x: np.ndarray, size, out):
-    """What sample returns: out when given, else a float for size None
-    and the draws otherwise."""
-    if out is not None:
-        return out
-    return float(x[0]) if size is None else x
-
-
-def _uniforms(gens, x: np.ndarray) -> np.ndarray:
-    """Fill column j of the group x with uniforms from gens[j], and return x."""
-    for g, col in zip(gens, _columns(gens, x)):
-        g.random(out=col)
-    return x
 
 
 _TINY = np.finfo(float).tiny
@@ -169,21 +128,47 @@ class Distribution1D:
         raise NotImplementedError
 
     def sample(self, gen: np.random.Generator, size=None, out=None):
-        """Exact draws from the stream ``gen``: a float when size and out
-        are None, else an array of size draws.
+        """Exact draws from the stream gen: a float when size and out are
+        None, else an array of size draws.
 
-        With out= (a contiguous 1-D float64 array; size, if given, must
-        equal its length) the draws are written into out and out itself
-        is returned, with the same bits as a call without it.  gen may
-        be a tuple of generators with out a 2-D F-order float64 array of
-        one column per generator: column j then holds gen[j]'s draws,
-        with the bits of a call on gen[j] alone, and out is returned.
-        One generator call per column reads the stream; the law's
-        transform runs once over all of out.  Uniform,
-        Exponential, Laplace, Logistic and integer-shape Gamma transform
-        uniforms from gen; Gaussian reads ziggurat normals
-        (streams.normals) and non-integer-shape Gamma
-        Generator.standard_gamma."""
+        Every law draws through this one method.  It reads gen draw by
+        draw, so a stream continued call by call gives the draws of one
+        call.  Given out= (a contiguous 1-D float64 array, such as one
+        column of an F-order block; size, if given, must equal its
+        length) the draws are written into out and out itself is
+        returned, with the same bits as a call without it; the law works
+        in place with at most one draw-sized scratch array.  gen may be a
+        tuple of generators with out a 2-D F-order float64 array of one
+        column per generator: column j then holds gen[j]'s draws, with
+        the bits of a call on gen[j] alone, and out is returned.  A
+        single generator is a group of one, so any other out is refused
+        with ValueError.  One generator call per column reads the
+        stream, then the law's transform runs once over all of out."""
+        single = not isinstance(gen, tuple)
+        gens = (gen,) if single else gen
+        if single and out is None:
+            x = np.empty(1 if size is None else int(size))
+            self._draw(gens, x)
+            return float(x[0]) if size is None else x
+        if single and np.ndim(out) == 1:
+            x = out
+        elif np.ndim(out) == 2 and out.shape[1] == len(gens) and out.flags.f_contiguous:
+            x = out.reshape(-1, order="F", copy=False)
+        else:
+            raise ValueError("out must be 1-D for one generator, or 2-D F-order with one column per generator")
+        if size is not None and int(size) != len(out):
+            raise ValueError("size must equal len(out)")
+        self._draw(gens, x)
+        return out
+
+    def _draw(self, gens: tuple, x: np.ndarray) -> None:
+        """Fill x, the flat F-order group, column j from gens[j]: by
+        default uniforms, then the law's in-place _transform."""
+        for g, col in zip(gens, _columns(gens, x)):
+            g.random(out=col)
+        self._transform(x)
+
+    def _transform(self, x: np.ndarray) -> None:
         raise NotImplementedError
 
     def support(self) -> tuple[float, float]:
@@ -212,13 +197,11 @@ class Gaussian(Distribution1D):
         z = (x - self.m) / self.sigma
         return 0.5 * _erfc(-z / _SQRT2)
 
-    def sample(self, gen, size=None, out=None):
-        gens, x = _slab(gen, size, out)
+    def _draw(self, gens, x):
         for g, col in zip(gens, _columns(gens, x)):
             streams.normals(g, col.shape, out=col)
         x *= self.sigma
         x += self.m
-        return _result(x, size, out)
 
     def scaled(self, c):
         return Gaussian(c * self.m, c * self.sigma)
@@ -238,12 +221,10 @@ class Exponential(Distribution1D):
     def _cdf(self, x):
         return np.where(x >= 0, -np.expm1(-self.lam * np.maximum(x, 0.0)), 0.0)
 
-    def sample(self, gen, size=None, out=None):
-        x = _uniforms(*_slab(gen, size, out))
+    def _transform(self, x):
         np.log1p(np.negative(x, out=x), out=x)
         np.negative(x, out=x)
         x /= self.lam
-        return _result(x, size, out)
 
     def support(self):
         return (0.0, math.inf)
@@ -268,13 +249,12 @@ class Laplace(Distribution1D):
         z = (x - self.m) / self.sigma
         return np.where(z < 0, 0.5 * np.exp(np.minimum(z, 0.0)), 1.0 - 0.5 * np.exp(-np.maximum(z, 0.0)))
 
-    def sample(self, gen, size=None, out=None):
+    def _transform(self, x):
         # m - sigma*sign(q)*L for q = u - 0.5 and L = log(max(1 - 2|q|, tiny)),
         # op by op.  sigma*sign(q)*L is sigma*L with q's sign bit XORed in:
         # exact, since rounding is sign-symmetric, and +0 at q = +0 (q is
         # never -0).  np.sign in place runs a branchy scalar loop and
         # np.copysign is several times slower than the two integer passes.
-        x = _uniforms(*_slab(gen, size, out))
         x -= 0.5
         r = np.abs(x)
         r *= 2.0
@@ -285,7 +265,6 @@ class Laplace(Distribution1D):
         np.bitwise_and(bits, _SIGN_BIT, out=bits)
         np.bitwise_xor(bits, r.view(np.uint64), out=bits)
         np.subtract(self.m, x, out=x)
-        return _result(x, size, out)
 
     def scaled(self, c):
         return Laplace(c * self.m, c * self.sigma)
@@ -308,14 +287,12 @@ class Logistic(Distribution1D):
         z = (x - self.m) / self.s
         return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))), np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
 
-    def sample(self, gen, size=None, out=None):
-        x = _uniforms(*_slab(gen, size, out))
+    def _transform(self, x):
         np.maximum(x, _TINY, out=x)
         x /= np.subtract(1.0, x)
         np.log(x, out=x)
         x *= self.s
         x += self.m
-        return _result(x, size, out)
 
     def scaled(self, c):
         return Logistic(c * self.m, c * self.s)
@@ -359,8 +336,7 @@ class Gamma(Distribution1D):
 
         return gammainc(self.k, t)
 
-    def sample(self, gen, size=None, out=None):
-        gens, x = _slab(gen, size, out)
+    def _draw(self, gens, x):
         k_int = int(self.k)
         if float(k_int) == self.k:
             # column j's (rows, k) uniforms are u[j], and its draws xt[j]
@@ -381,7 +357,6 @@ class Gamma(Distribution1D):
             for g, col in zip(gens, _columns(gens, x)):
                 g.standard_gamma(self.k, len(col), out=col)
         x *= self.lam
-        return _result(x, size, out)
 
     def support(self):
         return (0.0, math.inf)
@@ -438,11 +413,9 @@ class Uniform(Distribution1D):
     def _cdf(self, x):
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def sample(self, gen, size=None, out=None):
-        x = _uniforms(*_slab(gen, size, out))
+    def _transform(self, x):
         x *= self.b - self.a
         x += self.a
-        return _result(x, size, out)
 
     def support(self):
         return (self.a, self.b)

@@ -26,17 +26,19 @@ either order.  sample_coefficients returns the same column-major layout,
 the block itself when one block holds every row.
 
 A block's slots are drawn in column groups of _GROUP_VALUES values
-(_GROUP_VALUES // rows columns, at least one): one sample call per law
-fills a group's contiguous F-order slab, each slot's generator reading
-its own stream into its own column, and the law's transform then runs
-once over the slab (see measures1d), so a group of short columns pays
-the Python dispatches of one.  An IID law fills the slab; a
-hierarchical group's mode law fills the slab and its scale law one
-scratch slab per half block, then the slab is multiplied by the scale
-draws and by the slots' weights in place.  IEEE multiplication is
-commutative, so (xi * zeta) * weight has the bits of weight * (zeta *
-xi), and no draw-sized temporary is made beyond the samplers' own
-group-sized scratch.
+(_GROUP_VALUES // rows columns, at least one) by _fill_columns, the one
+block-fill routine: one Distribution1D.sample call per law fills a
+group's contiguous F-order columns, each slot's generator reading its
+own stream into its own column, and the law's transform then runs once
+over the group (see measures1d), so a group of short columns pays the
+Python dispatches of one.  An IID law fills the group; a hierarchical
+group's mode law fills the group and its scale law one scratch group
+per half block, then the group is multiplied by the scale draws and by
+the slots' weights in place.  IEEE multiplication is commutative, so
+(xi * zeta) * weight has the bits of weight * (zeta * xi), and no
+draw-sized temporary is made beyond the samplers' own group-sized
+scratch.  marginal_convexity_test draws its few slots through the same
+sample, one generator at a time, in the same order.
 
 Two threads fill each block: another thread the column groups of the
 first half of its slots, the caller's thread the rest, joined before the
@@ -287,36 +289,25 @@ def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
     return tuple(streams.substream(seed, streams.COEFFS, uid, c) for c in range(len(_law_dists(prior.law))))
 
 
-def _fill_group(dists: tuple, gens: list, weights: np.ndarray, slab: np.ndarray, scratch: np.ndarray | None = None):
-    """Fill slab, an F-order array with one column per slot, with the next
-    len(slab) weighted coefficient draws of its slots, and return it;
-    gens[c] holds the slots' generators of law dists[c] (see _law_dists).
-
-    One sample call per law draws the whole group: the mode (or IID) law
-    into slab and a hierarchical scale law into the leading columns of
-    scratch (an F-order array of len(slab) rows, fresh when None); then
-    slab *= scale and slab *= weights, which is (xi * zeta) * weight, the
-    bits of weight * (zeta * xi)."""
-    dists[0].sample(gens[0], out=slab)
-    if len(dists) > 1:
-        scale = np.empty_like(slab) if scratch is None else scratch[:, : slab.shape[1]]
-        slab *= dists[1].sample(gens[1], out=scale)
-    slab *= weights
-    return slab
-
-
 def _fill_columns(dists: tuple, gens: list, weights: np.ndarray, block: np.ndarray, span: range, errors: list) -> None:
     """Draw the slots at the positions in span into their columns of
     block, a group of _GROUP_VALUES // len(block) columns (at least one)
-    at a time, with one scale scratch group for a hierarchical law; gens[c]
-    holds every slot's generator of law dists[c].  An exception goes to
-    errors, for the joining thread to raise."""
+    at a time; gens[c] holds every slot's generator of law dists[c] (see
+    _law_dists).  One sample call per law draws a group: the mode (or
+    IID) law into the group's columns of block and a hierarchical scale
+    law into the leading columns of one scratch group; then group *=
+    scale and group *= weights, which is (xi * zeta) * weight, the bits
+    of weight * (zeta * xi).  An exception goes to errors, for the
+    joining thread to raise."""
     try:
         width = max(1, min(len(span), _GROUP_VALUES // len(block)))
         scratch = np.empty((len(block), width), order="F") if len(dists) > 1 else None
         for a in range(span.start, span.stop, width):
             b = min(a + width, span.stop)
-            _fill_group(dists, [g[a:b] for g in gens], weights[a:b], block[:, a:b], scratch)
+            group = dists[0].sample(gens[0][a:b], out=block[:, a:b])
+            if len(dists) > 1:
+                group *= dists[1].sample(gens[1][a:b], out=scratch[:, : b - a])
+            group *= weights[a:b]
     except BaseException as exc:
         errors.append(exc)
 
@@ -602,13 +593,15 @@ def marginal_convexity_test(
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
 
     def term(k, w):
-        """Slot k's weighted draws times w, formed in place: the bits of w * (xi * weight)."""
+        """Slot k's draws times w, formed in place as (xi * zeta) * weight
+        * w, the order of coefficient_chunks (zeta: a hierarchical scale)."""
         if k not in index_pos:
             raise ValueError(f"functional index {k} outside window at level {N}")
-        pos = index_pos[k]
-        slab = np.empty((num_samples, 1), order="F")
-        gens = [(g,) for g in _slot_streams(prior, seed, k)]
-        col = _fill_group(_law_dists(prior.law), gens, weights[pos : pos + 1], slab)[:, 0]
+        dists, gens = _law_dists(prior.law), _slot_streams(prior, seed, k)
+        col = dists[0].sample(gens[0], num_samples)
+        if len(dists) > 1:
+            col *= dists[1].sample(gens[1], num_samples)
+        col *= weights[index_pos[k]]
         col *= w
         return col
 

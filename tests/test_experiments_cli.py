@@ -7,6 +7,7 @@ test runner; one subprocess test covers the installed console script.
 """
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -126,6 +127,25 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
     *[(name, {key: {"kind": "bogus"}}, key) for name, key in (("stability", "prior"), ("consistency", "prior"),
                                                               ("consistency", "hierarchical_prior"),
                                                               ("metrics", "prior"))],
+    # refused before any draw, not by a math domain error or a library message
+    *[(name, {"sigma2": sigma2}, "sigma2") for name in ("stability", "consistency", "metrics")
+      for sigma2 in (0.0, -4.0, math.nan)],
+    ("consistency", {"tail_cutoff": 32}, "tail_cutoff"),
+    ("consistency", {"tail_cutoff": 8}, "tail_cutoff"),
+    *[("convexity", {"lam": lam}, "lam") for lam in (0.0, 1.0, 1.5, math.nan)],
+    ("audit", {"radius": 0.0}, "radius"),
+    ("audit", {"radius": -1.0}, "radius"),
+    ("stability", {"deltas": [0.01, math.nan, 0.1]}, "deltas"),
+    ("stability", {"deltas": [0.01, math.inf]}, "deltas"),
+    # map_demo: zip would cut a short list, a repeat would overwrite, and
+    # an outside position or an empty design would fail late
+    ("map_demo", {"truth_values": [1.5, -2.0]}, "truth_values"),
+    ("map_demo", {"truth_values": [1.5, -2.0, 1.0, 0.5]}, "truth_values"),
+    ("map_demo", {"truth_positions": [0, 3, 3]}, "truth_positions"),
+    ("map_demo", {"truth_positions": [0, 3, 8]}, "truth_positions"),
+    ("map_demo", {"truth_positions": [-1, 3, 6]}, "truth_positions"),
+    ("map_demo", {"rows": 0}, "rows"),
+    ("map_demo", {"cols": 0}, "cols"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):

@@ -31,10 +31,13 @@ def test_pyproject_version_matches_package():
 
 
 def test_benchmark_tracer_installs():
-    # perfbench/tracing.py wraps methods it reads from each class's own
-    # namespace (vars(cls)[name]): the models' apply*, the potentials'
-    # evaluate*, ProductPrior.sample and each law's sample, so moving one
-    # into a base class breaks every traced benchmark run
+    # perfbench/tracing.py wraps the methods its table names from each
+    # class's own namespace (vars(cls)[name]): the models' apply*, the
+    # potentials' evaluate* and ProductPrior.sample, so moving one of them
+    # into a base class breaks every traced benchmark run; it also wraps
+    # sample on each Distribution1D class that defines one, which is
+    # Distribution1D alone, so every law's draws are traced through the
+    # one inherited Distribution1D.sample
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport tracing\ntracing.install(tracing.Tracer())\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -44,8 +47,8 @@ def test_benchmark_tracer_installs():
 @pytest.mark.parametrize("law", ["IID(Laplace(0.0, 1.0))", "Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0))"])
 def test_benchmark_tracer_records_law_sample_calls(law):
     # the benchmark's span-coverage check fails a traced run that records
-    # no measures1d.*.sample call, so the block fill must go through each
-    # law's own sample method, on whichever thread fills the columns
+    # no measures1d.*.sample call, so the block fill must go through the
+    # laws' sample method, on whichever thread fills the columns
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = (
         f"import sys\nsys.path.insert(0, {str(perfbench)!r})\nimport tracing\n"

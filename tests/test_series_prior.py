@@ -420,6 +420,9 @@ def test_group_sample_refuses_a_mismatched_slab():
             Laplace(0.0, 1.0).sample(gens, out=out)
     with pytest.raises(ValueError):
         Laplace(0.0, 1.0).sample(gens, 4, out=np.empty((5, 3), order="F"))
+    # a single generator is a group of one: one column at most
+    with pytest.raises(ValueError, match="one column per generator"):
+        Laplace(0.0, 1.0).sample(gens[0], out=np.empty((5, 3), order="F"))
 
 
 class FillError(Exception):
@@ -432,17 +435,18 @@ def test_fill_error_in_either_half_is_raised_after_the_join(half, monkeypatch):
     # without waiting for the other thread would leave it running
     p = SeriesPrior(SEQ, AlgebraicSequence(1.0), CHUNK_LAWS["gamma2_x_gaussian"])
     want = serial_reference(p, 4, 30, 5).tobytes()
-    caller, real, armed = threading.current_thread(), series_prior._fill_group, []
+    mode = type(p.law.mode_law)  # patched on the class: a frozen law takes no attribute
+    caller, real, armed = threading.current_thread(), mode.sample, []
 
-    def draws(dists, gens, weights, slab, scratch=None):
+    def draws(self, gen, size=None, out=None):
         if armed:
             if (threading.current_thread() is caller) == (half == "caller"):
                 raise FillError(half)
             time.sleep(0.05)
-        return real(dists, gens, weights, slab, scratch)
+        return real(self, gen, size, out)
 
     baseline = threading.active_count()
-    monkeypatch.setattr(series_prior, "_fill_group", draws)
+    monkeypatch.setattr(mode, "sample", draws)
     monkeypatch.setattr(series_prior, "_CHUNK_VALUES", 10 * 4)
     chunks = coefficient_chunks(p, 4, 30, seed=5)
     assert next(chunks)[0] == 0
@@ -767,6 +771,34 @@ def test_marginal_convexity_random_linear_functionals():
             lam=0.5, N=4, num_samples=30000, seed=int(gen.integers(1 << 30)),
         )
         assert rep.passed
+
+
+@pytest.mark.parametrize("name", ["gamma2_x_gaussian", "gamma2.5_x_gaussian"])
+def test_marginal_convexity_hierarchical_reads_sample_coefficients(name):
+    # projection commutes with sampling: the test draws only its
+    # functionals' slots, yet its box probabilities are exactly those read
+    # off the whole window's coefficient columns times the weights
+    p = SeriesPrior(BASIS, AlgebraicFourier(1.0), CHUNK_LAWS[name])
+    N, n, seed, lam = 4, 5000, 13, 0.3
+    funcs = [{0: 1.0, -1: 0.5}, {2: -2.0}]
+    box_a, box_b = [(-1.0, 0.5), (-0.5, 1.5)], [(-0.5, 1.0), (-1.5, 0.5)]
+    rep = marginal_convexity_test(p, funcs, box_a, box_b, lam, N, n, seed)
+
+    coeffs = sample_coefficients(p, N, n, seed)
+    pos = {int(k): i for i, k in enumerate(BASIS.window_indices(N))}
+    vals = [sum(coeffs[:, pos[k]] * w for k, w in f.items()) for f in funcs]  # terms added in dict order
+
+    def prob(box):
+        inside = np.ones(n, dtype=bool)
+        for v, (lo, hi) in zip(vals, box):
+            inside &= (v >= lo) & (v <= hi)
+        return float(np.mean(inside))
+
+    A, B = np.array(box_a), np.array(box_b)
+    p_a, p_b = prob(A), prob(B)
+    assert 0.0 < p_a < 1.0 and 0.0 < p_b < 1.0
+    assert rep.lhs == prob(lam * A + (1.0 - lam) * B)
+    assert rep.rhs == p_a**lam * p_b ** (1.0 - lam)
 
 
 def test_marginal_convexity_validation():
