@@ -122,18 +122,23 @@ _HIERARCHICAL_SERIES = {
 }
 
 
+def _deconvolution(algebraic: float, truncation: int) -> dict:
+    """A deconvolution model dict at the eight equispaced observation points."""
+    return {
+        "kind": "deconvolution",
+        "multipliers": {"algebraic": algebraic},
+        "observation_points": [float(p) for p in equispaced_points(8)],
+        "truncation": truncation,
+    }
+
+
 def default_config(experiment: str) -> dict:
     if experiment == "stability":
         return {
             "seed": 0,
             "effort": 100000,
             "prior": dict(_LAPLACE_SERIES),
-            "model": {
-                "kind": "deconvolution",
-                "multipliers": {"algebraic": 1.0},
-                "observation_points": [float(p) for p in equispaced_points(8)],
-                "truncation": 16,
-            },
+            "model": _deconvolution(1.0, 16),
             "sigma2": 4.0,
             "deltas": [float(d) for d in np.logspace(-3.0, -1.0, 7)],
         }
@@ -143,12 +148,7 @@ def default_config(experiment: str) -> dict:
             "effort": 100000,
             "prior": dict(_LAPLACE_SERIES),
             "hierarchical_prior": dict(_HIERARCHICAL_SERIES),
-            "model": {
-                "kind": "deconvolution",
-                "multipliers": {"algebraic": 0.0},
-                "observation_points": [float(p) for p in equispaced_points(8)],
-                "truncation": 128,
-            },
+            "model": _deconvolution(0.0, 128),
             "sigma2": 4.0,
             "n_grid": [2, 4, 8, 16, 32],
             "n_ref": 128,
@@ -165,12 +165,7 @@ def default_config(experiment: str) -> dict:
             "num_pairs": 20,
             "pair_scale": 0.5,
             "prior": dict(_LAPLACE_SERIES),
-            "model": {
-                "kind": "deconvolution",
-                "multipliers": {"algebraic": 1.0},
-                "observation_points": [float(p) for p in equispaced_points(8)],
-                "truncation": 8,
-            },
+            "model": _deconvolution(1.0, 8),
             "sigma2": 4.0,
         }
     if experiment == "audit":
@@ -181,12 +176,7 @@ def default_config(experiment: str) -> dict:
             "potentials": [
                 {
                     "kind": "gaussian_additive",
-                    "model": {
-                        "kind": "deconvolution",
-                        "multipliers": {"algebraic": 1.0},
-                        "observation_points": [float(p) for p in equispaced_points(8)],
-                        "truncation": 8,
-                    },
+                    "model": _deconvolution(1.0, 8),
                     "noise": {"sigma2": 4.0},
                     "y": [0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0],
                     "proj_level": None,
@@ -326,29 +316,31 @@ def _effort(cfg: dict) -> int:
     return effort
 
 
-def _sigma2(cfg: dict) -> float:
-    """The config's noise variance, refused unless positive (NaN too)."""
-    sigma2 = float(cfg["sigma2"])
-    _require(sigma2 > 0, "sigma2", "must be positive")
-    return sigma2
-
-
-def _prior(cfg: dict, key: str):
-    """The prior under key, refused naming the key when it does not parse."""
+def _series_prior(cfg: dict, key: str, N: int) -> SeriesPrior:
+    """The series prior under key, refused naming the key when it does not
+    parse or cannot be drawn at window level N."""
     try:
-        return prior_from_json(cfg[key])
+        prior = prior_from_json(cfg[key])
     except ValueError as exc:
         raise ValueError(f"config key {key!r} is not a prior: {exc}") from None
-
-
-def _series_prior(cfg: dict, key: str, N: int) -> SeriesPrior:
-    """The series prior under key, refused when it cannot be drawn at window level N."""
-    prior = _prior(cfg, key)
     _require(isinstance(prior, SeriesPrior), key, "must be a series prior")
     schedule = prior.schedule
     short = isinstance(schedule, ExplicitSchedule) and len(schedule.values) < len(prior.basis.window_indices(N))
     _require(not short, key, f"has an explicit schedule shorter than the window at level {N}")
     return prior
+
+
+def _deconvolution_setup(cfg: dict, tag: str):
+    """The config's deconvolution model, its series prior and the
+    GaussianAdditive potential at data synthesized from that prior under
+    tag.  A model, prior or sigma2 the suite cannot run with (sigma2 not
+    positive, NaN included) is refused naming the key before the draw."""
+    model = model_from_json(cfg["model"])
+    _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
+    prior = _series_prior(cfg, "prior", model.truncation)
+    sigma2 = float(cfg["sigma2"])
+    _require(sigma2 > 0, "sigma2", "must be positive")
+    return model, prior, GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, int(cfg["seed"]), tag))
 
 
 def _subseed(seed: int, tag: str) -> int:
@@ -368,21 +360,16 @@ def _synthetic_data(prior, model, sigma2: float, seed: int, tag: str) -> np.ndar
 
 
 def run_stability(cfg: dict) -> dict:
-    model = model_from_json(cfg["model"])
-    _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
-    prior = _series_prior(cfg, "prior", model.truncation)
-    sigma2 = _sigma2(cfg)
+    model, prior, phi = _deconvolution_setup(cfg, "stability")
     effort = _effort(cfg)
     seed = int(cfg["seed"])
     deltas = [float(d) for d in cfg["deltas"]]
     _require(len(set(deltas)) >= 2 and all(0 < d < math.inf for d in deltas), "deltas",
              "must hold at least two distinct positive finite sizes")
     m = model.data_dim
-    N = model.truncation
 
-    phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "stability"))
     fwd = np.empty((effort, m), order="F")
-    for start, block in coefficient_chunks(prior, N, effort, seed):
+    for start, block in coefficient_chunks(prior, model.truncation, effort, seed):
         fwd[start : start + len(block)] = model.apply_many(block)
         del block  # one block at a time (see coefficient_chunks)
     p0 = phi.misfit(fwd, phi.y)
@@ -449,34 +436,32 @@ def _window_tail_norm(schedule_s: float, coeff_var: float, N: int, cutoff: int) 
     return math.sqrt(coeff_var * tail)
 
 
-def _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed):
-    """Paired-seed d_H between the reference posterior and each window
-    truncation, sharing one batch of reference draws.
+def _truncation_distances(prior, phi, n_grid, effort, seed):
+    """Paired-seed d_H between the posterior of potential phi at its
+    model's truncation (the reference level) and each window truncation
+    in n_grid, sharing one batch of reference draws.
 
     Each block of draws is pushed through the levels in increasing order,
     adding the columns a level brings (a view: windows are prefixes) to
     the forward sum, and only the per-level potentials are kept.
     """
-    levels = sorted(set(int(n) for n in n_grid) | {int(n_ref)})
+    model, n_ref = phi.model, phi.model.truncation
+    levels = sorted(set(int(n) for n in n_grid) | {n_ref})
     design = model.design_matrix()
     ends = [len(model.window_positions(N)) for N in levels]
-    phi = GaussianAdditive(model, sigma2, y)
     pots = np.empty((len(levels), effort))
     for start, block in coefficient_chunks(prior, n_ref, effort, seed):
         fwd = np.zeros((len(block), model.data_dim), order="F")
         for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
             fwd += block[:, lo:hi] @ design[:, lo:hi].T
-            pots[i, start : start + len(block)] = phi.misfit(fwd, y)
+            pots[i, start : start + len(block)] = phi.misfit(fwd, phi.y)
         del block  # one block at a time (see coefficient_chunks)
-    p_ref = pots[levels.index(int(n_ref))]
+    p_ref = pots[levels.index(n_ref)]
     return [(N, hellinger_from_potentials(p_ref, p)) for N, p in zip(levels, pots)]
 
 
 def run_consistency(cfg: dict) -> dict:
-    prior = _prior(cfg, "prior")
-    model = model_from_json(cfg["model"])
-    _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
-    sigma2 = _sigma2(cfg)
+    model, prior, phi = _deconvolution_setup(cfg, "consistency")
     effort = _effort(cfg)
     seed = int(cfg["seed"])
     n_grid = [int(n) for n in cfg["n_grid"]]
@@ -488,17 +473,13 @@ def run_consistency(cfg: dict) -> dict:
     cutoff = int(cfg["tail_cutoff"])
     _require(cutoff > max(n_grid), "tail_cutoff", "must exceed every n_grid level, or a tail sum is empty")
     # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
-    _require(
-        isinstance(prior, SeriesPrior) and isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID),
-        "prior",
-        "must be a series with an algebraic_fourier schedule and an iid law",
-    )
+    _require(isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID), "prior",
+             "must be a series with an algebraic_fourier schedule and an iid law")
     hier = _series_prior(cfg, "hierarchical_prior", n_ref)
 
     points = []
 
-    y = _synthetic_data(prior, model, sigma2, seed, "consistency")
-    pairs = _truncation_distances(prior, model, sigma2, y, n_grid, n_ref, effort, seed)
+    pairs = _truncation_distances(prior, phi, n_grid, effort, seed)
     ref_rep = None
     fit_x, fit_y = [], []
     for N, rep in pairs:
@@ -526,8 +507,9 @@ def run_consistency(cfg: dict) -> dict:
     proj_slope, _, proj_se = _line_fit(proj_x, proj_y)
 
     # hierarchical prior: no rate claim, monotone decay only
-    y_h = _synthetic_data(hier, model, sigma2, seed, "consistency_hierarchical")
-    pairs_h = _truncation_distances(hier, model, sigma2, y_h, n_grid, n_ref, effort, _subseed(seed, "hier"))
+    y_h = _synthetic_data(hier, model, phi.noise, seed, "consistency_hierarchical")
+    phi_h = GaussianAdditive(model, phi.noise, y_h)
+    pairs_h = _truncation_distances(hier, phi_h, n_grid, effort, _subseed(seed, "hier"))
     hier_vals = []
     for N, rep in pairs_h:
         points.append(_point(N, rep.value, rep.stderr, rep.method, rep.effort, "hierarchical"))
@@ -699,15 +681,13 @@ def run_metrics(cfg: dict) -> dict:
     _require(quad_effort >= 1, "quad_effort", "must be at least 1")
     num_pairs = int(cfg["num_pairs"])
     _require(num_pairs >= 1, "num_pairs", "must be at least 1, or no pair judges the sandwich and the gap")
-    model = model_from_json(cfg["model"])
-    _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
-    prior = _series_prior(cfg, "prior", model.truncation)
-    sigma2 = _sigma2(cfg)
+    pair_scale = float(cfg["pair_scale"])
+    _require(0 < pair_scale < math.inf, "pair_scale", "must be positive and finite")
+    model, prior, phi = _deconvolution_setup(cfg, "metrics")
 
     points = []
 
     # identical pair: weights cancel algebraically
-    phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, "metrics"))
     fwd = np.empty((effort, model.data_dim), order="F")
     hv = np.empty(effort)  # the test function of the expectation-gap check
     for start, block in coefficient_chunks(prior, model.truncation, effort, seed):
@@ -739,7 +719,7 @@ def run_metrics(cfg: dict) -> dict:
 
     # random data pairs: sandwich and expectation gap on shared draws
     gen = streams.substream(_subseed(seed, "pairs"), streams.DATA, 1)
-    shifts = float(cfg["pair_scale"]) * streams.normals(gen, (num_pairs, 2, model.data_dim))
+    shifts = pair_scale * streams.normals(gen, (num_pairs, 2, model.data_dim))
     lower_ok, upper_ok, gap_ok = [], [], []
     reps = [same_h, same_t, hm, tm]
     for j in range(num_pairs):
@@ -796,11 +776,13 @@ def run_audit(cfg: dict) -> dict:
     _require(num >= 10, "num_samples", "must be at least 10")
     radius = float(cfg["radius"])
     _require(radius > 0, "radius", "must be positive")
+    phis = [potential_from_json(pot_cfg) for pot_cfg in cfg["potentials"]]
+    _require(any(isinstance(phi, GaussianAdditive) for phi in phis), "potentials",
+             "must hold an additive-Gaussian potential, or gaussian_unflagged judges none")
     points = []
     gaussian_clean = []
     mult_flags = None
-    for idx, pot_cfg in enumerate(cfg["potentials"]):
-        phi = potential_from_json(pot_cfg)
+    for idx, (pot_cfg, phi) in enumerate(zip(cfg["potentials"], phis)):
         rep = assumption_audit(phi, radius, num, _subseed(seed, f"audit:{idx}"))
         name = pot_cfg["kind"]
         points.append(_point(idx, rep.empirical_M, 0.0, "probe", num, f"{name}_lower_bound"))
@@ -838,16 +820,21 @@ def run_map_demo(cfg: dict) -> dict:
     positions = [int(p) for p in cfg["truth_positions"]]
     _require(all(0 <= p < cols for p in positions), "truth_positions", "must lie in [0, cols)")
     _require(len(set(positions)) == len(positions), "truth_positions", "must not repeat a position")
-    _require(len(cfg["truth_values"]) == len(positions), "truth_values", "must hold one value per truth position")
+    values = [float(v) for v in cfg["truth_values"]]
+    _require(len(values) == len(positions), "truth_values", "must hold one value per truth position")
+    _require(all(math.isfinite(v) for v in values), "truth_values", "must be finite")
+    noise_sigma = float(cfg["noise_sigma"])
+    _require(0 <= noise_sigma < math.inf, "noise_sigma", "must be nonnegative and finite")
+    weights = [float(w) for w in cfg["weights"]]
+    _require(len(weights) > 0 and all(0 < w < math.inf for w in weights), "weights",
+             "must be a non-empty list of positive finite weights")
     truth = np.zeros(cols)
-    truth[positions] = [float(v) for v in cfg["truth_values"]]
+    truth[positions] = values
     gen = streams.substream(seed, streams.DATA, 2)
     A = streams.normals(gen, (rows, cols)) / math.sqrt(rows)
     eta = streams.normals(streams.substream(seed, streams.DATA, 3), (rows,))
-    y = A @ truth + float(cfg["noise_sigma"]) * eta
+    y = A @ truth + noise_sigma * eta
 
-    weights = [float(w) for w in cfg["weights"]]
-    _require(len(weights) > 0 and min(weights) > 0, "weights", "must be a non-empty list of positive weights")
     support_true = truth != 0.0
     points = []
     gaps = []

@@ -37,8 +37,8 @@ per half block, then the group is multiplied by the scale draws and by
 the slots' weights in place.  IEEE multiplication is commutative, so
 (xi * zeta) * weight has the bits of weight * (zeta * xi), and no
 draw-sized temporary is made beyond the samplers' own group-sized
-scratch.  marginal_convexity_test draws its few slots through the same
-sample, one generator at a time, in the same order.
+scratch.  marginal_convexity_test draws its few slots with the same
+_fill_columns, one column of one F-order block per functional term.
 
 Two threads fill each block: another thread the column groups of the
 first half of its slots, the caller's thread the rest, joined before the
@@ -297,8 +297,8 @@ def _fill_columns(dists: tuple, gens: list, weights: np.ndarray, block: np.ndarr
     IID) law into the group's columns of block and a hierarchical scale
     law into the leading columns of one scratch group; then group *=
     scale and group *= weights, which is (xi * zeta) * weight, the bits
-    of weight * (zeta * xi).  An exception goes to errors, for the
-    joining thread to raise."""
+    of weight * (zeta * xi).  An exception goes to errors, for the caller
+    (or the joining thread) to raise."""
     try:
         width = max(1, min(len(span), _GROUP_VALUES // len(block)))
         scratch = np.empty((len(block), width), order="F") if len(dists) > 1 else None
@@ -581,7 +581,9 @@ def marginal_convexity_test(
     indices.  With boxes A and B and their Minkowski combination
     C = lam*A + (1-lam)*B the check passes when P(C) >= P(A)^lam *
     P(B)^(1-lam) - 3 * combined stderr, all three box probabilities read
-    off one value vector per functional, summed from its terms' draws.
+    off one value vector per functional, summed from its terms' columns:
+    each drawn by _fill_columns as coefficient_chunks draws it, times the
+    term's weight.
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie strictly between 0 and 1")
@@ -590,27 +592,23 @@ def marginal_convexity_test(
     A = _box_array(box_a, dim)
     B = _box_array(box_b, dim)
     index_pos = {int(k): i for i, k in enumerate(prior.basis.window_indices(N))}
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
-
-    def term(k, w):
-        """Slot k's draws times w, formed in place as (xi * zeta) * weight
-        * w, the order of coefficient_chunks (zeta: a hierarchical scale)."""
+    terms = [t for f in funcs for t in f]  # one column per term: a repeated index draws the same bits again
+    for k, _ in terms:
         if k not in index_pos:
             raise ValueError(f"functional index {k} outside window at level {N}")
-        dists, gens = _law_dists(prior.law), _slot_streams(prior, seed, k)
-        col = dists[0].sample(gens[0], num_samples)
-        if len(dists) > 1:
-            col *= dists[1].sample(gens[1], num_samples)
-        col *= weights[index_pos[k]]
-        col *= w
-        return col
-
-    vals = []  # one value vector per functional
-    for (k0, w0), *rest in funcs:
-        v = term(k0, w0)
-        for k, w in rest:
-            v += term(k, w)
-        vals.append(v)
+    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)[[index_pos[k] for k, _ in terms]]
+    gens = list(zip(*(_slot_streams(prior, seed, k) for k, _ in terms)))
+    cols, errors = np.empty((num_samples, len(terms)), order="F"), []
+    _fill_columns(_law_dists(prior.law), gens, weights, cols, range(len(terms)), errors)
+    if errors:
+        raise errors[0]
+    cols *= [w for _, w in terms]  # (xi * zeta) * weight * w
+    vals, t = [], 0  # one value vector per functional, its terms' columns added in order
+    for f in funcs:
+        for j in range(t + 1, t + len(f)):
+            cols[:, t] += cols[:, j]
+        vals.append(cols[:, t])
+        t += len(f)
 
     def box_prob(box):
         inside = np.ones(num_samples, dtype=bool)

@@ -25,6 +25,7 @@ from cbayes import (
 from cbayes.cli import main
 from cbayes.config import model_from_json, prior_from_json
 from cbayes.experiments import _synthetic_data, _truncation_distances, all_verdicts_pass, report_points_csv
+from cbayes.likelihood import GaussianAdditive
 
 REPORT_CACHE = {}
 
@@ -146,6 +147,15 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
     ("map_demo", {"truth_positions": [-1, 3, 6]}, "truth_positions"),
     ("map_demo", {"rows": 0}, "rows"),
     ("map_demo", {"cols": 0}, "cols"),
+    # refused before any solve, not after 200000 ISTA iterations or by a library message
+    *[("map_demo", {"noise_sigma": s}, "noise_sigma") for s in (math.nan, math.inf, -0.1)],
+    *[("map_demo", {"weights": [0.5, w]}, "weights") for w in (math.nan, math.inf)],
+    *[("map_demo", {"truth_values": [1.5, v, 1.0]}, "truth_values") for v in (math.nan, math.inf)],
+    # at 0 the random pairs are identical and judge nothing; at NaN the run dies late
+    *[("metrics", {"effort": 2000, "pair_scale": s}, "pair_scale") for s in (0.0, -0.5, math.nan, math.inf)],
+    # with no additive-Gaussian potential, all([]) would pass gaussian_unflagged
+    ("audit", {"potentials": []}, "potentials"),
+    ("audit", {"potentials": [{"kind": "multiplicative_uniform", "y": 1.0, "dim": 4}]}, "potentials"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -192,11 +202,11 @@ def test_consistency_report_details():
 def test_truncation_distances_never_hold_the_coefficient_matrix():
     cfg = default_config("consistency")
     prior, model = prior_from_json(cfg["prior"]), model_from_json(cfg["model"])
-    y = _synthetic_data(prior, model, 4.0, 0, "consistency")
-    effort, n_ref = 20000, 128
+    phi = GaussianAdditive(model, 4.0, _synthetic_data(prior, model, 4.0, 0, "consistency"))
+    effort, n_ref = 20000, model.truncation
     tracemalloc.start()
     try:
-        pairs = _truncation_distances(prior, model, 4.0, y, cfg["n_grid"], n_ref, effort, 0)
+        pairs = _truncation_distances(prior, phi, cfg["n_grid"], effort, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
