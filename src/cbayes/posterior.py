@@ -22,8 +22,8 @@ every self-normalized estimate are unchanged by the shift; a potential
 that is +inf everywhere is refused, and a NaN or -inf one is an error.
 
 Also here: normalization constants with importance-sampling diagnostics,
-and l1-penalized MAP estimates (proximal gradient, with a
-coordinate-descent cross-check).
+and l1-penalized MAP estimates (proximal gradient, or cyclic coordinate
+descent on the same objective).
 """
 
 from __future__ import annotations
@@ -457,7 +457,6 @@ class MapResult:
     estimate: np.ndarray
     objective: float
     iterations: int
-    objective_history: np.ndarray
 
 
 def _soft(x: np.ndarray, a: float) -> np.ndarray:
@@ -481,26 +480,24 @@ def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter
     weight = sigma * sigma / lam
     L = float(np.linalg.norm(A, 2)) ** 2
     z = np.zeros(A.shape[1])
-    r = A @ z - y  # each iterate's residual feeds its objective and the next gradient
-    history = [_l1_objective(r, z, weight)]
+    r = A @ z - y  # each iterate's residual feeds the next gradient, the last one the objective
     if L == 0.0:
-        return MapResult(z, history[0], 0, np.asarray(history))
+        return MapResult(z, _l1_objective(r, z, weight), 0)
     t = 1.0 / L
     threshold = t * weight
     for it in range(max_iter):
         z_new = _soft(z - t * (A.T @ r), threshold)
         r = A @ z_new - y
-        history.append(_l1_objective(r, z_new, weight))
         delta = float(np.abs(z_new - z).max())
         z = z_new
         if delta < tol:
-            return MapResult(z, history[-1], it + 1, np.asarray(history))
+            return MapResult(z, _l1_objective(r, z, weight), it + 1)
     raise RuntimeError(f"proximal gradient did not converge in {max_iter} iterations")
 
 
 def map_estimate_l1_cd(A, y, sigma: float, lam: float, tol: float = 1e-12, max_iter: int = 10000) -> MapResult:
     """Same objective as map_estimate_l1, solved by cyclic coordinate
-    descent.  Serves as an independent cross-check of the minimizer."""
+    descent: the solver behind `cbayes map --solver cd`."""
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != len(y):
@@ -515,9 +512,7 @@ def map_estimate_l1_cd(A, y, sigma: float, lam: float, tol: float = 1e-12, max_i
     # zero rho gives +0.0, as np.sign does.
     cols = [A[:, j] for j in range(n)]
     colsq = np.sum(A * A, axis=0).tolist()
-    est = np.zeros(n)
-    history = [_l1_objective(A @ est - y, est, weight)]
-    z = est.tolist()
+    z = [0.0] * n
     r = y.copy()
     for sweep in range(max_iter):
         delta = 0.0
@@ -531,8 +526,7 @@ def map_estimate_l1_cd(A, y, sigma: float, lam: float, tol: float = 1e-12, max_i
                 r -= cols[j] * (new - z[j])
                 delta = max(delta, abs(new - z[j]))
                 z[j] = new
-        est = np.array(z)
-        history.append(_l1_objective(A @ est - y, est, weight))
         if delta < tol:
-            return MapResult(est, history[-1], sweep + 1, np.asarray(history))
+            est = np.array(z)
+            return MapResult(est, _l1_objective(A @ est - y, est, weight), sweep + 1)
     raise RuntimeError(f"coordinate descent did not converge in {max_iter} iterations")

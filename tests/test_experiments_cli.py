@@ -6,6 +6,7 @@ stable CSV schema.  CLI commands are exercised in process through click's
 test runner; one subprocess test covers the installed console script.
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -19,6 +20,7 @@ from click.testing import CliRunner
 from cbayes import (
     EXPERIMENT_NAMES,
     default_config,
+    experiments,
     run_experiment,
     series_prior,
 )
@@ -156,6 +158,11 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
     # with no additive-Gaussian potential, all([]) would pass gaussian_unflagged
     ("audit", {"potentials": []}, "potentials"),
     ("audit", {"potentials": [{"kind": "multiplicative_uniform", "y": 1.0, "dim": 4}]}, "potentials"),
+    # with no data every weight kills the estimate, and the kill weight is 0
+    ("map_demo", {"truth_values": [0.0, 0.0, 0.0], "noise_sigma": 0.0}, "noise_sigma"),
+    ("map_demo", {"truth_positions": [], "truth_values": [], "noise_sigma": 0.0}, "noise_sigma"),
+    # a perturbation the estimator cannot resolve gives d_H = 0, whose log the slope fit needs
+    ("stability", {"effort": 2000, "deltas": [1e-9, 1e-8]}, "deltas"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -261,6 +268,18 @@ def test_map_demo_kkt_certificate_holds_where_the_true_support_is_missed(seed):
     assert verdict["passed"] and active <= 1e-6 and inactive < 1.0
 
 
+def test_map_demo_duality_gap_catches_an_inexact_solve(monkeypatch):
+    solve = experiments.map_estimate_l1
+
+    def off_by_1e4(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        return dataclasses.replace(res, estimate=res.estimate + 1e-4)
+
+    monkeypatch.setattr(experiments, "map_estimate_l1", off_by_1e4)
+    verdict = run_experiment("map_demo")["verdicts"]["duality_gap_certified"]
+    assert not verdict["passed"] and verdict["observed"] > 1e-8
+
+
 def test_audit_report_details():
     report = cached_report("audit")
     verdicts = report["verdicts"]
@@ -269,7 +288,7 @@ def test_audit_report_details():
 
 def test_map_demo_report_details():
     report = cached_report("map_demo")
-    assert report["fits"]["max_oracle_gap"] < 1e-8
+    assert report["fits"]["max_duality_gap"] < 1e-8
     # heavier penalties can only shrink the support
     support = sorted(
         (p for p in report["points"] if p["label"] == "support_size"),

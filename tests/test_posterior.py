@@ -533,16 +533,6 @@ def test_map_solvers_agree_on_random_instances():
         assert ista.objective <= cd.objective + 1e-8
 
 
-def test_map_objective_history_monotone():
-    gen = np.random.default_rng(9)
-    A = gen.normal(size=(6, 12))
-    y = gen.normal(size=6)
-    res = map_estimate_l1(A, y, sigma=1.0, lam=1.0)
-    hist = res.objective_history
-    assert np.all(np.diff(hist) <= 1e-12)
-    assert res.iterations + 1 == len(hist)
-
-
 def test_map_penalty_above_kill_weight_gives_zero():
     gen = np.random.default_rng(12)
     A = gen.normal(size=(4, 6))
@@ -643,5 +633,37 @@ def test_map_solvers_match_reference_loops_bit_for_bit(seed, zero_column, weight
         z, iterations, history = reference(A, y, 1.0 / lam, tol)
         assert res.iterations == iterations
         assert res.estimate.tobytes() == z.tobytes()
-        assert res.objective_history.tobytes() == history.tobytes()
         assert res.objective == history[-1]
+
+
+def _duality_gap(A, y, z, weight):
+    # P(z) minus the Lasso dual at theta = min(1, weight / |A^T r|_inf) r,
+    # r = y - A z, as run_map_demo forms it; at least P(z) - min P
+    r = y - A @ z
+    theta = r * (weight / max(float(np.max(np.abs(A.T @ r))), weight))
+    dual = 0.5 * float(y @ y) - 0.5 * float((y - theta) @ (y - theta))
+    return _reference_objective(A, y, z, weight) - dual
+
+
+def _certificate_cases():
+    gen = np.random.default_rng(2718)  # the C08 instances, with their ISTA and CD tolerances
+    for _ in range(10):
+        A = gen.normal(size=(5, 10)) / math.sqrt(5.0)
+        y = gen.normal(size=5)
+        yield A, y, 1.0 / float(gen.uniform(0.5, 4.0)), 1e-10, 1e-12
+    for seed, zero_column in ((0, False), (7, False), (21, True)):  # map_demo's tolerances
+        A, y = _lasso_problem(seed, zero_column)
+        for weight in (1e-3, 0.05, 1.0):
+            yield A, y, weight, 1e-12, 1e-14
+
+
+def test_map_duality_gap_certifies_the_minimizer():
+    for A, y, weight, tol, tol_cd in _certificate_cases():
+        lam = 1.0 / weight
+        ista = map_estimate_l1(A, y, sigma=1.0, lam=lam, tol=tol)
+        cd = map_estimate_l1_cd(A, y, sigma=1.0, lam=lam, tol=tol_cd)
+        gap = _duality_gap(A, y, ista.estimate, 1.0 / lam)
+        # the gap bounds ISTA's excess over any other point, CD's minimizer included
+        assert ista.objective - cd.objective - 1e-15 <= gap <= 1e-8
+        # and it catches a solve that is off by 1e-4
+        assert _duality_gap(A, y, ista.estimate + 1e-4, 1.0 / lam) > 1e-8

@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.7.0
-    "stability": "abd8873bec026ffb901d2aa5e7b8b335e6bb2c11d729cf94f6c7ede22706f3ba",
-    "consistency": "21566eed1c8de95ddfba54bee5182cb072cf5fd4404480d4133413fb3bba8b3f",
-    "metrics": "9c3f7dca075a9b47ea16a60247828890c9d71126e87a3ab2cf0b78611775d2d5",
-    "convexity": "5298eeb8727cf81645eb8f30d5cc3812ac11dd9620cd12049debd0f8b9db3ec8",
-    "audit": "f9fbb7d90b56d5666038a15bc5f3d3e38d8f13883bd5f8d1c55fecf3877e1736",
-    "map_demo": "b177d32e3e15b8bb8c5e99835a2e3a7ddf0afbe0099c65cdecc85606d7c5efae",
+DIGESTS = {  # report revision 0.8.0
+    "stability": "b9629a1027878fb4f9dc81969b89b5d7f71fd5c0e9d58c094fa06700c88ce30c",
+    "consistency": "147a34c6c7f50db6aa86ff599726e391b85e0f5aba170a4c608fdb3521751c11",
+    "metrics": "57b7bf8ab0069acb7c3236c8de7fb1b2f4580f9497839099f09dfbc36627de51",
+    "convexity": "851a247904c48de73890a36eaa2e45a2b2f32314e20d97f7643efeefe4ede6bc",
+    "audit": "c55f2d26fa40b5bcc90719f46ec94bcdd5111fb90fa83c98cf3f3eb316e73ce4",
+    "map_demo": "7cceda0066f28ce3f68727d4328e04ccc6e1b6f0b395d4cf0a5038731f1942cc",
 }
 
 
