@@ -21,6 +21,19 @@ that way.  A dense-noise residual is whitened into row-major order and
 summed along each row by np.sum.  The data may be one vector or one row
 per forward output.
 
+Shifting the data is an exact update of the residual r = G(u) - y:
+
+    Phi(u; y + s) = Phi(u; y) - <L^-1 r, L^-1 s> + 0.5 ||L^-1 s||^2,
+
+the stability bound in the data written as an identity.  misfit_delta
+returns the last two terms from r and s: the quadratic one is misfit(s, 0)
+and the cross term one matrix-vector product of r with Gamma^-1 s, so
+dense noise whitens s (twice, as Gamma^-1 = L^-T L^-1) and never the batch
+of residuals.  The suites subtract the data from their forward buffer in
+place, take the unperturbed potential as misfit(r, zero data vector),
+which has the bits of misfit(G(u), y), and each perturbed one as one
+misfit_delta added to it.
+
 evaluate_with_data takes one input and one data vector, or an (n, dim)
 batch of inputs with an (n, data_dim) batch of data, evaluated through
 apply_many and one misfit call.  A batched forward map (a matrix product)
@@ -142,6 +155,23 @@ class GaussianAdditive:
             out = r.sum(axis=1)
         out *= 0.5
         out /= self._s2
+        return out
+
+    def misfit_delta(self, r, s):
+        """Phi(u; y + s) - Phi(u; y) from the residual r = G(u) - y of one
+        forward output or a 2-D batch of them: the exact identity
+        0.5 ||L^-1 s||^2 - <L^-1 r, L^-1 s>.  The quadratic term is
+        misfit(s, 0); the cross term <r, t>, t = Gamma^-1 s (s / sigma2 for
+        scalar noise), is one matrix-vector product over the span of
+        columns where t is nonzero, so a batch of residuals is never
+        whitened or copied, and a shift along one data coordinate reads one
+        column."""
+        s = _data_vector(s, self.data_dim)
+        t = s / self._s2 if self._white is None else self._white.T @ (self._white @ s)
+        nz = np.flatnonzero(t)
+        span = slice(nz[0], nz[-1] + 1) if len(nz) else slice(0, 0)
+        out = np.dot(r[..., span], -t[span])
+        out += self.misfit(s, 0.0)
         return out
 
     def _projected(self, coeffs) -> np.ndarray:

@@ -20,6 +20,18 @@ minimum subtracted before exponentiating, so the largest weight is
 exactly 1 and no finite potential underflows whole.  The distances and
 every self-normalized estimate are unchanged by the shift; a potential
 that is +inf everywhere is refused, and a NaN or -inf one is an error.
+The estimators on shared draws take equal-length vectors of at least two
+draws, as a sample standard error needs.
+
+Each such estimator is a private core that takes already exponentiated
+weights, their totals and the smaller Kong ESS.  The public pairwise
+functions form their weights as before, one exp per weight vector and one
+for the Hellinger integrand, and keep their bits.  hellinger_from_differences
+(one reference potential, k differences from it) and the metrics suite's
+random pairs form each posterior's weights once, from one exp: v = exp(-q/2)
+of the shifted potential q, whose square is the weights and whose product
+with another posterior's v is the Hellinger integrand.  They agree with the
+pairwise forms to rounding.
 
 Also here: normalization constants with importance-sampling diagnostics,
 and l1-penalized MAP estimates (proximal gradient, or cyclic coordinate
@@ -45,6 +57,7 @@ __all__ = [
     "MetricReport",
     "hellinger",
     "hellinger_from_potentials",
+    "hellinger_from_differences",
     "total_variation",
     "total_variation_from_potentials",
     "GapCheckReport",
@@ -137,19 +150,36 @@ def _same_reference(spec1: PosteriorSpec, spec2: PosteriorSpec):
 _UNDERFLOW = "effective sample size zero: every weight underflowed"
 
 
-def _shifted(p) -> tuple:
-    """The potential array minus its minimum, and that minimum.
+def _low(p: np.ndarray) -> float:
+    """The minimum of a potential array.
 
     Refuses a potential that is +inf everywhere (every weight is zero) and
     one with a NaN or -inf value (no finite shift exists).
     """
-    p = np.asarray(p, dtype=float)
     low = float(np.min(p))
     if math.isnan(low) or low == -math.inf:
         raise ValueError("potential values must not be NaN or -inf")
     if low == math.inf:
         raise RuntimeError(_UNDERFLOW)
+    return low
+
+
+def _shifted(p) -> tuple:
+    """The potential array minus its minimum (_low), and that minimum."""
+    p = np.asarray(p, dtype=float)
+    low = _low(p)
     return p - low, low
+
+
+def _draw_vectors(*arrays) -> list:
+    """The arrays as float vectors of one length, one value per shared
+    draw, and at least 2 draws, as a sample standard error needs."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    if any(a.ndim != 1 or a.shape != arrays[0].shape for a in arrays):
+        raise ValueError("potential arrays must be equal-length vectors")
+    if len(arrays[0]) < 2:
+        raise ValueError("at least 2 draws are needed for a standard error")
+    return arrays
 
 
 def _exp_neg(q: np.ndarray) -> np.ndarray:
@@ -165,6 +195,15 @@ def _kong_ess(s: np.ndarray) -> tuple:
     ESS, depend on the BLAS thread count."""
     total = float(np.sum(s))
     return total, total * total / float(np.sum(s * s))
+
+
+def _root_weights(q: np.ndarray) -> tuple:
+    """v = exp(-q/2), written over the shifted potential array q, the
+    weights s = v * v, their total and Kong's ESS (_kong_ess)."""
+    q *= -0.5
+    v = np.exp(q, out=q)
+    s = v * v
+    return (v, s, *_kong_ess(s))
 
 
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
@@ -289,37 +328,72 @@ def hellinger(
 def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
     """Hellinger estimate from two potential arrays evaluated on one
     shared batch of reference draws."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    n = len(p1)
-    if p1.shape != (n,) or p2.shape != (n,):
-        raise ValueError("potential arrays must be equal-length vectors")
+    p1, p2 = _draw_vectors(p1, p2)
     q1, q2 = _shifted(p1)[0], _shifted(p2)[0]
     if np.array_equal(p1, p2):
         # identical potentials on identical draws: distance is exactly zero
-        return MetricReport(0.0, 0.0, "prior_mc", n, False, _kong_ess(_exp_neg(q1))[1])
+        return MetricReport(0.0, 0.0, "prior_mc", len(p1), False, _kong_ess(_exp_neg(q1))[1])
     sT = q1 + q2
     sT *= -0.5
     np.exp(sT, out=sT)
     s1, s2 = _exp_neg(q1), _exp_neg(q2)
     (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
+    return _hellinger_core(sT, s1, t1, s2, t2, min(ess1, ess2))
+
+
+def hellinger_from_differences(p0: np.ndarray, deltas) -> list:
+    """One MetricReport per array delta in deltas: the Hellinger estimate
+    between the posteriors of the potential arrays p0 and p0 + delta on
+    one shared batch of reference draws.
+
+    The reference weights s0 = exp(-(p0 - min p0)), sqrt(s0), their total
+    and ESS are formed once; each delta then takes one exp.  The estimates
+    equal hellinger_from_potentials(p0, p0 + delta) to rounding; a delta
+    that leaves the shifted potential unchanged (zero, say) gives value
+    and stderr exactly 0.  deltas may be an iterator, read one array at a
+    time; no input is written.
+    """
+    (p0,) = _draw_vectors(p0)
+    q0 = _shifted(p0)[0]
+    s0 = np.negative(q0)
+    np.exp(s0, out=s0)
+    root0 = np.sqrt(s0)
+    t0, ess0 = _kong_ess(s0)
+    reps = []
+    for delta in deltas:
+        q1 = q0 + _draw_vectors(p0, delta)[1]
+        q1 -= _low(q1)
+        if np.array_equal(q1, q0):
+            # the reference's own weights: distance exactly zero
+            reps.append(MetricReport(0.0, 0.0, "prior_mc", len(p0), False, ess0))
+            continue
+        v, s1, t1, ess1 = _root_weights(q1)
+        v *= root0
+        reps.append(_hellinger_core(v, s0, t0, s1, t1, min(ess0, ess1)))
+    return reps
+
+
+def _hellinger_core(sT, s1, t1, s2, t2, ess) -> MetricReport:
+    """Hellinger estimate from the weights s1 and s2 of two posteriors on
+    one shared batch of draws, their totals t1 and t2, the smaller Kong
+    ESS, and the affinity integrand sT = sqrt(s1 * s2).  sT is
+    overwritten; s1 and s2 are only read."""
+    n = len(sT)
     Z1, Z2, T = t1 / n, t2 / n, float(np.mean(sT))
     g = T / math.sqrt(Z1 * Z2)
     raw = 1.0 - g
-    clamped = raw < 0
     value = math.sqrt(max(raw, 0.0))
     # delta method through the three sample means: the variance of the
-    # linearized statistic a*sT + (b*s1 + c*s2), summed so that swapping p1
-    # and p2 moves no bit
+    # linearized statistic a*sT + (b*s1 + c*s2), summed so that swapping the
+    # two posteriors moves no bit
     a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
-    s1 *= b
-    s2 *= c
-    s1 += s2
+    lin = s1 * b
+    lin += s2 * c
     sT *= a
-    sT += s1
+    sT += lin
     se_g = math.sqrt(float(np.var(sT, ddof=1)) / n)
     stderr = se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
-    return MetricReport(value, stderr, "prior_mc", n, clamped, min(ess1, ess2))
+    return MetricReport(value, stderr, "prior_mc", n, raw < 0, ess)
 
 
 def total_variation(
@@ -341,13 +415,17 @@ def total_variation(
 def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
     """Total variation estimate from two potential arrays evaluated on
     one shared batch of reference draws."""
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    n = len(p1)
-    if p1.shape != (n,) or p2.shape != (n,):
-        raise ValueError("potential arrays must be equal-length vectors")
+    p1, p2 = _draw_vectors(p1, p2)
     s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
     (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
+    return _total_variation_core(s1, t1, s2, t2, min(ess1, ess2))
+
+
+def _total_variation_core(s1, t1, s2, t2, ess) -> MetricReport:
+    """Total variation estimate from the weights of two posteriors on one
+    shared batch of draws, their totals and the smaller Kong ESS; s1 and
+    s2 are only read."""
+    n = len(s1)
     Z1, Z2 = t1 / n, t2 / n
     # diff = s1/Z1 - s2/Z2; absdiff holds s2/Z2 until it takes |diff|
     diff, absdiff = s1 / Z1, s2 / Z2
@@ -359,14 +437,12 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     sign = np.sign(diff, out=diff)
     c1 = -float(np.mean(sign * s1)) / (2.0 * Z1 * Z1)
     c2 = float(np.mean(np.multiply(sign, s2, out=sign))) / (2.0 * Z2 * Z2)
-    s1 *= c1
-    s2 *= c2
-    s1 += s2
+    lin = np.multiply(s1, c1, out=sign)
+    lin += s2 * c2
     absdiff *= 0.5
-    absdiff += s1
+    absdiff += lin
     stderr = float(np.std(absdiff, ddof=1) / math.sqrt(n))
-    clamped = value > 1.0
-    return MetricReport(min(value, 1.0), stderr, "prior_mc", n, clamped, min(ess1, ess2))
+    return MetricReport(min(value, 1.0), stderr, "prior_mc", n, value > 1.0, ess)
 
 
 def _snis(values: np.ndarray, weights: np.ndarray, total: float):
@@ -395,17 +471,38 @@ def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh
     term is three combined standard errors, so a pass means the inequality
     holds up to Monte Carlo resolution.
     """
-    hv = np.asarray(hv, dtype=float)
+    hv, p1, p2 = _draw_vectors(hv, p1, p2)
     s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
-    z1, z2 = float(np.sum(s1)), float(np.sum(s2))
-    e1, se1 = _snis(hv, s1, z1)
-    e2, se2 = _snis(hv, s2, z2)
+    return _gap_check_core(hv, s1, float(np.sum(s1)), s2, float(np.sum(s2)), dh)
+
+
+def _gap_check_core(hv, s1, t1, s2, t2, dh: MetricReport) -> GapCheckReport:
+    """gap_check_from_potentials on the weights of the two posteriors and
+    their totals."""
+    e1, se1 = _snis(hv, s1, t1)
+    e2, se2 = _snis(hv, s2, t2)
     hv2 = hv * hv
-    root = math.sqrt(max(float(np.sum(s1 * hv2)) / z1 + float(np.sum(s2 * hv2)) / z2, 0.0))
+    root = math.sqrt(max(float(np.sum(s1 * hv2)) / t1 + float(np.sum(s2 * hv2)) / t2, 0.0))
     gap = abs(e1 - e2)
     bound = 2.0 * root * dh.value
     slack = 3.0 * (se1 + se2 + 2.0 * root * dh.stderr)
     return GapCheckReport(gap, bound, dh.value, slack, gap <= bound + slack)
+
+
+def _paired_metrics(u1: np.ndarray, u2: np.ndarray, hv: np.ndarray) -> tuple:
+    """Hellinger, total variation and the expectation-gap check of hv for
+    the potential arrays u1 and u2 (both overwritten) on one shared batch
+    of draws, from each posterior's weights formed once, by one exp; the
+    public functions' reports to rounding."""
+    u1, u2, hv = _draw_vectors(u1, u2, hv)
+    u1 -= _low(u1)
+    u2 -= _low(u2)
+    v1, s1, t1, ess1 = _root_weights(u1)
+    v2, s2, t2, ess2 = _root_weights(u2)
+    ess = min(ess1, ess2)
+    v1 *= v2
+    dh = _hellinger_core(v1, s1, t1, s2, t2, ess)
+    return dh, _total_variation_core(s1, t1, s2, t2, ess), _gap_check_core(hv, s1, t1, s2, t2, dh)
 
 
 @dataclass(frozen=True)

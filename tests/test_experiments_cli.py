@@ -9,6 +9,7 @@ test runner; one subprocess test covers the installed console script.
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -242,6 +243,24 @@ def test_reports_invariant_under_block_size(monkeypatch, name, config):
     monkeypatch.setattr(series_prior, "_CHUNK_VALUES", SMALL_CHUNK)
     small = run_experiment(name, config)
     assert json.dumps(small, sort_keys=True) == json.dumps(base, sort_keys=True)
+
+
+def test_residual_suites_do_not_depend_on_the_blas_thread_count():
+    # stability and metrics form every perturbed potential by a matrix-vector
+    # product on the residual buffer; a threaded BLAS must not move its bits
+    code = (
+        "import json\n"
+        "from cbayes import run_experiment\n"
+        "for name, cfg in (('stability', {'effort': 30000}), ('metrics', {'effort': 30000, 'quad_effort': 50})):\n"
+        "    print(json.dumps(run_experiment(name, cfg), sort_keys=True, indent=2))\n"
+    )
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    assert len(outs) == 1
 
 
 def test_min_ess_verdict_has_a_tenfold_margin_at_the_defaults():

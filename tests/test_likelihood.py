@@ -153,6 +153,49 @@ def test_misfit_matches_column_sum_bit_for_bit(rows, width, order, dense, seed):
     assert np.array_equal(phi.misfit(fwd[0], y), 0.5 * np.sum(r * r) / s2)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("order", "CF")
+def test_misfit_delta_is_the_shifted_data_difference(dense, order):
+    # Phi(u; y + s) - Phi(u; y) from the residual alone, for a dense shift,
+    # a shift along one data coordinate and a zero shift, on a 2-D batch and
+    # on one residual vector.  The direct difference of two misfits loses
+    # up to a few ulps of the misfits themselves, so the two forms agree to
+    # 1e-12 relative to 1 + Phi(u; y) + Phi(u; y + s).
+    gen = np.random.default_rng(11)
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    y = gen.normal(size=8)
+    B = gen.normal(size=(8, 8))
+    phi = GaussianAdditive(model, B @ B.T + np.eye(8) if dense else 0.7, y)
+    fwd = np.asarray(model.apply_many(gen.normal(size=(400, model.dim))), order=order)
+    res = fwd - y
+    kept = res.copy(order="A")
+    for s in (gen.normal(size=8), 0.3 * np.eye(8)[5], np.zeros(8)):
+        direct0, direct1 = phi.misfit(fwd, y), phi.misfit(fwd, y + s)
+        delta = phi.misfit_delta(res, s)
+        assert delta.shape == (400,)
+        assert np.all(np.abs(delta - (direct1 - direct0)) <= 1e-12 * (1.0 + direct0 + direct1))
+        one = phi.misfit_delta(res[7], s)
+        assert np.ndim(one) == 0
+        assert abs(one - (direct1[7] - direct0[7])) <= 1e-12 * (1.0 + direct0[7] + direct1[7])
+    assert np.array_equal(res, kept)
+    assert not np.any(phi.misfit_delta(res, np.zeros(8)))
+    with pytest.raises(ValueError):
+        phi.misfit_delta(res, np.zeros(7))
+
+
+@pytest.mark.parametrize("order", "CF")
+def test_misfit_of_residuals_against_zero_data_keeps_the_bits(order):
+    # the suites subtract the data from their forward buffer in place and
+    # take misfit(r, 0): fwd - y - 0 is fwd - y exactly
+    gen = np.random.default_rng(12)
+    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    phi = GaussianAdditive(model, 4.0, gen.normal(size=8))
+    fwd = np.asarray(model.apply_many(gen.normal(size=(300, model.dim))), order=order)
+    expected = phi.misfit(fwd, phi.y)
+    fwd -= phi.y
+    assert np.array_equal(phi.misfit(fwd, np.zeros(8)), expected)
+
+
 def test_misfit_dense_covariance_matches_solve():
     gen = np.random.default_rng(6)
     B = gen.normal(size=(4, 4))

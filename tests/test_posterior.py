@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +37,10 @@ from cbayes import (
 from cbayes import streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
+    MetricReport,
+    _paired_metrics,
     gap_check_from_potentials,
+    hellinger_from_differences,
     hellinger_from_potentials,
     map_estimate_l1_cd,
     posterior_mean,
@@ -407,6 +411,108 @@ def test_mc_reductions_match_formulas_and_leave_inputs(pair):
             assert np.array_equal(p1, kept1) and np.array_equal(p2, kept2)
 
 
+@st.composite
+def reference_and_differences(draw):
+    n = draw(st.integers(2, 40))
+    p0 = np.array(draw(st.lists(st.floats(-20.0, 50.0), min_size=n, max_size=n)))
+    k = draw(st.integers(1, 4))
+    deltas = [np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))) for _ in range(k)]
+    return p0, deltas
+
+
+def assert_same_estimate(batch, pair):
+    # The batch form forms exp(-q/2) and squares it where the pairwise form
+    # takes exp(-q): the two round differently.  d_H^2 = 1 - g then moves by
+    # a few ulps, so value^2 agrees to 1e-13 absolute; once d_H >= 1e-3 that
+    # leaves value and stderr within 1e-7 relative.  Below the 1e-13 band
+    # the sign of 1 - g, and so the clamp flag, is rounding noise.
+    assert abs(batch.value**2 - pair.value**2) <= 1e-13
+    if pair.value >= 1e-3:
+        assert batch.value == pytest.approx(pair.value, rel=1e-7, abs=0.0)
+        assert batch.stderr == pytest.approx(pair.stderr, rel=1e-7, abs=0.0)
+    if max(batch.value, pair.value) ** 2 > 1e-13:
+        assert batch.clamped == pair.clamped
+    assert batch.ess == pytest.approx(pair.ess, rel=1e-12)
+    assert (batch.method, batch.effort) == (pair.method, pair.effort)
+
+
+@_PROPERTY
+@given(reference_and_differences())
+def test_hellinger_from_differences_matches_the_pairwise_estimates(case):
+    p0, deltas = case
+    kept = [p0.copy()] + [d.copy() for d in deltas]
+    reps = hellinger_from_differences(p0, iter(deltas))
+    assert len(reps) == len(deltas)
+    for rep, d in zip(reps, deltas):
+        assert_same_estimate(rep, hellinger_from_potentials(p0, p0 + d))
+    # no input is written
+    assert all(np.array_equal(a, b) for a, b in zip([p0] + deltas, kept))
+
+
+def test_hellinger_from_differences_is_exactly_zero_on_a_zero_difference():
+    # a zero difference, and one too small to move any shifted potential
+    # value, leave the reference's own weights: d_H and its stderr are 0
+    c, p0, p1 = shared_draws(*series_pair(delta=0.2), 5000, 3)
+    zeros = [np.zeros(len(c)), -np.zeros(len(c)), np.full(len(c), 1e-300)]
+    zero, signed_zero, absorbed, moved = hellinger_from_differences(p0, zeros + [p1 - p0])
+    same = hellinger_from_potentials(p0, p0)
+    for rep in (zero, signed_zero, absorbed):
+        assert (rep.value, rep.stderr, rep.clamped) == (0.0, 0.0, False)
+        assert rep.ess == same.ess
+    assert_same_estimate(moved, hellinger_from_potentials(p0, p1))
+    assert moved.value > 0.0
+
+
+def test_hellinger_from_differences_refuses_bad_arrays():
+    p0 = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(ValueError, match="equal-length"):
+        hellinger_from_differences(p0, [np.zeros(49)])
+    with pytest.raises(ValueError, match="equal-length"):
+        hellinger_from_differences(p0, [np.zeros((50, 1))])
+    with pytest.raises(ValueError):
+        hellinger_from_differences(p0, [np.r_[np.zeros(49), np.nan]])
+    assert hellinger_from_differences(p0, []) == []
+
+
+def test_paired_metrics_share_weights_and_match_the_public_estimates():
+    # metrics forms each posterior's weights once for Hellinger, TV and the
+    # gap check; each report equals the public function's to rounding
+    c, p1, p2 = shared_draws(*series_pair(delta=0.3), 20000, 4)
+    u1, u2 = p1.copy(), p2.copy()
+    dh, tv, gap = _paired_metrics(u1, u2, c[:, 0])
+    assert_same_estimate(dh, hellinger_from_potentials(p1, p2))
+    pair_tv = total_variation_from_potentials(p1, p2)
+    assert tv.value == pytest.approx(pair_tv.value, rel=1e-12)
+    assert tv.stderr == pytest.approx(pair_tv.stderr, rel=1e-9)
+    assert tv.ess == pytest.approx(pair_tv.ess, rel=1e-12)
+    pair_gap = gap_check_from_potentials(c[:, 0], p1, p2, dh)
+    assert gap.passed == pair_gap.passed
+    for field in ("gap", "bound", "slack"):
+        assert getattr(gap, field) == pytest.approx(getattr(pair_gap, field), rel=1e-9)
+    # identical potentials: every distance and the gap are exactly zero
+    dh, tv, gap = _paired_metrics(p1.copy(), p1.copy(), c[:, 0])
+    assert (dh.value, dh.stderr, tv.value, tv.stderr, gap.gap) == (0.0,) * 5
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_estimators_refuse_fewer_than_two_draws(n):
+    # a sample stderr needs two draws; with one, numpy warned and returned
+    # NaN, and with none it raised from inside a reduction
+    p = np.zeros(n)
+    dh = MetricReport(0.1, 0.01, "prior_mc", 2)
+    calls = (
+        lambda: hellinger_from_potentials(p, p),
+        lambda: total_variation_from_potentials(p, p),
+        lambda: gap_check_from_potentials(p, p, p, dh),
+        lambda: hellinger_from_differences(p, [p]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="at least 2 draws"):
+                call()
+
+
 @_PROPERTY
 @given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
 def test_quadrature_metric_sandwich(a1, b1, a2, b2):
@@ -454,6 +560,18 @@ def test_expectation_gap_check_indicator_below_tv():
     assert rep.passed
     tv = total_variation_from_potentials(p1, p2)
     assert rep.gap <= tv.value + 3 * tv.stderr
+
+
+def test_expectation_gap_check_refuses_mismatched_shapes():
+    # (n, 1) potentials or test-function values used to broadcast to (n, n)
+    # and report gap 0 and a pass; a short hv raised numpy's broadcast error
+    c, p1, p2 = shared_draws(*series_pair(delta=0.3), 2000, 1)
+    hv = c[:, 0]
+    dh = hellinger_from_potentials(p1, p2)
+    assert gap_check_from_potentials(hv, p1, p2, dh).gap > 0.0
+    for args in ((hv, p1[:, None], p2[:, None]), (hv[:, None], p1, p2), (hv[:-1], p1, p2), (hv, p1, p2[:-1])):
+        with pytest.raises(ValueError, match="equal-length"):
+            gap_check_from_potentials(*args, dh)
 
 
 def test_weighted_probability_tilt_oracle():

@@ -33,13 +33,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.8.0
-    "stability": "b9629a1027878fb4f9dc81969b89b5d7f71fd5c0e9d58c094fa06700c88ce30c",
-    "consistency": "147a34c6c7f50db6aa86ff599726e391b85e0f5aba170a4c608fdb3521751c11",
-    "metrics": "57b7bf8ab0069acb7c3236c8de7fb1b2f4580f9497839099f09dfbc36627de51",
-    "convexity": "851a247904c48de73890a36eaa2e45a2b2f32314e20d97f7643efeefe4ede6bc",
-    "audit": "c55f2d26fa40b5bcc90719f46ec94bcdd5111fb90fa83c98cf3f3eb316e73ce4",
-    "map_demo": "7cceda0066f28ce3f68727d4328e04ccc6e1b6f0b395d4cf0a5038731f1942cc",
+DIGESTS = {  # report revision 0.9.0
+    "stability": "e33a86303eb0abc912ebaa1d7190f7f5aca8510ffc5320a96533a5125d60dc6e",
+    "consistency": "ea0e1087c7e04916c2b57a53371329a2ff70e408aecc14d375c8814eb615ded1",
+    "metrics": "647eb07c831de2382133b6f2ed539dd6a61664ad61efb9bdb67e3bd9ff10281b",
+    "convexity": "5c58b5a51f90be6fc0486989f946e8c76285746a9c287c5f8cadf7caf19210be",
+    "audit": "3d148936b191674a27638786731080b2da3bc06ff588be471dbd1edce052b805",
+    "map_demo": "b88d73ef23f2899a20d0eea45dba1ffd32912fc774593cb784a81a44e66b8c51",
 }
 
 
