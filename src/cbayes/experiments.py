@@ -81,6 +81,7 @@ from .series_prior import (
     IID,
     SeriesPrior,
     _convexity_judge,
+    _share_work,
     admissibility_check,
     coefficient_chunks,
     marginal_convexity_test,
@@ -721,14 +722,21 @@ def run_metrics(cfg: dict) -> dict:
     for rep, label in ((hm, "gaussian_pair_hellinger"), (tm, "gaussian_pair_tv")):
         points.append(_point(0, rep.value, rep.stderr, rep.method, rep.effort, label))
 
-    # random data pairs: sandwich and expectation gap on shared draws
+    # random data pairs: sandwich and expectation gap on shared draws, the
+    # pairs computed on two threads (_share_work) and read in pair order
     gen = streams.substream(_subseed(seed, "pairs"), streams.DATA, 1)
     shifts = pair_scale * streams.normals(gen, (num_pairs, 2, model.data_dim))
+
+    def pair_metrics(pair_shifts, own):
+        pa, pb = (phi.misfit_delta(res, s) for s in pair_shifts)
+        pa += p0
+        pb += p0
+        return _paired_metrics(pa, pb, hv, own)
+
     lower_ok, upper_ok, gap_ok = [], [], []
     reps = [same_h, same_t, hm, tm]
-    for j in range(num_pairs):
-        pa, pb = (phi.misfit_delta(res, s) + p0 for s in shifts[j])
-        dh, tv, gap = _paired_metrics(pa, pb, hv)
+    pairs = _share_work(pair_metrics, shifts, lambda: [np.empty(effort) for _ in range(3)])
+    for j, (dh, tv, gap) in enumerate(pairs):
         reps += [dh, tv]
         points.append(_point(j, dh.value, dh.stderr, dh.method, dh.effort, "random_pair_hellinger"))
         points.append(_point(j, tv.value, tv.stderr, tv.method, tv.effort, "random_pair_tv"))

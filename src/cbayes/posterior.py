@@ -33,6 +33,15 @@ of the shifted potential q, whose square is the weights and whose product
 with another posterior's v is the Hellinger integrand.  They agree with the
 pairwise forms to rounding.
 
+hellinger_from_differences and the metrics suite's random pairs compute
+their estimates on two threads (series_prior._share_work): the caller's
+and one other each take the next difference, or pair, once done with the
+last, so at most two are read at a time.  Each estimate is computed
+wholly by one thread, with the operations in the same order, in that
+thread's own draw-sized buffers, which the cores write through out=
+arguments instead of making temporaries; so its bits do not depend on
+which thread computes it.
+
 Also here: normalization constants with importance-sampling diagnostics,
 and l1-penalized MAP estimates (proximal gradient, or cyclic coordinate
 descent on the same objective).
@@ -47,7 +56,7 @@ import numpy as np
 
 from . import streams
 from .measures1d import Distribution1D, _gauss_legendre, quantile_interval
-from .series_prior import SeriesPrior, sample_coefficients
+from .series_prior import SeriesPrior, _share_work, sample_coefficients
 
 __all__ = [
     "ProductPrior",
@@ -61,7 +70,6 @@ __all__ = [
     "total_variation",
     "total_variation_from_potentials",
     "GapCheckReport",
-    "gap_check_from_potentials",
     "ProbabilityReport",
     "weighted_probability",
     "posterior_mean",
@@ -188,22 +196,32 @@ def _exp_neg(q: np.ndarray) -> np.ndarray:
     return np.exp(q, out=q)
 
 
-def _kong_ess(s: np.ndarray) -> tuple:
+def _kong_ess(s: np.ndarray, tmp=None) -> tuple:
     """The total of the weights s and Kong's effective sample size
-    (sum s)^2 / sum s^2.  Both sums are numpy's, not BLAS's: a threaded
-    dot product would make the suites' min_ess verdicts, which report the
-    ESS, depend on the BLAS thread count."""
+    (sum s)^2 / sum s^2, with s^2 written into tmp when given.  Both sums
+    are numpy's, not BLAS's: a threaded dot product would make the
+    suites' min_ess verdicts, which report the ESS, depend on the BLAS
+    thread count."""
     total = float(np.sum(s))
-    return total, total * total / float(np.sum(s * s))
+    return total, total * total / float(np.sum(np.multiply(s, s, out=tmp)))
 
 
-def _root_weights(q: np.ndarray) -> tuple:
+def _root_weights(q: np.ndarray, s=None, tmp=None) -> tuple:
     """v = exp(-q/2), written over the shifted potential array q, the
-    weights s = v * v, their total and Kong's ESS (_kong_ess)."""
+    weights s = v * v (into s when given), their total and Kong's ESS
+    (_kong_ess, through tmp)."""
     q *= -0.5
     v = np.exp(q, out=q)
-    s = v * v
-    return (v, s, *_kong_ess(s))
+    s = np.multiply(v, v, out=s)
+    return (v, s, *_kong_ess(s, tmp))
+
+
+def _sample_var(x: np.ndarray) -> float:
+    """np.var(x, ddof=1), with its bits, computed over x."""
+    n = len(x)
+    x -= np.sum(x) / n
+    x *= x
+    return float(np.sum(x)) / (n - 1)
 
 
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
@@ -350,8 +368,12 @@ def hellinger_from_differences(p0: np.ndarray, deltas) -> list:
     and ESS are formed once; each delta then takes one exp.  The estimates
     equal hellinger_from_potentials(p0, p0 + delta) to rounding; a delta
     that leaves the shifted potential unchanged (zero, say) gives value
-    and stderr exactly 0.  deltas may be an iterator, read one array at a
-    time; no input is written.
+    and stderr exactly 0.  deltas may be an iterator: the caller's thread
+    and one other each take the next array from it once done with their
+    last (see _share_work), so at most two arrays are read at a time, and
+    no input is written.  Each estimate is computed wholly by one thread,
+    in that thread's own buffers, so its bits do not depend on which
+    thread computes it.
     """
     (p0,) = _draw_vectors(p0)
     q0 = _shifted(p0)[0]
@@ -359,25 +381,28 @@ def hellinger_from_differences(p0: np.ndarray, deltas) -> list:
     np.exp(s0, out=s0)
     root0 = np.sqrt(s0)
     t0, ess0 = _kong_ess(s0)
-    reps = []
-    for delta in deltas:
-        q1 = q0 + _draw_vectors(p0, delta)[1]
+
+    def distance(delta, own):
+        q1, s1, lin = own
+        np.add(q0, _draw_vectors(p0, delta)[1], out=q1)
         q1 -= _low(q1)
         if np.array_equal(q1, q0):
             # the reference's own weights: distance exactly zero
-            reps.append(MetricReport(0.0, 0.0, "prior_mc", len(p0), False, ess0))
-            continue
-        v, s1, t1, ess1 = _root_weights(q1)
+            return MetricReport(0.0, 0.0, "prior_mc", len(p0), False, ess0)
+        v, s1, t1, ess1 = _root_weights(q1, s1, lin)
         v *= root0
-        reps.append(_hellinger_core(v, s0, t0, s1, t1, min(ess0, ess1)))
-    return reps
+        return _hellinger_core(v, s0, t0, s1, t1, min(ess0, ess1), lin, s1)
+
+    return _share_work(distance, deltas, lambda: tuple(np.empty(len(p0)) for _ in range(3)))
 
 
-def _hellinger_core(sT, s1, t1, s2, t2, ess) -> MetricReport:
+def _hellinger_core(sT, s1, t1, s2, t2, ess, lin=None, tmp=None) -> MetricReport:
     """Hellinger estimate from the weights s1 and s2 of two posteriors on
     one shared batch of draws, their totals t1 and t2, the smaller Kong
     ESS, and the affinity integrand sT = sqrt(s1 * s2).  sT is
-    overwritten; s1 and s2 are only read."""
+    overwritten, and so are lin and tmp, draw-sized buffers used when
+    given; s1 and s2 are only read, except that tmp may be s2 itself,
+    which then ends as s2 * c."""
     n = len(sT)
     Z1, Z2, T = t1 / n, t2 / n, float(np.mean(sT))
     g = T / math.sqrt(Z1 * Z2)
@@ -387,11 +412,11 @@ def _hellinger_core(sT, s1, t1, s2, t2, ess) -> MetricReport:
     # linearized statistic a*sT + (b*s1 + c*s2), summed so that swapping the
     # two posteriors moves no bit
     a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
-    lin = s1 * b
-    lin += s2 * c
+    lin = np.multiply(s1, b, out=lin)
+    lin += np.multiply(s2, c, out=tmp)
     sT *= a
     sT += lin
-    se_g = math.sqrt(float(np.var(sT, ddof=1)) / n)
+    se_g = math.sqrt(_sample_var(sT) / n)
     stderr = se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
     return MetricReport(value, stderr, "prior_mc", n, raw < 0, ess)
 
@@ -421,36 +446,41 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     return _total_variation_core(s1, t1, s2, t2, min(ess1, ess2))
 
 
-def _total_variation_core(s1, t1, s2, t2, ess) -> MetricReport:
+def _total_variation_core(s1, t1, s2, t2, ess, out=(None, None, None)) -> MetricReport:
     """Total variation estimate from the weights of two posteriors on one
     shared batch of draws, their totals and the smaller Kong ESS; s1 and
-    s2 are only read."""
+    s2 are only read, and the draw-sized buffers in out, used when
+    given, are overwritten."""
     n = len(s1)
     Z1, Z2 = t1 / n, t2 / n
     # diff = s1/Z1 - s2/Z2; absdiff holds s2/Z2 until it takes |diff|
-    diff, absdiff = s1 / Z1, s2 / Z2
+    diff, absdiff = np.divide(s1, Z1, out=out[0]), np.divide(s2, Z2, out=out[1])
     diff -= absdiff
     np.abs(diff, out=absdiff)
     value = 0.5 * float(np.mean(absdiff))
     # influence function of the statistic, normalizers held as sample means:
     # 0.5*|diff| + (c1*s1 + c2*s2)
     sign = np.sign(diff, out=diff)
-    c1 = -float(np.mean(sign * s1)) / (2.0 * Z1 * Z1)
+    c1 = -float(np.mean(np.multiply(sign, s1, out=out[2]))) / (2.0 * Z1 * Z1)
     c2 = float(np.mean(np.multiply(sign, s2, out=sign))) / (2.0 * Z2 * Z2)
     lin = np.multiply(s1, c1, out=sign)
-    lin += s2 * c2
+    lin += np.multiply(s2, c2, out=out[2])
     absdiff *= 0.5
     absdiff += lin
-    stderr = float(np.std(absdiff, ddof=1) / math.sqrt(n))
+    stderr = math.sqrt(_sample_var(absdiff)) / math.sqrt(n)
     return MetricReport(min(value, 1.0), stderr, "prior_mc", n, value > 1.0, ess)
 
 
-def _snis(values: np.ndarray, weights: np.ndarray, total: float):
+def _snis(values: np.ndarray, weights: np.ndarray, total: float, out=None):
     """Self-normalized estimate of E values and its standard error, with
-    total the (nonzero) sum of the weights."""
-    est = float(np.sum(weights * values)) / total
-    se = math.sqrt(float(np.sum((weights * (values - est)) ** 2))) / total
-    return est, se
+    total the (nonzero) sum of the weights, through one draw-sized
+    buffer, out when given."""
+    x = np.multiply(weights, values, out=out)
+    est = float(np.sum(x)) / total
+    np.subtract(values, est, out=x)
+    x *= weights
+    x *= x
+    return est, math.sqrt(float(np.sum(x))) / total
 
 
 @dataclass(frozen=True)
@@ -462,47 +492,46 @@ class GapCheckReport:
     passed: bool
 
 
-def gap_check_from_potentials(hv: np.ndarray, p1: np.ndarray, p2: np.ndarray, dh: MetricReport) -> GapCheckReport:
-    """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H on two potential
-    arrays evaluated on one shared batch of draws, h given by its value hv
-    per draw and dh the Hellinger estimate on the same batch.
+def _gap_check_core(hv, s1, t1, s2, t2, dh: MetricReport, out=(None, None)) -> GapCheckReport:
+    """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H on one shared
+    batch of draws, h given by its value hv per draw, from the weights
+    s1 and s2 of the two posteriors, their totals and dh, the Hellinger
+    estimate on the same batch; the draw-sized buffers in out, used when
+    given, are overwritten.
 
     Both expectations are self-normalized importance estimates.  The slack
     term is three combined standard errors, so a pass means the inequality
     holds up to Monte Carlo resolution.
     """
-    hv, p1, p2 = _draw_vectors(hv, p1, p2)
-    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
-    return _gap_check_core(hv, s1, float(np.sum(s1)), s2, float(np.sum(s2)), dh)
-
-
-def _gap_check_core(hv, s1, t1, s2, t2, dh: MetricReport) -> GapCheckReport:
-    """gap_check_from_potentials on the weights of the two posteriors and
-    their totals."""
-    e1, se1 = _snis(hv, s1, t1)
-    e2, se2 = _snis(hv, s2, t2)
-    hv2 = hv * hv
-    root = math.sqrt(max(float(np.sum(s1 * hv2)) / t1 + float(np.sum(s2 * hv2)) / t2, 0.0))
+    e1, se1 = _snis(hv, s1, t1, out[0])
+    e2, se2 = _snis(hv, s2, t2, out[0])
+    hv2 = np.multiply(hv, hv, out=out[1])
+    h1 = float(np.sum(np.multiply(s1, hv2, out=out[0]))) / t1
+    root = math.sqrt(max(h1 + float(np.sum(np.multiply(s2, hv2, out=out[0]))) / t2, 0.0))
     gap = abs(e1 - e2)
     bound = 2.0 * root * dh.value
     slack = 3.0 * (se1 + se2 + 2.0 * root * dh.stderr)
     return GapCheckReport(gap, bound, dh.value, slack, gap <= bound + slack)
 
 
-def _paired_metrics(u1: np.ndarray, u2: np.ndarray, hv: np.ndarray) -> tuple:
+def _paired_metrics(u1: np.ndarray, u2: np.ndarray, hv: np.ndarray, out=None) -> tuple:
     """Hellinger, total variation and the expectation-gap check of hv for
     the potential arrays u1 and u2 (both overwritten) on one shared batch
     of draws, from each posterior's weights formed once, by one exp; the
-    public functions' reports to rounding."""
+    public functions' reports to rounding.  out holds three draw-sized
+    buffers, overwritten, or is None for new ones; with u1 and u2 they
+    hold every draw-sized array the three estimates make."""
     u1, u2, hv = _draw_vectors(u1, u2, hv)
+    s1, s2, x = out if out is not None else [np.empty(len(hv)) for _ in range(3)]
     u1 -= _low(u1)
     u2 -= _low(u2)
-    v1, s1, t1, ess1 = _root_weights(u1)
-    v2, s2, t2, ess2 = _root_weights(u2)
+    v1, s1, t1, ess1 = _root_weights(u1, s1, x)
+    v2, s2, t2, ess2 = _root_weights(u2, s2, x)
     ess = min(ess1, ess2)
     v1 *= v2
-    dh = _hellinger_core(v1, s1, t1, s2, t2, ess)
-    return dh, _total_variation_core(s1, t1, s2, t2, ess), _gap_check_core(hv, s1, t1, s2, t2, dh)
+    dh = _hellinger_core(v1, s1, t1, s2, t2, ess, v2, x)
+    tv = _total_variation_core(s1, t1, s2, t2, ess, (v1, v2, x))
+    return dh, tv, _gap_check_core(hv, s1, t1, s2, t2, dh, (v1, v2))
 
 
 @dataclass(frozen=True)

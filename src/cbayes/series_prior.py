@@ -26,26 +26,32 @@ either order.  sample_coefficients returns the same column-major layout,
 the block itself when one block holds every row.
 
 A block's slots are drawn in column groups of _GROUP_VALUES values
-(_GROUP_VALUES // rows columns, at least one) by _fill_columns, the one
+(_GROUP_VALUES // rows columns, at least one, and at most half the
+slots, so that each thread below has a group) by _fill_columns, the one
 block-fill routine: one Distribution1D.sample call per law fills a
 group's contiguous F-order columns, each slot's generator reading its
 own stream into its own column, and the law's transform then runs once
 over the group (see measures1d), so a group of short columns pays the
 Python dispatches of one.  An IID law fills the group; a hierarchical
 group's mode law fills the group and its scale law one scratch group
-per half block, then the group is multiplied by the scale draws and by
+per thread, then the group is multiplied by the scale draws and by
 the slots' weights in place.  IEEE multiplication is commutative, so
 (xi * zeta) * weight has the bits of weight * (zeta * xi), and no
 draw-sized temporary is made beyond the samplers' own group-sized
 scratch.  marginal_convexity_test draws its few slots with the same
-_fill_columns, one column of one F-order block per functional term.
+_fill_columns, on its own thread, one column of one F-order block per
+functional term.
 
-Two threads fill each block: another thread the column groups of the
-first half of its slots, the caller's thread the rest, joined before the
-block is yielded.  A slot's generators serve one thread only, so the
-bits do not depend on scheduling (counter-based streams: Salmon et
-al., SC 2011); the halves overlap where numpy releases the GIL, in
-Generator fills and ufunc loops.
+Two threads fill each block through _share_work, the package's one
+threading mechanism: the caller's thread and one other each take the
+next column group when done with their last, so neither waits on a
+fixed half of the other's, and both stop before the block is yielded.
+A slot's generators are read by one thread at a time, though not
+always by the same one, and the blocks are filled in order, so each
+stream is still read draw by draw and the bits do not depend on
+scheduling (counter-based streams: Salmon et al., SC 2011); the
+threads overlap where numpy releases the GIL, in Generator fills and
+ufunc loops.
 
 Enumeration contract
 --------------------
@@ -273,7 +279,7 @@ class FieldSample:
 
 _CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
 _GROUP_VALUES = 1 << 15  # values per column group that one sample call draws (256 KB)
-_FILL_THREADS = 2  # threads filling each block: the caller's and one other
+_FILL_THREADS = 2  # threads filling each block (_share_work): the caller's and one other
 
 
 def _law_dists(law) -> tuple:
@@ -289,27 +295,78 @@ def _slot_streams(prior: SeriesPrior, seed: int, k: int) -> tuple:
     return tuple(streams.substream(seed, streams.COEFFS, uid, c) for c in range(len(_law_dists(prior.law))))
 
 
-def _fill_columns(dists: tuple, gens: list, weights: np.ndarray, block: np.ndarray, span: range, errors: list) -> None:
-    """Draw the slots at the positions in span into their columns of
-    block, a group of _GROUP_VALUES // len(block) columns (at least one)
-    at a time; gens[c] holds every slot's generator of law dists[c] (see
-    _law_dists).  One sample call per law draws a group: the mode (or
-    IID) law into the group's columns of block and a hierarchical scale
-    law into the leading columns of one scratch group; then group *=
-    scale and group *= weights, which is (xi * zeta) * weight, the bits
-    of weight * (zeta * xi).  An exception goes to errors, for the caller
-    (or the joining thread) to raise."""
+def _share_work(work, items, scratch) -> list:
+    """[work(item, own) for item in items], computed on the caller's thread
+    and on one other thread: each takes the next item from the one shared
+    iterator under a lock until it is empty, and own is the value that
+    scratch() made for that thread, once per call.  Results are placed by
+    the item's position, so each one has the bits that one thread alone
+    computes.  A thread drops its item before it takes the next, so at
+    most two items are alive at once, one per thread.  An exception from
+    items or work stops both threads taking items and is raised once both
+    have stopped; no thread outlives the call."""
+    items, lock, results, errors = iter(items), threading.Lock(), [], []
+    # both scratches come from the caller's thread, whose allocator holds
+    # the memory the caller has freed (a drawn block, say): a first
+    # allocation on the other thread takes fresh pages of its own malloc
+    # arena, which would add to the peak RSS
+    mine, theirs = scratch(), scratch()
+
+    def run(own):
+        try:
+            while True:
+                with lock:
+                    if errors:
+                        return
+                    try:
+                        item = next(items)
+                    except StopIteration:
+                        return
+                    i = len(results)
+                    results.append(None)
+                results[i] = work(item, own)
+                del item  # before the next one is made
+        except BaseException as exc:  # raised by the caller after the join
+            errors.append(exc)
+
+    other = threading.Thread(target=run, args=(theirs,))
+    other.start()
     try:
-        width = max(1, min(len(span), _GROUP_VALUES // len(block)))
-        scratch = np.empty((len(block), width), order="F") if len(dists) > 1 else None
-        for a in range(span.start, span.stop, width):
-            b = min(a + width, span.stop)
-            group = dists[0].sample(gens[0][a:b], out=block[:, a:b])
-            if len(dists) > 1:
-                group *= dists[1].sample(gens[1][a:b], out=scratch[:, : b - a])
-            group *= weights[a:b]
-    except BaseException as exc:
-        errors.append(exc)
+        run(mine)
+    finally:
+        other.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _one_thread(work, items, scratch) -> list:
+    """_share_work on the caller's thread alone."""
+    own = scratch()
+    return [work(item, own) for item in items]
+
+
+def _fill_columns(dists: tuple, gens: list, weights: np.ndarray, block: np.ndarray, share=_share_work) -> None:
+    """Draw every slot into its column of block, a group of at most
+    _GROUP_VALUES // len(block) columns (at least one), and at most a
+    _FILL_THREADS-th of the slots, per item of share (two threads, or
+    _one_thread); gens[c] holds every slot's generator of law dists[c]
+    (see _law_dists).  One sample call per law draws a group: the mode
+    (or IID) law into the group's columns of block and a hierarchical
+    scale law into the leading columns of the thread's scratch group;
+    then group *= scale and group *= weights, which is (xi * zeta) *
+    weight, the bits of weight * (zeta * xi)."""
+    rows, slots = block.shape
+    width = max(1, min(-(-slots // _FILL_THREADS), _GROUP_VALUES // rows))
+
+    def fill(a, scale):
+        b = min(a + width, slots)
+        group = dists[0].sample(gens[0][a:b], out=block[:, a:b])
+        if scale is not None:
+            group *= dists[1].sample(gens[1][a:b], out=scale[:, : b - a])
+        group *= weights[a:b]
+
+    share(fill, range(0, slots, width), lambda: np.empty((rows, width), order="F") if len(dists) > 1 else None)
 
 
 def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
@@ -319,12 +376,11 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     block).
 
     Stacked, the blocks equal sample_coefficients bit for bit; a caller
-    that reduces each block never holds the whole matrix.  Another
-    thread fills the first half of a block's slot columns while the
-    caller's thread fills the rest, a column group per sample call (see
-    Chunked sampling above; a 1-slot window leaves the first half
-    empty).  An exception in either half is raised once both are joined,
-    with no block for its rows.  The
+    that reduces each block never holds the whole matrix.  The caller's
+    thread and one other fill a block's slot columns, each taking the
+    next column group when it is done with its last (see Chunked
+    sampling above).  An exception in either thread is raised once both
+    have stopped, with no block for its rows.  The
     generator drops a block, and every view of it, before it
     allocates the next, so a caller that also drops it (del block at the
     end of its loop body, as the suites do) holds one block at a time,
@@ -336,17 +392,10 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
     dists = _law_dists(prior.law)
     gens = list(zip(*(_slot_streams(prior, seed, k) for k in idx)))  # per law, every slot's generator
-    split = len(idx) // _FILL_THREADS
     rows = max(1, _CHUNK_VALUES // len(idx))
     for start in range(0, num_samples, rows):
         block = np.empty((min(rows, num_samples - start), len(idx)), order="F")
-        errors = []
-        other = threading.Thread(target=_fill_columns, args=(dists, gens, weights, block, range(split), errors))
-        other.start()
-        _fill_columns(dists, gens, weights, block, range(split, len(idx)), errors)
-        other.join()
-        if errors:
-            raise errors[0]
+        _fill_columns(dists, gens, weights, block)
         yield start, block
         del block
 
@@ -598,10 +647,8 @@ def marginal_convexity_test(
             raise ValueError(f"functional index {k} outside window at level {N}")
     weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)[[index_pos[k] for k, _ in terms]]
     gens = list(zip(*(_slot_streams(prior, seed, k) for k, _ in terms)))
-    cols, errors = np.empty((num_samples, len(terms)), order="F"), []
-    _fill_columns(_law_dists(prior.law), gens, weights, cols, range(len(terms)), errors)
-    if errors:
-        raise errors[0]
+    cols = np.empty((num_samples, len(terms)), order="F")
+    _fill_columns(_law_dists(prior.law), gens, weights, cols, _one_thread)
     cols *= [w for _, w in terms]  # (xi * zeta) * weight * w
     vals, t = [], 0  # one value vector per functional, its terms' columns added in order
     for f in funcs:

@@ -5,8 +5,11 @@ generator (Philox) keyed by an integer seed plus a small integer path.
 Distinct paths give statistically independent streams, and a stream's
 output depends only on (seed, path), never on how many other streams
 were opened.  For a fixed numpy version, results are reproducible bit
-for bit.  A stream is used by one thread at a time; coefficient_chunks
-fills disjoint slot columns on two threads (see series_prior).
+for bit.  A stream is read by one thread at a time, not always by the
+same one: coefficient_chunks fills a block's column groups on two
+threads, each taking the next group when done with its last, and fills
+the blocks in order (see series_prior), so every stream is still read
+draw by draw and its bits do not depend on scheduling.
 
 normals() is the one normal generator: Gaussian.sample (and so every
 Gaussian coefficient slot), the suites' synthetic data and design

@@ -11,7 +11,11 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,12 +38,11 @@ from cbayes import (
     total_variation,
     weighted_probability,
 )
-from cbayes import streams
+from cbayes import posterior, series_prior, streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
-    MetricReport,
+    _gap_check_core,
     _paired_metrics,
-    gap_check_from_potentials,
     hellinger_from_differences,
     hellinger_from_potentials,
     map_estimate_l1_cd,
@@ -463,6 +466,92 @@ def test_hellinger_from_differences_is_exactly_zero_on_a_zero_difference():
     assert moved.value > 0.0
 
 
+def nine_differences(p0, p1):
+    # the zero, signed-zero and absorbed differences give exactly 0, the
+    # others move every weight, by one data shift's size or another
+    n = len(p0)
+    yield np.zeros(n)
+    yield -np.zeros(n)
+    yield np.full(n, 1e-300)
+    for scale in (0.01, 0.1, 0.3, 1.0, -0.5, 2.0):
+        yield scale * (p1 - p0)
+
+
+def test_hellinger_from_differences_on_two_threads_equals_one_thread():
+    # each estimate is computed wholly by one thread, so its bits and its
+    # place in the list do not depend on which thread took it, even with
+    # thread switches every microsecond
+    c, p0, p1 = shared_draws(*series_pair(delta=0.4), 20000, 5)
+    with mock.patch.object(posterior, "_share_work", series_prior._one_thread):
+        want = hellinger_from_differences(p0, nine_differences(p0, p1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [hellinger_from_differences(p0, nine_differences(p0, p1)) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [rep.value for rep in want[:3]] == [0.0] * 3 and all(rep.value > 0 for rep in want[3:])
+    for reps in got:
+        assert reps == want  # the dataclass compares every field, floats exactly
+
+
+class DifferenceError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["iterator", "other thread"])
+def test_hellinger_from_differences_raises_once_and_leaves_no_thread(where):
+    # the thread that does not fail is slowed down, so a call that raised
+    # without waiting for the other thread would leave it running
+    c, p0, p1 = shared_draws(*series_pair(delta=0.4), 2000, 5)
+    caller, core, taken = threading.current_thread(), posterior._hellinger_core, []
+
+    def deltas():
+        for k in range(40):
+            if where == "iterator" and k == 6:
+                raise DifferenceError("iterator")
+            taken.append(k)
+            yield (k + 1) / 40 * (p1 - p0)
+
+    def slowed_core(*args):
+        if threading.current_thread() is not caller:
+            if where == "other thread":
+                raise DifferenceError("other thread")
+        else:
+            time.sleep(0.005)
+        return core(*args)
+
+    baseline = threading.active_count()
+    with mock.patch.object(posterior, "_hellinger_core", slowed_core):
+        with pytest.raises(DifferenceError, match=where):
+            hellinger_from_differences(p0, deltas())
+    assert threading.active_count() == baseline
+    assert len(taken) < 40  # neither thread went on taking differences
+
+
+def test_hellinger_from_differences_holds_at_most_two_differences():
+    # besides the reference's three arrays (shifted potential, weights and
+    # their square root) and each thread's three buffers, at most two
+    # differences are alive: one per thread, the next one made only once
+    # its thread has dropped the last
+    n, k = 100000, 10
+    rng = np.random.default_rng(3)
+    p0, base = 5.0 * rng.standard_normal(n), rng.standard_normal(n)
+    hellinger_from_differences(p0[:10], [base[:10]])  # first-call costs outside the measurement
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        reps = hellinger_from_differences(p0, (0.01 * (j + 1) * base for j in range(k)))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == k and all(rep.value > 0 for rep in reps)
+    vector = 8 * n
+    # array_equal's boolean array is n bytes per thread
+    assert peak < (3 + 2 * 3 + 2) * vector + 2 * n + 65536
+
+
 def test_hellinger_from_differences_refuses_bad_arrays():
     p0 = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError, match="equal-length"):
@@ -485,7 +574,7 @@ def test_paired_metrics_share_weights_and_match_the_public_estimates():
     assert tv.value == pytest.approx(pair_tv.value, rel=1e-12)
     assert tv.stderr == pytest.approx(pair_tv.stderr, rel=1e-9)
     assert tv.ess == pytest.approx(pair_tv.ess, rel=1e-12)
-    pair_gap = gap_check_from_potentials(c[:, 0], p1, p2, dh)
+    pair_gap = gap_check(c[:, 0], p1, p2, dh)
     assert gap.passed == pair_gap.passed
     for field in ("gap", "bound", "slack"):
         assert getattr(gap, field) == pytest.approx(getattr(pair_gap, field), rel=1e-9)
@@ -499,11 +588,10 @@ def test_estimators_refuse_fewer_than_two_draws(n):
     # a sample stderr needs two draws; with one, numpy warned and returned
     # NaN, and with none it raised from inside a reduction
     p = np.zeros(n)
-    dh = MetricReport(0.1, 0.01, "prior_mc", 2)
     calls = (
         lambda: hellinger_from_potentials(p, p),
         lambda: total_variation_from_potentials(p, p),
-        lambda: gap_check_from_potentials(p, p, p, dh),
+        lambda: _paired_metrics(p.copy(), p.copy(), p),
         lambda: hellinger_from_differences(p, [p]),
     )
     with warnings.catch_warnings():
@@ -537,16 +625,23 @@ def shared_draws(spec1, spec2, num_samples, seed):
     return c, spec1.potential.evaluate_many(c), spec2.potential.evaluate_many(c)
 
 
+def gap_check(hv, p1, p2, dh):
+    """The expectation-gap check of hv on two potential arrays: the core on
+    the weights exp(-(p - min p)) and their totals."""
+    s1, s2 = (np.exp(-(p - np.min(p))) for p in (p1, p2))
+    return _gap_check_core(hv, s1, float(np.sum(s1)), s2, float(np.sum(s2)), dh)
+
+
 def test_expectation_gap_check_constant_function():
     c, p1, p2 = shared_draws(*series_pair(delta=0.2), 20000, 0)
-    rep = gap_check_from_potentials(np.ones(len(c)), p1, p2, hellinger_from_potentials(p1, p2))
+    rep = gap_check(np.ones(len(c)), p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.gap == pytest.approx(0.0, abs=1e-14)
     assert rep.passed
 
 
 def test_expectation_gap_check_first_coefficient():
     c, p1, p2 = shared_draws(*series_pair(delta=0.3), 50000, 1)
-    rep = gap_check_from_potentials(c[:, 0], p1, p2, hellinger_from_potentials(p1, p2))
+    rep = gap_check(c[:, 0], p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.passed
     assert rep.gap <= rep.bound + rep.slack
     assert rep.hellinger > 0.0
@@ -556,7 +651,7 @@ def test_expectation_gap_check_indicator_below_tv():
     # |P1(B) - P2(B)| is at most the total variation distance
     c, p1, p2 = shared_draws(*series_pair(delta=0.3), 50000, 2)
     inside = ((c[:, 0] > -0.5) & (c[:, 0] < 0.5)).astype(float)
-    rep = gap_check_from_potentials(inside, p1, p2, hellinger_from_potentials(p1, p2))
+    rep = gap_check(inside, p1, p2, hellinger_from_potentials(p1, p2))
     assert rep.passed
     tv = total_variation_from_potentials(p1, p2)
     assert rep.gap <= tv.value + 3 * tv.stderr
@@ -567,11 +662,10 @@ def test_expectation_gap_check_refuses_mismatched_shapes():
     # and report gap 0 and a pass; a short hv raised numpy's broadcast error
     c, p1, p2 = shared_draws(*series_pair(delta=0.3), 2000, 1)
     hv = c[:, 0]
-    dh = hellinger_from_potentials(p1, p2)
-    assert gap_check_from_potentials(hv, p1, p2, dh).gap > 0.0
-    for args in ((hv, p1[:, None], p2[:, None]), (hv[:, None], p1, p2), (hv[:-1], p1, p2), (hv, p1, p2[:-1])):
+    assert _paired_metrics(p1.copy(), p2.copy(), hv)[2].gap > 0.0
+    for h, u1, u2 in ((hv, p1[:, None], p2[:, None]), (hv[:, None], p1, p2), (hv[:-1], p1, p2), (hv, p1, p2[:-1])):
         with pytest.raises(ValueError, match="equal-length"):
-            gap_check_from_potentials(*args, dh)
+            _paired_metrics(u1.copy(), u2.copy(), h)
 
 
 def test_weighted_probability_tilt_oracle():

@@ -473,6 +473,30 @@ def test_early_close_leaves_no_fill_thread():
     assert sample_coefficients(p, 64, 9000, seed=8).tobytes() == want
 
 
+def test_share_work_places_results_by_item_and_gives_each_thread_one_scratch():
+    # the caller's thread and one other each keep the scratch made for them
+    # for every item they take, and results come back in item order
+    made, used = [], {}
+
+    def scratch():
+        made.append([])
+        return made[-1]
+
+    def work(item, own):
+        used.setdefault(threading.get_ident(), set()).add(id(own))
+        own.append(item)
+        time.sleep(0.001)  # lets the other thread take items
+        return item * item
+
+    baseline = threading.active_count()
+    assert series_prior._share_work(work, iter(range(40)), scratch) == [i * i for i in range(40)]
+    assert threading.active_count() == baseline
+    assert len(made) == 2 and len(used) == 2
+    assert all(len(ids) == 1 for ids in used.values())
+    assert sorted(made[0] + made[1]) == list(range(40))
+    assert series_prior._share_work(work, [], scratch) == []
+
+
 def test_concurrent_callers_with_fast_thread_switches_get_reference_bits():
     # three callers at once put six filling threads on the machine's cores,
     # and a 1 us switch interval interleaves their Python steps finely
