@@ -67,8 +67,8 @@ from .posterior import (
     _l1_objective,
     _paired_metrics,
     hellinger,
-    hellinger_from_differences,
     hellinger_from_potentials,
+    hellinger_from_reference,
     map_estimate_l1,
     total_variation,
     total_variation_from_potentials,
@@ -382,8 +382,13 @@ def run_stability(cfg: dict) -> dict:
 
     grid = [(i, d) for i in range(m) for d in deltas]
     shifts = np.eye(m)
-    diffs = (phi.misfit_delta(res, d * shifts[i]) for i, d in grid)
-    reps = hellinger_from_differences(p0, itertools.chain([np.zeros(effort)], diffs))
+
+    def perturbed(i, d):
+        p = phi.misfit_delta(res, d * shifts[i])
+        p += p0
+        return p
+
+    reps = hellinger_from_reference(p0, itertools.chain([p0], itertools.starmap(perturbed, grid)))
     zero_rep = reps[0]
     points = [_point(0.0, zero_rep.value, zero_rep.stderr, zero_rep.method, zero_rep.effort, "direction_0")]
 
@@ -447,7 +452,9 @@ def _truncation_distances(prior, phi, n_grid, effort, seed):
 
     Each block of draws is pushed through the levels in increasing order,
     adding the columns a level brings (a view: windows are prefixes) to
-    the forward sum, and only the per-level potentials are kept.
+    the forward sum, and only the per-level potentials are kept; one
+    hellinger_from_reference call then forms the reference weights once
+    for every level's distance.
     """
     model, n_ref = phi.model, phi.model.truncation
     levels = sorted(set(int(n) for n in n_grid) | {n_ref})
@@ -460,8 +467,7 @@ def _truncation_distances(prior, phi, n_grid, effort, seed):
             fwd += block[:, lo:hi] @ design[:, lo:hi].T
             pots[i, start : start + len(block)] = phi.misfit(fwd, phi.y)
         del block  # one block at a time (see coefficient_chunks)
-    p_ref = pots[levels.index(n_ref)]
-    return [(N, hellinger_from_potentials(p_ref, p)) for N, p in zip(levels, pots)]
+    return list(zip(levels, hellinger_from_reference(pots[levels.index(n_ref)], pots)))
 
 
 def run_consistency(cfg: dict) -> dict:
@@ -699,6 +705,7 @@ def run_metrics(cfg: dict) -> dict:
         hv[start : start + len(block)] = block[:, 0]
         del block  # one block at a time (see coefficient_chunks)
     res -= phi.y
+    hv2 = hv * hv  # squared once for every pair's gap check
     p0 = phi.misfit(res, np.zeros(model.data_dim))  # the bits of misfit(G(u), y)
     same_h = hellinger_from_potentials(p0, p0)
     same_t = total_variation_from_potentials(p0, p0)
@@ -731,7 +738,7 @@ def run_metrics(cfg: dict) -> dict:
         pa, pb = (phi.misfit_delta(res, s) for s in pair_shifts)
         pa += p0
         pb += p0
-        return _paired_metrics(pa, pb, hv, own)
+        return _paired_metrics(pa, pb, hv, hv2, own)
 
     lower_ok, upper_ok, gap_ok = [], [], []
     reps = [same_h, same_t, hm, tm]
@@ -743,7 +750,7 @@ def run_metrics(cfg: dict) -> dict:
         lower_ok.append(dh.value**2 <= tv.value + 3.0 * (tv.stderr + 2.0 * dh.value * dh.stderr))
         upper_ok.append(tv.value <= math.sqrt(2.0) * dh.value + 3.0 * (tv.stderr + math.sqrt(2.0) * dh.stderr))
         gap_ok.append(gap.passed)
-    del hv, res
+    del hv, hv2, res
 
     verdicts = {
         "identical_pair_exact": _verdict(

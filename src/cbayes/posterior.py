@@ -7,40 +7,38 @@ common-reference scheme: one batch of prior draws feeds both potentials,
 so a pair with identical potentials has distance exactly zero and paired
 comparisons share their sampling noise.
 
-Hellinger estimates use T = E exp(-(Phi1+Phi2)/2) and Z_i = E exp(-Phi_i)
-with d_H = sqrt(1 - T / sqrt(Z1 Z2)); the standard error comes from the
-delta method through (T, Z1, Z2).  Total variation averages the absolute
-difference of the two normalized weights; its standard error uses the
-influence function of the ratio statistic.  Both metrics also have a
-deterministic tensor Gauss-Legendre path for priors with at most two
-independent coordinates; its rule is measures1d's cached one.
+Hellinger estimates use the weights s_i = exp(-(Phi_i - min Phi_i)),
+T = E sqrt(s1) sqrt(s2) and Z_i = E s_i, with d_H = sqrt(1 - T / sqrt(Z1
+Z2)); the standard error comes from the delta method through (T, Z1, Z2).
+Total variation averages the absolute difference of the two normalized
+weights; its standard error uses the influence function of the ratio
+statistic.  Both metrics also have a deterministic tensor Gauss-Legendre
+path for priors with at most two independent coordinates; its rule is
+measures1d's cached one, and its Hellinger integrand is the same sqrt(s1)
+sqrt(s2).
 
-Weights are formed in the log domain: each potential array has its
-minimum subtracted before exponentiating, so the largest weight is
-exactly 1 and no finite potential underflows whole.  The distances and
-every self-normalized estimate are unchanged by the shift; a potential
-that is +inf everywhere is refused, and a NaN or -inf one is an error.
-The estimators on shared draws take equal-length vectors of at least two
-draws, as a sample standard error needs.
+Weights are formed in the log domain, by one routine (_weights): each
+potential array has its minimum subtracted before exponentiating, so the
+largest weight is exactly 1 and no finite potential underflows whole.  The
+distances and every self-normalized estimate are unchanged by the shift; a
+potential that is +inf everywhere is refused, and a NaN or -inf one is an
+error.  The estimators on shared draws take equal-length vectors of at
+least two draws, as a sample standard error needs.
 
-Each such estimator is a private core that takes already exponentiated
-weights, their totals and the smaller Kong ESS.  The public pairwise
-functions form their weights as before, one exp per weight vector and one
-for the Hellinger integrand, and keep their bits.  hellinger_from_differences
-(one reference potential, k differences from it) and the metrics suite's
-random pairs form each posterior's weights once, from one exp: v = exp(-q/2)
-of the shifted potential q, whose square is the weights and whose product
-with another posterior's v is the Hellinger integrand.  They agree with the
-pairwise forms to rounding.
-
-hellinger_from_differences and the metrics suite's random pairs compute
-their estimates on two threads (series_prior._share_work): the caller's
-and one other each take the next difference, or pair, once done with the
-last, so at most two are read at a time.  Each estimate is computed
-wholly by one thread, with the operations in the same order, in that
-thread's own draw-sized buffers, which the cores write through out=
-arguments instead of making temporaries; so its bits do not depend on
-which thread computes it.
+Each such estimator is a private core on already formed weights, their
+totals and the smaller Kong ESS, so one set of weights serves several
+estimates.  hellinger_from_reference forms one reference potential's
+weights and their square root once for any number of other potentials,
+each then costing one _weights and one sqrt; hellinger_from_potentials is
+its one-potential case, with the same bits, and the metrics suite's random
+pairs form each posterior's weights once for Hellinger, total variation
+and the expectation-gap check.  Both run on two threads
+(series_prior._share_work): the caller's and one other each take the next
+potential, or pair, once done with the last, so at most two are read at a
+time.  Each estimate is computed wholly by one thread, with the operations
+in the same order, in that thread's own draw-sized buffers, which the cores
+write through out= arguments instead of making temporaries; so its bits do
+not depend on which thread computes it.
 
 Also here: normalization constants with importance-sampling diagnostics,
 and l1-penalized MAP estimates (proximal gradient, or cyclic coordinate
@@ -66,7 +64,7 @@ __all__ = [
     "MetricReport",
     "hellinger",
     "hellinger_from_potentials",
-    "hellinger_from_differences",
+    "hellinger_from_reference",
     "total_variation",
     "total_variation_from_potentials",
     "GapCheckReport",
@@ -172,13 +170,6 @@ def _low(p: np.ndarray) -> float:
     return low
 
 
-def _shifted(p) -> tuple:
-    """The potential array minus its minimum (_low), and that minimum."""
-    p = np.asarray(p, dtype=float)
-    low = _low(p)
-    return p - low, low
-
-
 def _draw_vectors(*arrays) -> list:
     """The arrays as float vectors of one length, one value per shared
     draw, and at least 2 draws, as a sample standard error needs."""
@@ -190,30 +181,19 @@ def _draw_vectors(*arrays) -> list:
     return arrays
 
 
-def _exp_neg(q: np.ndarray) -> np.ndarray:
-    """exp(-q), written over q."""
-    np.negative(q, out=q)
-    return np.exp(q, out=q)
-
-
-def _kong_ess(s: np.ndarray, tmp=None) -> tuple:
-    """The total of the weights s and Kong's effective sample size
-    (sum s)^2 / sum s^2, with s^2 written into tmp when given.  Both sums
-    are numpy's, not BLAS's: a threaded dot product would make the
-    suites' min_ess verdicts, which report the ESS, depend on the BLAS
-    thread count."""
+def _weights(p: np.ndarray, s=None, tmp=None) -> tuple:
+    """The weights s = exp(-(p - min p)) of the potential array p, written
+    into s when given (p itself, say), their total, Kong's effective sample
+    size (sum s)^2 / sum s^2, with s^2 written into tmp when given, and the
+    shift min p (_low).  This is the package's one exponential of a
+    potential.  Both sums are numpy's, not BLAS's: a threaded dot product
+    would make the suites' min_ess verdicts, which report the ESS, depend on
+    the BLAS thread count."""
+    low = _low(p)
+    s = np.subtract(low, p, out=s)  # -(p - low), to the bit
+    np.exp(s, out=s)
     total = float(np.sum(s))
-    return total, total * total / float(np.sum(np.multiply(s, s, out=tmp)))
-
-
-def _root_weights(q: np.ndarray, s=None, tmp=None) -> tuple:
-    """v = exp(-q/2), written over the shifted potential array q, the
-    weights s = v * v (into s when given), their total and Kong's ESS
-    (_kong_ess, through tmp)."""
-    q *= -0.5
-    v = np.exp(q, out=q)
-    s = np.multiply(v, v, out=s)
-    return (v, s, *_kong_ess(s, tmp))
+    return s, total, total * total / float(np.sum(np.multiply(s, s, out=tmp))), low
 
 
 def _sample_var(x: np.ndarray) -> float:
@@ -225,13 +205,11 @@ def _sample_var(x: np.ndarray) -> float:
 
 
 def _weighted_draws(spec: PosteriorSpec, num_samples: int, seed: int) -> tuple:
-    """Prior draws c, their weights w = exp(-(Phi - min Phi)), the weight
-    total, Kong's effective sample size (_kong_ess), and the shift min Phi;
-    the true weights are w * exp(-min Phi)."""
+    """Prior draws c and the weights of their potential (_weights): w, its
+    total, Kong's effective sample size and the shift min Phi; the true
+    weights are w * exp(-min Phi)."""
     c = spec.prior_samples(num_samples, seed)
-    shifted, low = _shifted(spec.potential.evaluate_many(c))
-    w = _exp_neg(shifted)
-    return (c, w, *_kong_ess(w), low)
+    return (c, *_weights(spec.potential.evaluate_many(c)))
 
 
 @dataclass(frozen=True)
@@ -254,7 +232,7 @@ def normalization(spec: PosteriorSpec, num_samples: int = 20000, seed: int = 0) 
     mean = total / num_samples
     with np.errstate(over="ignore"):
         scale = float(np.exp(-low))
-    stderr = float(np.std(w, ddof=1)) * scale / math.sqrt(num_samples)
+    stderr = math.sqrt(_sample_var(w)) * scale / math.sqrt(num_samples)
     return NormalizationReport(mean * scale, stderr, ess, num_samples, math.log(mean) - low)
 
 
@@ -320,7 +298,7 @@ def _paired_potentials(spec1: PosteriorSpec, spec2: PosteriorSpec, method: str, 
     points, weights = _quadrature_grid(spec1, effort)
     p1 = spec1.potential.evaluate_many(points)
     p2 = spec2.potential.evaluate_many(points)
-    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
+    s1, s2 = _weights(p1)[0], _weights(p2)[0]
     Z1 = float(np.sum(weights * s1))
     Z2 = float(np.sum(weights * s2))
     return p1, p2, (weights, s1, s2, Z1, Z2), effort
@@ -333,87 +311,101 @@ def hellinger(
     effort: int | None = None,
     seed: int = 0,
 ) -> MetricReport:
-    """Hellinger distance between two posteriors over a common prior."""
+    """Hellinger distance between two posteriors over a common prior.
+
+    On prior draws it is hellinger_from_potentials on one shared batch; on
+    the quadrature grid the node weights integrate the same integrand
+    sqrt(s1) * sqrt(s2) of the two posteriors' weights, and identical
+    weights give exactly 0 on both."""
     p1, p2, grid, effort = _paired_potentials(spec1, spec2, method, effort, seed)
     if grid is None:
         return hellinger_from_potentials(p1, p2)
     weights, s1, s2, Z1, Z2 = grid
-    T = float(np.sum(weights * np.sqrt(s1 * s2)))
-    raw = 1.0 - T / math.sqrt(Z1 * Z2)
+    sT = np.sqrt(s1)
+    sT *= np.sqrt(s2)
+    # identical weights are one posterior: the distance is exactly zero
+    raw = 0.0 if np.array_equal(s1, s2) else 1.0 - float(np.sum(weights * sT)) / math.sqrt(Z1 * Z2)
     return MetricReport(math.sqrt(max(raw, 0.0)), 0.0, method, effort, raw < 0)
 
 
 def hellinger_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricReport:
     """Hellinger estimate from two potential arrays evaluated on one
-    shared batch of reference draws."""
+    shared batch of reference draws: hellinger_from_reference(p1, [p2])[0],
+    computed on the caller's thread, with its bits; swapping p1 and p2
+    moves no bit."""
     p1, p2 = _draw_vectors(p1, p2)
-    q1, q2 = _shifted(p1)[0], _shifted(p2)[0]
-    if np.array_equal(p1, p2):
-        # identical potentials on identical draws: distance is exactly zero
-        return MetricReport(0.0, 0.0, "prior_mc", len(p1), False, _kong_ess(_exp_neg(q1))[1])
-    sT = q1 + q2
-    sT *= -0.5
-    np.exp(sT, out=sT)
-    s1, s2 = _exp_neg(q1), _exp_neg(q2)
-    (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
-    return _hellinger_core(sT, s1, t1, s2, t2, min(ess1, ess2))
+    return _hellinger_to(_reference(p1), p2)
 
 
-def hellinger_from_differences(p0: np.ndarray, deltas) -> list:
-    """One MetricReport per array delta in deltas: the Hellinger estimate
-    between the posteriors of the potential arrays p0 and p0 + delta on
+def hellinger_from_reference(p0: np.ndarray, potentials) -> list:
+    """One MetricReport per potential array p in potentials: the Hellinger
+    estimate between the posteriors of the potential arrays p0 and p on
     one shared batch of reference draws.
 
     The reference weights s0 = exp(-(p0 - min p0)), sqrt(s0), their total
-    and ESS are formed once; each delta then takes one exp.  The estimates
-    equal hellinger_from_potentials(p0, p0 + delta) to rounding; a delta
-    that leaves the shifted potential unchanged (zero, say) gives value
-    and stderr exactly 0.  deltas may be an iterator: the caller's thread
-    and one other each take the next array from it once done with their
-    last (see _share_work), so at most two arrays are read at a time, and
-    no input is written.  Each estimate is computed wholly by one thread,
-    in that thread's own buffers, so its bits do not depend on which
-    thread computes it.
+    and ESS are formed once; each p then takes one _weights and one sqrt,
+    and its estimate equals hellinger_from_potentials(p0, p) bit for bit.
+    A p with the reference's own weights (p0 itself, or p0 plus a constant
+    too small to move any value) gives value and stderr exactly 0.
+    potentials may be an iterator: the caller's thread and one other each
+    take the next array from it once done with their last (see
+    _share_work), so at most two arrays are read at a time, and no input
+    is written.  Each estimate is computed wholly by one thread, in that
+    thread's own three draw-sized buffers, so its bits do not depend on
+    which thread computes it.
     """
     (p0,) = _draw_vectors(p0)
-    q0 = _shifted(p0)[0]
-    s0 = np.negative(q0)
-    np.exp(s0, out=s0)
-    root0 = np.sqrt(s0)
-    t0, ess0 = _kong_ess(s0)
+    ref = _reference(p0)
 
-    def distance(delta, own):
-        q1, s1, lin = own
-        np.add(q0, _draw_vectors(p0, delta)[1], out=q1)
-        q1 -= _low(q1)
-        if np.array_equal(q1, q0):
-            # the reference's own weights: distance exactly zero
-            return MetricReport(0.0, 0.0, "prior_mc", len(p0), False, ess0)
-        v, s1, t1, ess1 = _root_weights(q1, s1, lin)
-        v *= root0
-        return _hellinger_core(v, s0, t0, s1, t1, min(ess0, ess1), lin, s1)
+    def distance(p, own):
+        return _hellinger_to(ref, _draw_vectors(p0, p)[1], own)
 
-    return _share_work(distance, deltas, lambda: tuple(np.empty(len(p0)) for _ in range(3)))
+    return _share_work(distance, potentials, lambda: tuple(np.empty(len(p0)) for _ in range(3)))
 
 
-def _hellinger_core(sT, s1, t1, s2, t2, ess, lin=None, tmp=None) -> MetricReport:
-    """Hellinger estimate from the weights s1 and s2 of two posteriors on
-    one shared batch of draws, their totals t1 and t2, the smaller Kong
-    ESS, and the affinity integrand sT = sqrt(s1 * s2).  sT is
-    overwritten, and so are lin and tmp, draw-sized buffers used when
-    given; s1 and s2 are only read, except that tmp may be s2 itself,
-    which then ends as s2 * c."""
-    n = len(sT)
-    Z1, Z2, T = t1 / n, t2 / n, float(np.mean(sT))
+def _reference(p0: np.ndarray) -> tuple:
+    """The weights s0 of the potential array p0 (_weights), their total,
+    Kong's ESS and sqrt(s0): what every distance from p0 reads."""
+    s0, t0, ess0, _ = _weights(p0)
+    return s0, t0, ess0, np.sqrt(s0)
+
+
+def _hellinger_to(ref: tuple, p: np.ndarray, own=(None, None, None)) -> MetricReport:
+    """Hellinger estimate between the reference posterior ref (_reference)
+    and the posterior of the potential array p, on the same draws, through
+    the draw-sized buffers in own, overwritten, or new ones; p is only
+    read."""
+    s, sT, lin = own
+    s, t, ess, _ = _weights(p, s, sT)
+    return _hellinger_core(ref, s, t, ess, sT, lin, s)
+
+
+def _hellinger_core(ref: tuple, s, t, ess, sT=None, lin=None, tmp=None) -> MetricReport:
+    """Hellinger estimate between the reference posterior ref = (s0, t0,
+    ess0, sqrt(s0)) and the posterior of weights s, with total t and Kong
+    ESS ess, on one shared batch of draws, its integrand sqrt(s) * sqrt(s0)
+    formed in sT.  The draw-sized buffers sT, lin and tmp are overwritten,
+    or made when None; lin may be sqrt(s0)'s, which is read before lin is
+    written, and tmp may be s itself, which then ends as s * c; the rest
+    of ref and s are only read."""
+    s0, t0, ess0, root0 = ref
+    n = len(s)
+    ess = min(ess0, ess)
+    if np.array_equal(s, s0):
+        # identical weights are one posterior: the distance is exactly zero
+        return MetricReport(0.0, 0.0, "prior_mc", n, False, ess)
+    sT = np.sqrt(s, out=sT)
+    sT *= root0
+    Z1, Z2, T = t0 / n, t / n, float(np.mean(sT))
     g = T / math.sqrt(Z1 * Z2)
     raw = 1.0 - g
     value = math.sqrt(max(raw, 0.0))
     # delta method through the three sample means: the variance of the
-    # linearized statistic a*sT + (b*s1 + c*s2), summed so that swapping the
+    # linearized statistic a*sT + (b*s0 + c*s), summed so that swapping the
     # two posteriors moves no bit
     a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
-    lin = np.multiply(s1, b, out=lin)
-    lin += np.multiply(s2, c, out=tmp)
+    lin = np.multiply(s0, b, out=lin)
+    lin += np.multiply(s, c, out=tmp)
     sT *= a
     sT += lin
     se_g = math.sqrt(_sample_var(sT) / n)
@@ -441,8 +433,8 @@ def total_variation_from_potentials(p1: np.ndarray, p2: np.ndarray) -> MetricRep
     """Total variation estimate from two potential arrays evaluated on
     one shared batch of reference draws."""
     p1, p2 = _draw_vectors(p1, p2)
-    s1, s2 = _exp_neg(_shifted(p1)[0]), _exp_neg(_shifted(p2)[0])
-    (t1, ess1), (t2, ess2) = _kong_ess(s1), _kong_ess(s2)
+    s1, t1, ess1, _ = _weights(p1)
+    s2, t2, ess2, _ = _weights(p2)
     return _total_variation_core(s1, t1, s2, t2, min(ess1, ess2))
 
 
@@ -492,46 +484,42 @@ class GapCheckReport:
     passed: bool
 
 
-def _gap_check_core(hv, s1, t1, s2, t2, dh: MetricReport, out=(None, None)) -> GapCheckReport:
+def _gap_check_core(hv, hv2, s1, t1, s2, t2, dh: MetricReport, out=None) -> GapCheckReport:
     """Check |E1 h - E2 h| <= 2 sqrt(E1 h^2 + E2 h^2) * d_H on one shared
-    batch of draws, h given by its value hv per draw, from the weights
-    s1 and s2 of the two posteriors, their totals and dh, the Hellinger
-    estimate on the same batch; the draw-sized buffers in out, used when
-    given, are overwritten.
+    batch of draws, h given by its value hv and its square hv2 per draw,
+    from the weights s1 and s2 of the two posteriors, their totals and dh,
+    the Hellinger estimate on the same batch; the draw-sized buffer out,
+    used when given, is overwritten.
 
     Both expectations are self-normalized importance estimates.  The slack
     term is three combined standard errors, so a pass means the inequality
     holds up to Monte Carlo resolution.
     """
-    e1, se1 = _snis(hv, s1, t1, out[0])
-    e2, se2 = _snis(hv, s2, t2, out[0])
-    hv2 = np.multiply(hv, hv, out=out[1])
-    h1 = float(np.sum(np.multiply(s1, hv2, out=out[0]))) / t1
-    root = math.sqrt(max(h1 + float(np.sum(np.multiply(s2, hv2, out=out[0]))) / t2, 0.0))
+    e1, se1 = _snis(hv, s1, t1, out)
+    e2, se2 = _snis(hv, s2, t2, out)
+    h1 = float(np.sum(np.multiply(s1, hv2, out=out))) / t1
+    root = math.sqrt(max(h1 + float(np.sum(np.multiply(s2, hv2, out=out))) / t2, 0.0))
     gap = abs(e1 - e2)
     bound = 2.0 * root * dh.value
     slack = 3.0 * (se1 + se2 + 2.0 * root * dh.stderr)
     return GapCheckReport(gap, bound, dh.value, slack, gap <= bound + slack)
 
 
-def _paired_metrics(u1: np.ndarray, u2: np.ndarray, hv: np.ndarray, out=None) -> tuple:
-    """Hellinger, total variation and the expectation-gap check of hv for
-    the potential arrays u1 and u2 (both overwritten) on one shared batch
-    of draws, from each posterior's weights formed once, by one exp; the
-    public functions' reports to rounding.  out holds three draw-sized
-    buffers, overwritten, or is None for new ones; with u1 and u2 they
-    hold every draw-sized array the three estimates make."""
-    u1, u2, hv = _draw_vectors(u1, u2, hv)
-    s1, s2, x = out if out is not None else [np.empty(len(hv)) for _ in range(3)]
-    u1 -= _low(u1)
-    u2 -= _low(u2)
-    v1, s1, t1, ess1 = _root_weights(u1, s1, x)
-    v2, s2, t2, ess2 = _root_weights(u2, s2, x)
-    ess = min(ess1, ess2)
-    v1 *= v2
-    dh = _hellinger_core(v1, s1, t1, s2, t2, ess, v2, x)
-    tv = _total_variation_core(s1, t1, s2, t2, ess, (v1, v2, x))
-    return dh, tv, _gap_check_core(hv, s1, t1, s2, t2, dh, (v1, v2))
+def _paired_metrics(u1: np.ndarray, u2: np.ndarray, hv: np.ndarray, hv2: np.ndarray, out=None) -> tuple:
+    """Hellinger, total variation and the expectation-gap check of hv, with
+    hv2 = hv * hv, for the potential arrays u1 and u2 (both overwritten by
+    their weights) on one shared batch of draws, from each posterior's
+    weights formed once; each report has the bits of the public function's
+    (hellinger_from_potentials(u1, u2), say).  out holds three draw-sized
+    buffers, overwritten, or is None for new ones; with u1 and u2 they hold
+    every draw-sized array the three estimates make."""
+    u1, u2, hv, hv2 = _draw_vectors(u1, u2, hv, hv2)
+    x, y, z = out if out is not None else [np.empty(len(hv)) for _ in range(3)]
+    s1, t1, ess1, _ = _weights(u1, u1, x)
+    s2, t2, ess2, _ = _weights(u2, u2, x)
+    dh = _hellinger_core((s1, t1, ess1, np.sqrt(s1, out=x)), s2, t2, ess2, y, x, z)
+    tv = _total_variation_core(s1, t1, s2, t2, min(ess1, ess2), (x, y, z))
+    return dh, tv, _gap_check_core(hv, hv2, s1, t1, s2, t2, dh, x)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from cbayes.cli import main
 from cbayes.config import model_from_json, prior_from_json
 from cbayes.experiments import _synthetic_data, _truncation_distances, all_verdicts_pass, report_points_csv
 from cbayes.likelihood import GaussianAdditive
+from cbayes.posterior import hellinger_from_potentials
 
 REPORT_CACHE = {}
 
@@ -222,6 +223,25 @@ def test_truncation_distances_never_hold_the_coefficient_matrix():
     assert pairs[-1][1].value == 0.0
     # one (effort, 2 * n_ref) coefficient matrix is 39 MB
     assert peak < effort * 2 * n_ref * 8
+
+
+def test_truncation_distances_equal_the_pairwise_estimates(monkeypatch):
+    # one batch call per half; every level's report has the bits of the
+    # pairwise estimate on the same reference and level potentials
+    cfg = default_config("consistency")
+    prior, model = prior_from_json(cfg["prior"]), model_from_json(cfg["model"])
+    phi = GaussianAdditive(model, 4.0, _synthetic_data(prior, model, 4.0, 0, "consistency"))
+    batch, calls = experiments.hellinger_from_reference, []
+
+    def recorded(p_ref, pots):
+        calls.append((p_ref.copy(), pots.copy()))
+        return batch(p_ref, pots)
+
+    monkeypatch.setattr(experiments, "hellinger_from_reference", recorded)
+    pairs = _truncation_distances(prior, phi, cfg["n_grid"], 5000, 0)
+    (p_ref, pots), = calls
+    assert [rep for _, rep in pairs] == [hellinger_from_potentials(p_ref, p) for p in pots]
+    assert pairs[-1][1].value == 0.0 and all(rep.value > 0.0 for _, rep in pairs[:-1])
 
 
 SMALL_CHUNK = 256 * 1237  # 1237 rows (an odd count) at window 256, 9896 at 32, 19792 at 16

@@ -41,10 +41,11 @@ from cbayes import (
 from cbayes import posterior, series_prior, streams
 from cbayes.measures1d import Gamma, Gaussian, Laplace
 from cbayes.posterior import (
+    MetricReport,
     _gap_check_core,
     _paired_metrics,
-    hellinger_from_differences,
     hellinger_from_potentials,
+    hellinger_from_reference,
     map_estimate_l1_cd,
     posterior_mean,
     total_variation_from_potentials,
@@ -170,6 +171,11 @@ def test_hellinger_identical_pair_exactly_zero():
     assert rep.value == 0.0 and rep.stderr == 0.0
     tv = total_variation(spec1, spec2, effort=5000)
     assert tv.value == 0.0 and tv.stderr == 0.0
+    # on the quadrature grid too, though sqrt(s) * sqrt(s) rounds apart from s
+    bowl = CustomPotential(lambda u: 0.3 * u[0] ** 2 + u[1], dim=2, batch_fn=lambda c: 0.3 * c[:, 0] ** 2 + c[:, 1])
+    for spec in (tilt_spec(), PosteriorSpec(ProductPrior((Laplace(0.0, 1.0), Gamma(2.0, 1.0))), bowl)):
+        rep = hellinger(spec, spec, method="quadrature", effort=64)
+        assert (rep.value, rep.clamped) == (0.0, False)
 
 
 def test_hellinger_tilt_quadrature_oracle():
@@ -369,6 +375,23 @@ def test_mc_distances_invariant_under_constant_shifts(pair, c1, c2):
 
 
 def hellinger_formula(p1, p2):
+    # the one form: weights s = exp(-(p - min p)) and the integrand
+    # sqrt(s1) * sqrt(s2); identical weights are exactly 0
+    s1, s2 = np.exp(-(p1 - np.min(p1))), np.exp(-(p2 - np.min(p2)))
+    if np.array_equal(s1, s2):
+        return 0.0, 0.0
+    sT = np.sqrt(s1) * np.sqrt(s2)
+    Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
+    g = T / math.sqrt(Z1 * Z2)
+    value = math.sqrt(max(1.0 - g, 0.0))
+    a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
+    se_g = math.sqrt(float(np.var(a * sT + (b * s1 + c * s2), ddof=1)) / len(p1))
+    return value, se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
+
+
+def three_exp_hellinger(p1, p2):
+    """The integrand's older form exp(-(q1 + q2) / 2), q the shifted
+    potentials, as a report; it rounds apart from sqrt(s1) * sqrt(s2)."""
     q1, q2 = p1 - np.min(p1), p2 - np.min(p2)
     s1, s2, sT = np.exp(-q1), np.exp(-q2), np.exp(-0.5 * (q1 + q2))
     Z1, Z2, T = float(np.mean(s1)), float(np.mean(s2)), float(np.mean(sT))
@@ -376,7 +399,8 @@ def hellinger_formula(p1, p2):
     value = math.sqrt(max(1.0 - g, 0.0))
     a, b, c = 1.0 / math.sqrt(Z1 * Z2), -g / (2.0 * Z1), -g / (2.0 * Z2)
     se_g = math.sqrt(float(np.var(a * sT + (b * s1 + c * s2), ddof=1)) / len(p1))
-    return value, se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
+    stderr = se_g / (2.0 * value) if value > 1e-12 else math.sqrt(se_g)
+    return MetricReport(value, stderr, "prior_mc", len(p1), g > 1.0, min(kong_ess(p1), kong_ess(p2)))
 
 
 def total_variation_formula(p1, p2):
@@ -407,87 +431,89 @@ def test_mc_reductions_match_formulas_and_leave_inputs(pair):
                             (total_variation_from_potentials, total_variation_formula)):
         for a, b in ((p1, p2), (p1, p1)):
             rep = metric(a, b)
-            exact_zero = metric is hellinger_from_potentials and np.array_equal(a, b)
-            value, stderr = (0.0, 0.0) if exact_zero else formula(a, b)
+            value, stderr = formula(a, b)
             assert (rep.value, rep.stderr) == (min(value, 1.0), stderr)
             assert rep.ess == pytest.approx(min(kong_ess(a), kong_ess(b)), rel=1e-12)
+            if metric is hellinger_from_potentials and not np.array_equal(a, b):
+                assert_same_estimate(rep, three_exp_hellinger(a, b))
             assert np.array_equal(p1, kept1) and np.array_equal(p2, kept2)
 
 
 @st.composite
-def reference_and_differences(draw):
+def reference_and_potentials(draw):
     n = draw(st.integers(2, 40))
     p0 = np.array(draw(st.lists(st.floats(-20.0, 50.0), min_size=n, max_size=n)))
     k = draw(st.integers(1, 4))
     deltas = [np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))) for _ in range(k)]
-    return p0, deltas
+    return p0, [p0 + d for d in deltas]
 
 
-def assert_same_estimate(batch, pair):
-    # The batch form forms exp(-q/2) and squares it where the pairwise form
-    # takes exp(-q): the two round differently.  d_H^2 = 1 - g then moves by
+def assert_same_estimate(rep, other):
+    # Two forms of the Hellinger integrand, sqrt(s1) * sqrt(s2) and
+    # exp(-(q1 + q2) / 2), round differently.  d_H^2 = 1 - g then moves by
     # a few ulps, so value^2 agrees to 1e-13 absolute; once d_H >= 1e-3 that
     # leaves value and stderr within 1e-7 relative.  Below the 1e-13 band
     # the sign of 1 - g, and so the clamp flag, is rounding noise.
-    assert abs(batch.value**2 - pair.value**2) <= 1e-13
-    if pair.value >= 1e-3:
-        assert batch.value == pytest.approx(pair.value, rel=1e-7, abs=0.0)
-        assert batch.stderr == pytest.approx(pair.stderr, rel=1e-7, abs=0.0)
-    if max(batch.value, pair.value) ** 2 > 1e-13:
-        assert batch.clamped == pair.clamped
-    assert batch.ess == pytest.approx(pair.ess, rel=1e-12)
-    assert (batch.method, batch.effort) == (pair.method, pair.effort)
+    assert abs(rep.value**2 - other.value**2) <= 1e-13
+    if other.value >= 1e-3:
+        assert rep.value == pytest.approx(other.value, rel=1e-7, abs=0.0)
+        assert rep.stderr == pytest.approx(other.stderr, rel=1e-7, abs=0.0)
+    if max(rep.value, other.value) ** 2 > 1e-13:
+        assert rep.clamped == other.clamped
+    assert rep.ess == pytest.approx(other.ess, rel=1e-12)
+    assert (rep.method, rep.effort) == (other.method, other.effort)
 
 
 @_PROPERTY
-@given(reference_and_differences())
-def test_hellinger_from_differences_matches_the_pairwise_estimates(case):
-    p0, deltas = case
-    kept = [p0.copy()] + [d.copy() for d in deltas]
-    reps = hellinger_from_differences(p0, iter(deltas))
-    assert len(reps) == len(deltas)
-    for rep, d in zip(reps, deltas):
-        assert_same_estimate(rep, hellinger_from_potentials(p0, p0 + d))
+@given(reference_and_potentials())
+def test_hellinger_from_reference_equals_the_pairwise_estimates(case):
+    # one per-potential routine: the batch, the pairwise call and the
+    # swapped pairwise call agree in every field, floats exactly
+    p0, pots = case
+    kept = [p0.copy()] + [p.copy() for p in pots]
+    reps = hellinger_from_reference(p0, iter(pots))
+    assert len(reps) == len(pots)
+    for rep, p in zip(reps, pots):
+        assert rep == hellinger_from_potentials(p0, p) == hellinger_from_potentials(p, p0)
     # no input is written
-    assert all(np.array_equal(a, b) for a, b in zip([p0] + deltas, kept))
+    assert all(np.array_equal(a, b) for a, b in zip([p0] + pots, kept))
 
 
-def test_hellinger_from_differences_is_exactly_zero_on_a_zero_difference():
-    # a zero difference, and one too small to move any shifted potential
-    # value, leave the reference's own weights: d_H and its stderr are 0
+def test_hellinger_from_reference_is_exactly_zero_on_the_reference_weights():
+    # the reference itself, and potentials that leave every value of it
+    # unchanged, have the reference's own weights: d_H and its stderr are 0
     c, p0, p1 = shared_draws(*series_pair(delta=0.2), 5000, 3)
-    zeros = [np.zeros(len(c)), -np.zeros(len(c)), np.full(len(c), 1e-300)]
-    zero, signed_zero, absorbed, moved = hellinger_from_differences(p0, zeros + [p1 - p0])
+    same_weights = [p0, p0 + (-0.0), p0 + 1e-300]
+    zero, signed_zero, absorbed, moved = hellinger_from_reference(p0, same_weights + [p1])
     same = hellinger_from_potentials(p0, p0)
     for rep in (zero, signed_zero, absorbed):
         assert (rep.value, rep.stderr, rep.clamped) == (0.0, 0.0, False)
         assert rep.ess == same.ess
-    assert_same_estimate(moved, hellinger_from_potentials(p0, p1))
+    assert moved == hellinger_from_potentials(p0, p1)
     assert moved.value > 0.0
 
 
-def nine_differences(p0, p1):
-    # the zero, signed-zero and absorbed differences give exactly 0, the
-    # others move every weight, by one data shift's size or another
-    n = len(p0)
-    yield np.zeros(n)
-    yield -np.zeros(n)
-    yield np.full(n, 1e-300)
+def nine_potentials(p0, p1):
+    # the reference, its signed-zero and its absorbed shift give exactly 0,
+    # the others move every weight, by one data shift's size or another
+    yield p0
+    yield p0 + (-0.0)
+    yield p0 + 1e-300
     for scale in (0.01, 0.1, 0.3, 1.0, -0.5, 2.0):
-        yield scale * (p1 - p0)
+        yield p0 + scale * (p1 - p0)
 
 
-def test_hellinger_from_differences_on_two_threads_equals_one_thread():
+def test_hellinger_from_reference_on_two_threads_equals_one_thread():
     # each estimate is computed wholly by one thread, so its bits and its
     # place in the list do not depend on which thread took it, even with
     # thread switches every microsecond
     c, p0, p1 = shared_draws(*series_pair(delta=0.4), 20000, 5)
     with mock.patch.object(posterior, "_share_work", series_prior._one_thread):
-        want = hellinger_from_differences(p0, nine_differences(p0, p1))
+        want = hellinger_from_reference(p0, nine_potentials(p0, p1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = [hellinger_from_differences(p0, nine_differences(p0, p1)) for _ in range(3)]
+        got = [hellinger_from_reference(p0, nine_potentials(p0, p1)) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     assert [rep.value for rep in want[:3]] == [0.0] * 3 and all(rep.value > 0 for rep in want[3:])
@@ -495,91 +521,93 @@ def test_hellinger_from_differences_on_two_threads_equals_one_thread():
         assert reps == want  # the dataclass compares every field, floats exactly
 
 
-class DifferenceError(Exception):
+class PotentialError(Exception):
     pass
 
 
 @pytest.mark.parametrize("where", ["iterator", "other thread"])
-def test_hellinger_from_differences_raises_once_and_leaves_no_thread(where):
+def test_hellinger_from_reference_raises_once_and_leaves_no_thread(where):
     # the thread that does not fail is slowed down, so a call that raised
     # without waiting for the other thread would leave it running
     c, p0, p1 = shared_draws(*series_pair(delta=0.4), 2000, 5)
     caller, core, taken = threading.current_thread(), posterior._hellinger_core, []
 
-    def deltas():
+    def potentials():
         for k in range(40):
             if where == "iterator" and k == 6:
-                raise DifferenceError("iterator")
+                raise PotentialError("iterator")
             taken.append(k)
-            yield (k + 1) / 40 * (p1 - p0)
+            yield p0 + (k + 1) / 40 * (p1 - p0)
 
     def slowed_core(*args):
         if threading.current_thread() is not caller:
             if where == "other thread":
-                raise DifferenceError("other thread")
+                raise PotentialError("other thread")
         else:
             time.sleep(0.005)
         return core(*args)
 
     baseline = threading.active_count()
     with mock.patch.object(posterior, "_hellinger_core", slowed_core):
-        with pytest.raises(DifferenceError, match=where):
-            hellinger_from_differences(p0, deltas())
+        with pytest.raises(PotentialError, match=where):
+            hellinger_from_reference(p0, potentials())
     assert threading.active_count() == baseline
-    assert len(taken) < 40  # neither thread went on taking differences
+    assert len(taken) < 40  # neither thread went on taking potentials
 
 
-def test_hellinger_from_differences_holds_at_most_two_differences():
-    # besides the reference's three arrays (shifted potential, weights and
-    # their square root) and each thread's three buffers, at most two
-    # differences are alive: one per thread, the next one made only once
-    # its thread has dropped the last
+def test_hellinger_from_reference_holds_at_most_two_potentials():
+    # besides the reference's two arrays (weights and their square root)
+    # and each thread's three buffers, at most two potentials are alive:
+    # one per thread, the next one made only once its thread has dropped
+    # the last
     n, k = 100000, 10
     rng = np.random.default_rng(3)
     p0, base = 5.0 * rng.standard_normal(n), rng.standard_normal(n)
-    hellinger_from_differences(p0[:10], [base[:10]])  # first-call costs outside the measurement
+    hellinger_from_reference(p0[:10], [p0[:10] + base[:10]])  # first-call costs outside the measurement
+
+    def potential(j):
+        # one array made, none held after it is handed over (a generator
+        # would keep its last yield alive while it makes the next)
+        p = base * (0.01 * (j + 1))
+        p += p0
+        return p
+
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        reps = hellinger_from_differences(p0, (0.01 * (j + 1) * base for j in range(k)))
+        reps = hellinger_from_reference(p0, map(potential, range(k)))
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     assert len(reps) == k and all(rep.value > 0 for rep in reps)
     vector = 8 * n
     # array_equal's boolean array is n bytes per thread
-    assert peak < (3 + 2 * 3 + 2) * vector + 2 * n + 65536
+    assert peak < (2 + 2 * 3 + 2) * vector + 2 * n + 65536
 
 
-def test_hellinger_from_differences_refuses_bad_arrays():
+def test_hellinger_from_reference_refuses_bad_arrays():
     p0 = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError, match="equal-length"):
-        hellinger_from_differences(p0, [np.zeros(49)])
+        hellinger_from_reference(p0, [np.zeros(49)])
     with pytest.raises(ValueError, match="equal-length"):
-        hellinger_from_differences(p0, [np.zeros((50, 1))])
+        hellinger_from_reference(p0, [np.zeros((50, 1))])
     with pytest.raises(ValueError):
-        hellinger_from_differences(p0, [np.r_[np.zeros(49), np.nan]])
-    assert hellinger_from_differences(p0, []) == []
+        hellinger_from_reference(p0, [np.r_[np.zeros(49), np.nan]])
+    assert hellinger_from_reference(p0, []) == []
 
 
-def test_paired_metrics_share_weights_and_match_the_public_estimates():
+def test_paired_metrics_share_weights_and_equal_the_public_estimates():
     # metrics forms each posterior's weights once for Hellinger, TV and the
-    # gap check; each report equals the public function's to rounding
+    # gap check; each report equals the public function's in every field
     c, p1, p2 = shared_draws(*series_pair(delta=0.3), 20000, 4)
-    u1, u2 = p1.copy(), p2.copy()
-    dh, tv, gap = _paired_metrics(u1, u2, c[:, 0])
-    assert_same_estimate(dh, hellinger_from_potentials(p1, p2))
-    pair_tv = total_variation_from_potentials(p1, p2)
-    assert tv.value == pytest.approx(pair_tv.value, rel=1e-12)
-    assert tv.stderr == pytest.approx(pair_tv.stderr, rel=1e-9)
-    assert tv.ess == pytest.approx(pair_tv.ess, rel=1e-12)
-    pair_gap = gap_check(c[:, 0], p1, p2, dh)
-    assert gap.passed == pair_gap.passed
-    for field in ("gap", "bound", "slack"):
-        assert getattr(gap, field) == pytest.approx(getattr(pair_gap, field), rel=1e-9)
+    hv = c[:, 0]
+    dh, tv, gap = _paired_metrics(p1.copy(), p2.copy(), hv, hv * hv)
+    assert dh == hellinger_from_potentials(p1, p2)
+    assert tv == total_variation_from_potentials(p1, p2)
+    assert gap == gap_check(hv, p1, p2, dh)
     # identical potentials: every distance and the gap are exactly zero
-    dh, tv, gap = _paired_metrics(p1.copy(), p1.copy(), c[:, 0])
+    dh, tv, gap = _paired_metrics(p1.copy(), p1.copy(), hv, hv * hv)
     assert (dh.value, dh.stderr, tv.value, tv.stderr, gap.gap) == (0.0,) * 5
 
 
@@ -591,8 +619,8 @@ def test_estimators_refuse_fewer_than_two_draws(n):
     calls = (
         lambda: hellinger_from_potentials(p, p),
         lambda: total_variation_from_potentials(p, p),
-        lambda: _paired_metrics(p.copy(), p.copy(), p),
-        lambda: hellinger_from_differences(p, [p]),
+        lambda: _paired_metrics(p.copy(), p.copy(), p, p),
+        lambda: hellinger_from_reference(p, [p]),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -629,7 +657,7 @@ def gap_check(hv, p1, p2, dh):
     """The expectation-gap check of hv on two potential arrays: the core on
     the weights exp(-(p - min p)) and their totals."""
     s1, s2 = (np.exp(-(p - np.min(p))) for p in (p1, p2))
-    return _gap_check_core(hv, s1, float(np.sum(s1)), s2, float(np.sum(s2)), dh)
+    return _gap_check_core(hv, hv * hv, s1, float(np.sum(s1)), s2, float(np.sum(s2)), dh)
 
 
 def test_expectation_gap_check_constant_function():
@@ -662,10 +690,10 @@ def test_expectation_gap_check_refuses_mismatched_shapes():
     # and report gap 0 and a pass; a short hv raised numpy's broadcast error
     c, p1, p2 = shared_draws(*series_pair(delta=0.3), 2000, 1)
     hv = c[:, 0]
-    assert _paired_metrics(p1.copy(), p2.copy(), hv)[2].gap > 0.0
+    assert _paired_metrics(p1.copy(), p2.copy(), hv, hv * hv)[2].gap > 0.0
     for h, u1, u2 in ((hv, p1[:, None], p2[:, None]), (hv[:, None], p1, p2), (hv[:-1], p1, p2), (hv, p1, p2[:-1])):
         with pytest.raises(ValueError, match="equal-length"):
-            _paired_metrics(u1.copy(), u2.copy(), h)
+            _paired_metrics(u1.copy(), u2.copy(), h, h * h)
 
 
 def test_weighted_probability_tilt_oracle():

@@ -9,12 +9,15 @@ here; such a change is a report revision and records new digests here.
 
 The digests depend on the numpy, scipy and python versions (they appear
 in the report's provenance, and the floating-point kernels differ between
-releases), so the test skips under other versions.
+releases), so the test skips under other versions.  The last test runs
+tools/report_digests.py on a stub suite.
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,13 +36,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.9.0
-    "stability": "e33a86303eb0abc912ebaa1d7190f7f5aca8510ffc5320a96533a5125d60dc6e",
-    "consistency": "ea0e1087c7e04916c2b57a53371329a2ff70e408aecc14d375c8814eb615ded1",
-    "metrics": "647eb07c831de2382133b6f2ed539dd6a61664ad61efb9bdb67e3bd9ff10281b",
-    "convexity": "5c58b5a51f90be6fc0486989f946e8c76285746a9c287c5f8cadf7caf19210be",
-    "audit": "3d148936b191674a27638786731080b2da3bc06ff588be471dbd1edce052b805",
-    "map_demo": "b88d73ef23f2899a20d0eea45dba1ffd32912fc774593cb784a81a44e66b8c51",
+DIGESTS = {  # report revision 0.10.0
+    "stability": "ef9f89ab8ebee58594c9c61c1b004474ea7cdcb1cde371db9d24b685b1f95306",
+    "consistency": "a3724602e9596c8c0892de839fd05955c847c27ac97a1209159cdffd456bee3d",
+    "metrics": "812bbb908d52f75f58d073b15358c5d309c4929370da8615127e6dd785c3ed99",
+    "convexity": "807130650e0a4d6a03b7a9240ef8d460a0ce4c782a5294faf34ddd5f69e8aa85",
+    "audit": "7beba43046fb1653333bd598f6370f753c3afe64785da20fc25708f056857da1",
+    "map_demo": "61d0b73dd59d6ba5dc7f7b05c46e1eedbb53f27639277e1a3a47a983684a51f6",
 }
 
 
@@ -52,3 +55,31 @@ def test_report_digest(name):
     report = run_experiment(name, OVERRIDES[name] or None, seed=0)
     text = json.dumps(report, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
+
+
+def load_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_digest_tool_prints_each_report_hash_and_failing_verdicts(monkeypatch, capsys):
+    # a stub suite fails one verdict at seed 1 only; the tool's last field
+    # names it there and is "-" where every verdict passes
+    def stub(suite, config, seed):
+        assert config is None
+        verdicts = {"exact": {"passed": True}, "oracle": {"passed": seed != 1}, "ess": {"passed": True}}
+        return {"experiment": suite, "seed": seed, "verdicts": verdicts}
+
+    tool = load_tool()
+    monkeypatch.setattr(tool, "EXPERIMENT_NAMES", ("one", "two"))
+    monkeypatch.setattr(tool, "run_experiment", stub)
+    tool.main(["--seeds", "0:1"])
+    lines = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert [(s, seed, failing) for s, seed, _, failing in lines] == [
+        ("one", "0", "-"), ("one", "1", "oracle"), ("two", "0", "-"), ("two", "1", "oracle"),
+    ]
+    text = json.dumps(stub("two", None, 1), sort_keys=True, indent=2) + "\n"
+    assert lines[3][2] == hashlib.sha256(text.encode()).hexdigest()

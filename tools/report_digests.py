@@ -1,14 +1,17 @@
-"""Print the sha256 of each suite's default-config report over a seed range.
+"""Print the sha256 and failing verdicts of each suite's default-config
+report over a seed range.
 
     python tools/report_digests.py --seeds 0:19
 
-prints one line `suite seed sha256` for each of the six suites at each
-seed from A to B inclusive.  Each report is serialized as `cbayes run`
-writes it (json.dumps with sorted keys and indent 2, then a newline),
-and cbayes is imported from the src/ directory next to this script, so
-the output describes the checkout the script lives in.  Run it in two
-checkouts and diff the outputs: equal lines mean the change moved no
-bit of any report at those seeds.
+prints one line `suite seed sha256 failing-verdicts` for each of the six
+suites at each seed from A to B inclusive; failing-verdicts names the
+report's failing verdicts, comma-separated, or is `-` when every verdict
+passes.  Each report is serialized as `cbayes run` writes it (json.dumps
+with sorted keys and indent 2, then a newline), and cbayes is imported
+from the src/ directory next to this script, so the output describes the
+checkout the script lives in.  Run it in two checkouts and diff the
+outputs: equal lines mean the change moved no bit of any report at those
+seeds, and a line that differs in its last field shows a flipped verdict.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     for suite in EXPERIMENT_NAMES:
         for seed in args.seeds:
-            text = json.dumps(run_experiment(suite, None, seed), sort_keys=True, indent=2) + "\n"
-            print(suite, seed, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+            report = run_experiment(suite, None, seed)
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            failing = ",".join(name for name, v in report["verdicts"].items() if not v["passed"]) or "-"
+            print(suite, seed, hashlib.sha256(text.encode()).hexdigest(), failing, flush=True)
 
 
 if __name__ == "__main__":
