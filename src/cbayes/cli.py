@@ -25,7 +25,7 @@ from .experiments import (
     report_points_csv,
     run_experiment,
 )
-from .posterior import PosteriorSpec, hellinger, map_estimate_l1, map_estimate_l1_cd
+from .posterior import PosteriorSpec, hellinger, map_estimate_l1
 from .series_prior import field_to_csv, sample_field
 
 def _load_json(path: str):
@@ -106,15 +106,13 @@ def hellinger_cmd(prior_path, potential_a, potential_b, level, method, effort, s
 @main.command("map")
 @click.option("--problem", "problem_path", type=click.Path(exists=True, dir_okay=False), required=True,
               help='JSON file with keys "matrix", "y", "sigma", "lam".')
-@click.option("--solver", type=click.Choice(["ista", "cd"]), default="ista", show_default=True)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-def map_cmd(problem_path, solver, tol):
+def map_cmd(problem_path, tol):
     """Solve 0.5||Az - y||^2 + (sigma^2/lam)||z||_1 and print the result."""
     prob = _load_json(problem_path)
     A = np.asarray(prob["matrix"], dtype=float)
     y = np.asarray(prob["y"], dtype=float)
-    solve = map_estimate_l1 if solver == "ista" else map_estimate_l1_cd
-    res = solve(A, y, float(prob["sigma"]), float(prob["lam"]), tol=tol)
+    res = map_estimate_l1(A, y, float(prob["sigma"]), float(prob["lam"]), tol=tol)
     click.echo(",".join(repr(float(v)) for v in res.estimate))
     click.echo(f"objective={res.objective!r} iterations={res.iterations}", err=True)
 

@@ -154,8 +154,6 @@ def default_config(experiment: str) -> dict:
             "model": _deconvolution(0.0, 128),
             "sigma2": 4.0,
             "n_grid": [2, 4, 8, 16, 32],
-            "n_ref": 128,
-            "drop_smallest": True,
             "tail_cutoff": 100000,
         }
     if experiment == "convexity":
@@ -475,11 +473,10 @@ def run_consistency(cfg: dict) -> dict:
     effort = _effort(cfg)
     seed = int(cfg["seed"])
     n_grid = [int(n) for n in cfg["n_grid"]]
-    n_ref = int(cfg["n_ref"])
-    _require(n_ref == model.truncation, "n_ref", "must equal the model truncation")
-    _require(all(1 <= n <= n_ref for n in n_grid), "n_grid", "levels must lie in [1, n_ref]")
-    fit_levels = 3 if cfg["drop_smallest"] else 2  # a slope fit needs two levels after the drop
-    _require(len(set(n_grid) - {n_ref}) >= fit_levels, "n_grid", f"needs {fit_levels} distinct levels besides n_ref")
+    n_ref = model.truncation
+    _require(all(1 <= n <= n_ref for n in n_grid), "n_grid", "levels must lie in [1, the model truncation]")
+    # each slope fit drops the smallest level and needs two after the drop
+    _require(len(set(n_grid) - {n_ref}) >= 3, "n_grid", "needs 3 distinct levels below the model truncation")
     cutoff = int(cfg["tail_cutoff"])
     _require(cutoff > max(n_grid), "tail_cutoff", "must exceed every n_grid level, or a tail sum is empty")
     # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
@@ -499,22 +496,18 @@ def run_consistency(cfg: dict) -> dict:
         else:
             fit_x.append(math.log(N))
             fit_y.append(math.log(rep.value))
-    if cfg["drop_smallest"]:
-        fit_x, fit_y = fit_x[1:], fit_y[1:]
-    slope, _, slope_se = _line_fit(fit_x, fit_y)
+    slope, _, slope_se = _line_fit(fit_x[1:], fit_y[1:])
 
     # deterministic projection-error oracle for the same schedule
     s = float(cfg["prior"]["schedule"]["s"])
     coeff_var = second_moment(prior.law.dist)  # centered law: variance
     proj_x, proj_y = [], []
-    for N in n_grid:
+    for N in sorted(set(n_grid)):  # in increasing order, as the levels above
         e = _window_tail_norm(s, coeff_var, N, cutoff)
         points.append(_point(N, e, 0.0, "tail_sum", cutoff, "projection_error"))
         proj_x.append(math.log(N))
         proj_y.append(math.log(e))
-    if cfg["drop_smallest"]:
-        proj_x, proj_y = proj_x[1:], proj_y[1:]
-    proj_slope, _, proj_se = _line_fit(proj_x, proj_y)
+    proj_slope, _, proj_se = _line_fit(proj_x[1:], proj_y[1:])
 
     # hierarchical prior: no rate claim, monotone decay only
     y_h = _synthetic_data(hier, model, phi.noise, seed, "consistency_hierarchical")

@@ -102,7 +102,7 @@ class GaussianAdditive:
         m = self.model.data_dim
         if np.ndim(self.noise) == 0:
             s2 = float(self.noise)
-            if s2 <= 0:
+            if not s2 > 0:
                 raise ValueError("noise variance must be positive")
             white = None
         else:

@@ -41,8 +41,7 @@ write through out= arguments instead of making temporaries; so its bits do
 not depend on which thread computes it.
 
 Also here: normalization constants with importance-sampling diagnostics,
-and l1-penalized MAP estimates (proximal gradient, or cyclic coordinate
-descent on the same objective).
+and l1-penalized MAP estimates by proximal gradient.
 """
 
 from __future__ import annotations
@@ -67,13 +66,11 @@ __all__ = [
     "hellinger_from_reference",
     "total_variation",
     "total_variation_from_potentials",
-    "GapCheckReport",
     "ProbabilityReport",
     "weighted_probability",
     "posterior_mean",
     "MapResult",
     "map_estimate_l1",
-    "map_estimate_l1_cd",
 ]
 
 
@@ -589,8 +586,12 @@ def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter
     y = np.asarray(y, dtype=float).reshape(-1)
     if A.ndim != 2 or A.shape[0] != len(y):
         raise ValueError("matrix and data shapes do not match")
-    if sigma <= 0 or lam <= 0:
-        raise ValueError("sigma and lam must be positive")
+    if not (np.isfinite(A).all() and np.isfinite(y).all()):
+        raise ValueError("matrix and data must be finite")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must lie in (0, inf)")
+    if not lam > 0:
+        raise ValueError("lam must be positive")
     weight = sigma * sigma / lam
     L = float(np.linalg.norm(A, 2)) ** 2
     z = np.zeros(A.shape[1])
@@ -607,40 +608,3 @@ def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter
         if delta < tol:
             return MapResult(z, _l1_objective(r, z, weight), it + 1)
     raise RuntimeError(f"proximal gradient did not converge in {max_iter} iterations")
-
-
-def map_estimate_l1_cd(A, y, sigma: float, lam: float, tol: float = 1e-12, max_iter: int = 10000) -> MapResult:
-    """Same objective as map_estimate_l1, solved by cyclic coordinate
-    descent: the solver behind `cbayes map --solver cd`."""
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if A.ndim != 2 or A.shape[0] != len(y):
-        raise ValueError("matrix and data shapes do not match")
-    if sigma <= 0 or lam <= 0:
-        raise ValueError("sigma and lam must be positive")
-    weight = sigma * sigma / lam
-    n = A.shape[1]
-    # Column views and Python floats: the dot products read A[:, j] as a
-    # view (a contiguous copy would change their bits), and the scalar soft
-    # threshold sign(rho) * max(|rho| - weight, 0) needs no numpy call; a
-    # zero rho gives +0.0, as np.sign does.
-    cols = [A[:, j] for j in range(n)]
-    colsq = np.sum(A * A, axis=0).tolist()
-    z = [0.0] * n
-    r = y.copy()
-    for sweep in range(max_iter):
-        delta = 0.0
-        for j in range(n):
-            cs = colsq[j]
-            if cs == 0.0:
-                continue  # no data influence, penalty keeps it at zero
-            rho = float(cols[j] @ r) + cs * z[j]
-            new = (math.copysign(max(abs(rho) - weight, 0.0), rho) if rho else 0.0) / cs
-            if new != z[j]:
-                r -= cols[j] * (new - z[j])
-                delta = max(delta, abs(new - z[j]))
-                z[j] = new
-        if delta < tol:
-            est = np.array(z)
-            return MapResult(est, _l1_objective(A @ est - y, est, weight), sweep + 1)
-    raise RuntimeError(f"coordinate descent did not converge in {max_iter} iterations")

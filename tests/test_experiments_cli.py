@@ -90,13 +90,16 @@ def test_seed_override_changes_measurements():
 def test_unknown_config_key_rejected():
     with pytest.raises(ValueError):
         run_experiment("stability", {"effrt": 100})
+    for retired in ({"n_ref": 128}, {"drop_smallest": True}):  # consistency's fixed settings
+        with pytest.raises(ValueError, match="unknown config keys"):
+            run_experiment("consistency", retired)
     with pytest.raises(ValueError):
         run_experiment("nonsense")
 
 
 LINEAR_MODEL = {"kind": "linear", "matrix": [[1.0, 0.3], [0.2, 1.0]]}
 LAPLACE_SERIES = default_config("consistency")["prior"]
-EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in range(256)]}  # the n_ref window
+EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in range(256)]}  # the truncation window
 EXPLICIT_3 = {"kind": "explicit", "values": [1.0, 0.5, 0.25]}  # shorter than every suite's window
 PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
 
@@ -106,7 +109,7 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
     ("stability", {"deltas": [0.0, 0.01]}, "deltas"),
     ("stability", {"model": LINEAR_MODEL}, "model"),
     ("consistency", {"n_grid": [2, 4]}, "n_grid"),
-    ("consistency", {"n_grid": [2, 4], "drop_smallest": False, "model": LINEAR_MODEL}, "model"),
+    ("consistency", {"n_grid": [2, 4], "model": LINEAR_MODEL}, "model"),
     ("metrics", {"model": LINEAR_MODEL}, "model"),
     ("map_demo", {"weights": []}, "weights"),
     ("map_demo", {"weights": [0.1, 0.0]}, "weights"),
@@ -206,6 +209,13 @@ def test_consistency_report_details():
     vals = [p["value"] for p in report["points"] if p["label"] == "laplace"]
     assert vals[0] > 10 * vals[-1]
     assert report["verdicts"]["hierarchical_monotone"]["passed"]
+
+
+@pytest.mark.parametrize("n_grid", [[32, 16, 8, 4, 2], [2, 2, 4, 8, 16, 32]])
+def test_consistency_fits_drop_the_smallest_level(n_grid):
+    # both slope fits drop level 2, however n_grid lists it
+    base = run_experiment("consistency", {"effort": 2000})
+    assert run_experiment("consistency", {"effort": 2000, "n_grid": n_grid})["fits"] == base["fits"]
 
 
 def test_truncation_distances_never_hold_the_coefficient_matrix():
@@ -449,12 +459,24 @@ def test_cli_map_matches_library(tmp_path):
             "sigma": 1.0, "lam": 2.0}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(prob))
-    res = invoke(["map", "--problem", str(path), "--solver", "ista"])
+    res = invoke(["map", "--problem", str(path)])
     assert res.exit_code == 0
     est = [float(v) for v in res.output.strip().splitlines()[0].split(",")]
     direct = map_estimate_l1(np.asarray(prob["matrix"]), np.asarray(prob["y"]),
                              prob["sigma"], prob["lam"])
     assert np.allclose(est, direct.estimate, atol=1e-12)
+    # one solver, so no --solver option
+    assert CliRunner().invoke(main, ["map", "--problem", str(path), "--solver", "cd"]).exit_code == 2
+
+
+def test_cli_map_refuses_nan_sigma(tmp_path):
+    # json.load reads the NaN literal; the solver refuses it before iterating
+    path = tmp_path / "problem.json"
+    path.write_text('{"matrix": [[1.0, 0.4], [0.3, 1.0]], "y": [1.2, -0.5], "sigma": NaN, "lam": 2.0}')
+    res = CliRunner().invoke(main, ["map", "--problem", str(path)])
+    assert res.exit_code != 0
+    assert isinstance(res.exception, ValueError)
+    assert str(res.exception) == "sigma must lie in (0, inf)"
 
 
 SMALL_EFFORTS = {

@@ -257,8 +257,9 @@ def test_gaussian_potential_validation():
     model = LinearModel(np.eye(2))
     with pytest.raises(ValueError):
         GaussianAdditive(model, 1.0, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        GaussianAdditive(model, -1.0, [1.0, 2.0])
+    for s2 in (-1.0, float("nan")):  # NaN fails s2 > 0 as well
+        with pytest.raises(ValueError, match="noise variance"):
+            GaussianAdditive(model, s2, [1.0, 2.0])
     with pytest.raises(ValueError):
         GaussianAdditive(model, np.array([[1.0, 0.5], [0.4, 1.0]]), [1.0, 2.0])
     with pytest.raises(ValueError):

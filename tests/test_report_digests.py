@@ -36,13 +36,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.10.0
-    "stability": "ef9f89ab8ebee58594c9c61c1b004474ea7cdcb1cde371db9d24b685b1f95306",
-    "consistency": "a3724602e9596c8c0892de839fd05955c847c27ac97a1209159cdffd456bee3d",
-    "metrics": "812bbb908d52f75f58d073b15358c5d309c4929370da8615127e6dd785c3ed99",
-    "convexity": "807130650e0a4d6a03b7a9240ef8d460a0ce4c782a5294faf34ddd5f69e8aa85",
-    "audit": "7beba43046fb1653333bd598f6370f753c3afe64785da20fc25708f056857da1",
-    "map_demo": "61d0b73dd59d6ba5dc7f7b05c46e1eedbb53f27639277e1a3a47a983684a51f6",
+DIGESTS = {  # report revision 0.11.0
+    "stability": "eb2abfa50df78cc9782bf8f5179c1af266415532dac566ba02e1ff25dbe23301",
+    "consistency": "a2fe94b1945d71c9fab19381964431c9ab986810534d8f1a2700c69314f88ce4",
+    "metrics": "704249fa5147b84f4e317a45fe1557751b4a2b2b4d79a02450cb5e09a9adf683",
+    "convexity": "02f4e158a8b4852faad95fadda16a8cca3b3e6d5929cea950504d976b14f4bdc",
+    "audit": "d6ad8ad5f928df3f3c531a8be89dc442145432cb31b363ba42277a5dc3a85da7",
+    "map_demo": "03f6c26c0dae13b991dd5c78ba7f847818470c8ac84e931e438cc79512dd132c",
 }
 
 
