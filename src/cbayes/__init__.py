@@ -3,7 +3,7 @@ dimensional Bayesian posteriors for linear and deconvolution models, and
 numerical well-posedness checks (stability in the data, truncation
 consistency, convexity inequalities, exponential integrability)."""
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .measures1d import (
     Distribution1D,

@@ -6,8 +6,10 @@ Six suites verify the well-posedness claims numerically:
                the perturbation, with a bounded ratio d_H / delta.
   consistency  d_H between the reference posterior and its window
                truncations decays at the projection rate, cross-checked
-               against a deterministic tail-sum oracle; hierarchical
-               priors are checked for monotone decay only, and both
+               against a deterministic tail-sum oracle, and each prior-draw
+               estimate agrees with the exact value from the eight data
+               modes (mode quadrature); the hierarchical prior's exact
+               distances are checked for monotone decay only, and both
                priors pass the admissibility check of the prior recipe.
   convexity    the interval convexity inequality on 1-D and 2-D marginals
                of every coefficient family, with closed-form oracles for
@@ -25,7 +27,9 @@ Six suites verify the well-posedness claims numerically:
 stability, consistency and metrics also judge their importance weights:
 every estimate on prior draws must have a Kong effective sample size of
 at least _MIN_ESS, or the suite fails its min_ess verdict rather than
-reporting a distance that a few draws decided.
+reporting a distance that a few draws decided.  consistency's prior-draw
+estimates are its Laplace half; its hierarchical half draws only the
+synthetic truth.
 
 Each run_* function takes a fully resolved config dict (see
 default_config) and returns a JSON-serializable report embedding that
@@ -59,16 +63,20 @@ from .measures1d import (
     Logistic,
     Uniform,
     interval_probability,
+    quantile_interval,
     second_moment,
 )
 from .posterior import (
+    _MODE_NODES,
     PosteriorSpec,
     ProductPrior,
     _l1_objective,
+    _mode_lattice,
     _paired_metrics,
     hellinger,
     hellinger_from_potentials,
     hellinger_from_reference,
+    hellinger_truncations_exact,
     map_estimate_l1,
     total_variation,
     total_variation_from_potentials,
@@ -335,12 +343,13 @@ def _deconvolution_setup(cfg: dict, tag: str):
     """The config's deconvolution model, its series prior and the
     GaussianAdditive potential at data synthesized from that prior under
     tag.  A model, prior or sigma2 the suite cannot run with (sigma2 not
-    positive, NaN included) is refused naming the key before the draw."""
+    positive and finite, NaN included) is refused naming the key before
+    the draw."""
     model = model_from_json(cfg["model"])
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     prior = _series_prior(cfg, "prior", model.truncation)
     sigma2 = float(cfg["sigma2"])
-    _require(sigma2 > 0, "sigma2", "must be positive")
+    _require(0 < sigma2 < math.inf, "sigma2", "must be positive and finite")
     return model, prior, GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, int(cfg["seed"]), tag))
 
 
@@ -468,6 +477,21 @@ def _truncation_distances(prior, phi, n_grid, effort, seed):
     return list(zip(levels, hellinger_from_reference(pots[levels.index(n_ref)], pots)))
 
 
+_EXACT_SIZE = 0.01
+
+
+def _exact_verdict(reps, exact) -> dict:
+    """Every prior-draw estimate in reps within the two-sided Bonferroni
+    bound of its exact value, at family-wise size _EXACT_SIZE over the k
+    levels below the reference (the last), whose distances are exactly 0."""
+    k = len(reps) - 1
+    bound = -quantile_interval(Gaussian(0.0, 1.0), _EXACT_SIZE / (2 * k), 0.5)[0]
+    z = [(r.value - e.value) / r.stderr for r, e in zip(reps[:-1], exact[:-1])]
+    return _verdict(all(abs(v) <= bound for v in z), z,
+                    f"|MC - exact| / stderr <= {bound:.2f} at each of the k = {k} levels below n_ref"
+                    f" (two-sided, Bonferroni over k, family-wise size {_EXACT_SIZE:.0%})")
+
+
 def run_consistency(cfg: dict) -> dict:
     model, prior, phi = _deconvolution_setup(cfg, "consistency")
     effort = _effort(cfg)
@@ -483,45 +507,54 @@ def run_consistency(cfg: dict) -> dict:
     _require(isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID), "prior",
              "must be a series with an algebraic_fourier schedule and an iid law")
     hier = _series_prior(cfg, "hierarchical_prior", n_ref)
+    # the exact distances need the data modes, a closed-form cf and a lattice within its cap
+    _require(model.data_modes() is not None, "model", "must have mode-aligned columns (equispaced observation points)")
+    for key, pr in (("prior", prior), ("hierarchical_prior", hier)):
+        try:
+            pr.law._log_cf(np.zeros(1))
+        except NotImplementedError:
+            _require(False, key, "must have a law with a closed-form characteristic function"
+                     " (laplace or gaussian centred at 0, or gamma(k=2) scales of gaussian(m=0) modes)")
+    _require(_mode_lattice(phi.noise)[2] <= _MODE_NODES, "sigma2",
+             f"is too small for the mode lattice's cap of {_MODE_NODES} nodes")
 
     points = []
-
+    exact = hellinger_truncations_exact(prior, phi, n_grid)
     pairs = _truncation_distances(prior, phi, n_grid, effort, seed)
     ref_rep = None
-    fit_x, fit_y = [], []
-    for N, rep in pairs:
+    fit_x, fit_y, exact_y = [], [], []
+    for (N, rep), (_, ex) in zip(pairs, exact):
         points.append(_point(N, rep.value, rep.stderr, rep.method, rep.effort, "laplace"))
         if N == n_ref:
             ref_rep = rep
         else:
             fit_x.append(math.log(N))
             fit_y.append(math.log(rep.value))
+            exact_y.append(math.log(ex.value))
     slope, _, slope_se = _line_fit(fit_x[1:], fit_y[1:])
+    for N, ex in exact:
+        points.append(_point(N, ex.value, ex.stderr, ex.method, ex.effort, "laplace"))
 
     # deterministic projection-error oracle for the same schedule
     s = float(cfg["prior"]["schedule"]["s"])
     coeff_var = second_moment(prior.law.dist)  # centered law: variance
     proj_x, proj_y = [], []
-    for N in sorted(set(n_grid)):  # in increasing order, as the levels above
+    for N in sorted(set(n_grid) - {n_ref}):  # the levels of the d_H fit, in its order
         e = _window_tail_norm(s, coeff_var, N, cutoff)
         points.append(_point(N, e, 0.0, "tail_sum", cutoff, "projection_error"))
         proj_x.append(math.log(N))
         proj_y.append(math.log(e))
     proj_slope, _, proj_se = _line_fit(proj_x[1:], proj_y[1:])
 
-    # hierarchical prior: no rate claim, monotone decay only
+    # hierarchical prior: exact distances, no rate claim, monotone decay only
     y_h = _synthetic_data(hier, model, phi.noise, seed, "consistency_hierarchical")
-    phi_h = GaussianAdditive(model, phi.noise, y_h)
-    pairs_h = _truncation_distances(hier, phi_h, n_grid, effort, _subseed(seed, "hier"))
+    exact_h = hellinger_truncations_exact(hier, GaussianAdditive(model, phi.noise, y_h), n_grid)
     hier_vals = []
-    for N, rep in pairs_h:
-        points.append(_point(N, rep.value, rep.stderr, rep.method, rep.effort, "hierarchical"))
+    for N, ex in exact_h:
+        points.append(_point(N, ex.value, ex.stderr, ex.method, ex.effort, "hierarchical"))
         if N != n_ref:
-            hier_vals.append((rep.value, rep.stderr))
-    monotone = all(
-        b_val <= a_val + 3.0 * (a_se + b_se)
-        for (a_val, a_se), (b_val, b_se) in zip(hier_vals[:-1], hier_vals[1:])
-    )
+            hier_vals.append(ex.value)
+    monotone = all(b <= a for a, b in zip(hier_vals[:-1], hier_vals[1:]))
 
     # weights square-summable (p = 1) and Var|xi| bounded (q = inf)
     admissible = [admissibility_check(pr, 1.0, math.inf, 4096) for pr in (prior, hier)]
@@ -531,6 +564,8 @@ def run_consistency(cfg: dict) -> dict:
         "slope_stderr": slope_se,
         "projection_slope": proj_slope,
         "projection_slope_stderr": proj_se,
+        "laplace_exact_slope": _line_fit(fit_x[1:], exact_y[1:])[0],
+        "hierarchical_exact_slope": _line_fit(fit_x[1:], [math.log(v) for v in hier_vals[1:]])[0],
     }
     verdicts = {
         "reference_self_distance_exact": _verdict(
@@ -543,15 +578,16 @@ def run_consistency(cfg: dict) -> dict:
             abs(proj_slope + 2.0) <= 0.1, proj_slope, "tail-sum slope = -2.0 +/- 0.1"
         ),
         "hierarchical_monotone": _verdict(
-            monotone, [v for v, _ in hier_vals], "nonincreasing within 3 combined stderr"
+            monotone, hier_vals, "exact d_H (mode quadrature) nonincreasing in N, with no tolerance"
         ),
+        "laplace_matches_exact": _exact_verdict([rep for _, rep in pairs], [ex for _, ex in exact]),
         "priors_admissible": _verdict(
             all(r.passed for r in admissible),
             [v for r in admissible for v in (r.gamma_partial_lp, r.var_partial_lq)],
             "laplace and hierarchical: sum of gamma_k^2 over 4096 terms moves < 1e-6 relatively"
             " in its last doubling, and Var|xi| is finite",
         ),
-        "min_ess": _min_ess_verdict([rep for _, rep in pairs + pairs_h]),
+        "min_ess": _min_ess_verdict([rep for _, rep in pairs]),
     }
     return _report("consistency", cfg, points, fits, verdicts)
 

@@ -7,6 +7,13 @@ fixed kernel) and then collects point values at observation locations.
 Multipliers may be an algebraic closed form (1+k^2)^(-s) or an explicit
 list over the window in enumeration order; s = 0 gives flat multipliers,
 plain point evaluation with no smoothing.
+
+At m equispaced observation points the trigonometric columns alias:
+every column of the design is a multiple of one of m orthonormal data
+vectors, or zero.  DeconvolutionModel.data_modes returns that split,
+which makes a Gaussian likelihood a product of m one-dimensional ones
+(see posterior.hellinger_truncations_exact), and None for points where
+the columns are not pairwise parallel or orthogonal.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ def equispaced_points(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("need at least one observation point")
     return np.arange(m, dtype=float) / m
+
+
+_MODE_TOL = 1e-9  # relative tolerance of data_modes' parallel, orthogonal and zero tests
 
 
 @dataclass(frozen=True)
@@ -144,3 +154,33 @@ class DeconvolutionModel:
     def design_matrix(self) -> np.ndarray:
         """Dense (data_dim, dim) matrix realizing the model on the window."""
         return self._design.copy()
+
+    def data_modes(self):
+        """(Q, mode_of_column, a) with the design's column k equal to
+        a[k] * Q[:, mode_of_column[k]] and Q an orthonormal (data_dim,
+        data_dim) matrix, or None when the columns are not mode-aligned.
+
+        Mode-aligned means every pair of nonzero columns is parallel or
+        orthogonal, to _MODE_TOL relative; a column below _MODE_TOL of the
+        largest column norm is a zero column, with a[k] == 0 (and mode 0).
+        Modes are numbered in the order their first column appears, and
+        Q's columns past the last mode complete the basis.
+        """
+        D = self._design
+        norms = np.linalg.norm(D, axis=0)
+        live = norms > _MODE_TOL * norms.max()
+        todo = live.copy()
+        modes, mode_of, a = [], np.zeros(self.dim, dtype=int), np.zeros(self.dim)
+        while todo.any():
+            q = D[:, np.argmax(todo)] / norms[np.argmax(todo)]
+            c = q @ D
+            par = live & (np.linalg.norm(D - np.outer(q, c), axis=0) <= _MODE_TOL * norms)
+            if not np.all(par | (np.abs(c) <= _MODE_TOL * norms) | ~live):
+                return None
+            mode_of[par], a[par] = len(modes), c[par]
+            todo &= ~par
+            modes.append(q)
+        m = self.data_dim
+        Q = np.zeros((m, 0)) if not modes else np.stack(modes, axis=1)
+        w, V = np.linalg.eigh(np.eye(m) - Q @ Q.T)  # the complement: eigenvalue 1
+        return np.hstack([Q, V[:, w > 0.5]]), mode_of, a

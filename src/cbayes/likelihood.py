@@ -102,8 +102,8 @@ class GaussianAdditive:
         m = self.model.data_dim
         if np.ndim(self.noise) == 0:
             s2 = float(self.noise)
-            if not s2 > 0:
-                raise ValueError("noise variance must be positive")
+            if not 0 < s2 < math.inf:
+                raise ValueError("noise variance must be positive and finite")
             white = None
         else:
             G = np.asarray(self.noise, dtype=float)

@@ -15,10 +15,12 @@ where the left side uses the Minkowski combination of intervals.
 The log density is what defines a law here, so each law states its log
 density and its CDF once, on float arrays; Distribution1D derives the
 density as exp(log density), returns a float for a scalar input and NaN
-for a NaN input.  The module also provides exact samplers driven by
-explicit streams, a grid-based log-concavity checker, and interval masses
-from CDF differences, on which the convexity suite's closed-form oracles
-are computed.
+for a NaN input.  The Gaussian and Laplace laws centred at 0 also state
+their log characteristic function once (_log_cf), for the exact
+truncation distances of the posterior module.  The module also provides
+exact samplers driven by explicit streams, a grid-based log-concavity
+checker, and interval masses from CDF differences, on which the
+convexity suite's closed-form oracles are computed.
 
 Samplers consume an explicit generator (see streams) through the one
 Distribution1D.sample, which states the sampler contract: a law only
@@ -171,6 +173,13 @@ class Distribution1D:
     def _transform(self, x: np.ndarray) -> None:
         raise NotImplementedError
 
+    def _log_cf(self, t):
+        """log E cos(tX) on a float array t, for a law symmetric about 0,
+        whose characteristic function is then real, even and positive
+        where stated; exactly 0.0 at t = 0.  A law with no closed form
+        here, or not centred at 0, raises NotImplementedError."""
+        raise NotImplementedError(f"no closed-form characteristic function for {self!r}")
+
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
@@ -202,6 +211,11 @@ class Gaussian(Distribution1D):
             streams.normals(g, col.shape, out=col)
         x *= self.sigma
         x += self.m
+
+    def _log_cf(self, t):
+        if self.m != 0:
+            return super()._log_cf(t)
+        return -0.5 * np.square(self.sigma * t)
 
     def scaled(self, c):
         return Gaussian(c * self.m, c * self.sigma)
@@ -265,6 +279,11 @@ class Laplace(Distribution1D):
         np.bitwise_and(bits, _SIGN_BIT, out=bits)
         np.bitwise_xor(bits, r.view(np.uint64), out=bits)
         np.subtract(self.m, x, out=x)
+
+    def _log_cf(self, t):
+        if self.m != 0:
+            return super()._log_cf(t)
+        return -np.log1p(np.square(self.sigma * t))
 
     def scaled(self, c):
         return Laplace(c * self.m, c * self.sigma)

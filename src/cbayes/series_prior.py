@@ -76,7 +76,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
-from .measures1d import Distribution1D, abs_mean, second_moment
+from .measures1d import Distribution1D, Gamma, Gaussian, _erfc, abs_mean, second_moment
 
 __all__ = [
     "FourierCircle",
@@ -219,6 +219,19 @@ class IID:
         if not isinstance(self.dist, Distribution1D):
             raise TypeError("dist must be a Distribution1D")
 
+    def _log_cf(self, t):
+        """The log characteristic function of one coefficient draw (see
+        Distribution1D._log_cf)."""
+        return self.dist._log_cf(t)
+
+
+# 1 - 3x^2 + 15x^4 - ...: the coefficients (2n+1)!! (-1)^n of x^(2n) in
+# the small-x series of E exp(-zeta^2 x^2 / 2), zeta ~ Gamma(2, 1); at
+# x < _CF_SERIES_BELOW the first omitted term is below 6e-14 relatively
+_CF_SERIES = (1.0, -3.0, 15.0, -105.0, 945.0, -10395.0, 135135.0, -2027025.0)
+_CF_SERIES_BELOW = 0.05
+_VELTKAMP = 134217729.0  # 2^27 + 1, splits a double into two 26-bit halves
+
 
 @dataclass(frozen=True)
 class Hierarchical:
@@ -231,6 +244,38 @@ class Hierarchical:
         for d in (self.scale_law, self.mode_law):
             if not isinstance(d, Distribution1D):
                 raise TypeError("laws must be Distribution1D")
+
+    def _log_cf(self, t):
+        """log E cos(t zeta xi) for Gamma(2, lam) scales and Gaussian(0,
+        sigma) modes (see Distribution1D._log_cf): with x = lam sigma |t|
+        and a = 1/(sqrt(2) x) it is log((1 - sqrt(pi) a erfcx(a)) / x^2),
+        where erfcx(a) = exp(a^2) erfc(a), and below x = _CF_SERIES_BELOW
+        the series _CF_SERIES, which is exactly 1 at x = 0.  exp(a^2) is
+        corrected by the rounding error of a*a (Veltkamp's split), which
+        the cancellation in 1 - sqrt(pi) a erfcx(a) would magnify by 1/x^2.
+        Other laws raise NotImplementedError."""
+        scale, mode = self.scale_law, self.mode_law
+        if not (isinstance(scale, Gamma) and scale.k == 2 and isinstance(mode, Gaussian) and mode.m == 0):
+            raise NotImplementedError(f"no closed-form characteristic function for {self!r}")
+        x = np.abs(np.asarray(t, dtype=float)) * (scale.lam * mode.sigma)
+        cf = np.empty_like(x)
+        small = x < _CF_SERIES_BELOW
+        x2 = np.square(x[small])
+        acc = np.full_like(x2, _CF_SERIES[-1])
+        for c in _CF_SERIES[-2::-1]:
+            acc *= x2
+            acc += c
+        cf[small] = acc
+        x = x[~small]
+        a = 1.0 / (_SQRT2 * x)
+        a2 = a * a
+        hi = _VELTKAMP * a
+        hi -= hi - a
+        lo = a - hi
+        a2_err = (hi * hi - a2 + 2.0 * hi * lo) + lo * lo  # a*a - a2, exactly up to rounding
+        erfcx = np.exp(a2) * (1.0 + a2_err) * _erfc(a)
+        cf[~small] = (1.0 - math.sqrt(math.pi) * a * erfcx) / (x * x)
+        return np.log(cf)
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,9 @@ LAPLACE_SERIES = default_config("consistency")["prior"]
 EXPLICIT_256 = {"kind": "explicit", "values": [(1.0 + p * p) ** -1.25 for p in range(256)]}  # the truncation window
 EXPLICIT_3 = {"kind": "explicit", "values": [1.0, 0.5, 0.25]}  # shorter than every suite's window
 PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
+HIERARCHICAL_SERIES = default_config("consistency")["hierarchical_prior"]
+SKEWED_MODEL = dict(default_config("consistency")["model"],
+                    observation_points=[0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95])  # no data modes
 
 
 @pytest.mark.parametrize("name,config,key", [
@@ -137,7 +140,16 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
                                                               ("metrics", "prior"))],
     # refused before any draw, not by a math domain error or a library message
     *[(name, {"sigma2": sigma2}, "sigma2") for name in ("stability", "consistency", "metrics")
-      for sigma2 in (0.0, -4.0, math.nan)],
+      for sigma2 in (0.0, -4.0, math.nan, math.inf)],
+    # the exact distances need data modes, a closed-form cf and a lattice within its node cap
+    ("consistency", {"effort": 2000, "model": SKEWED_MODEL}, "model"),
+    ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, law={
+        "kind": "iid", "dist": {"kind": "logistic", "params": {"m": 0.0, "s": 1.0}}})}, "prior"),
+    ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, law={
+        "kind": "iid", "dist": {"kind": "laplace", "params": {"m": 0.5, "sigma": 1.0}}})}, "prior"),
+    ("consistency", {"effort": 2000, "hierarchical_prior": dict(HIERARCHICAL_SERIES, law=dict(
+        HIERARCHICAL_SERIES["law"], scale={"kind": "gamma", "params": {"k": 3.0, "lam": 1.0}}))}, "hierarchical_prior"),
+    *[("consistency", {"effort": 2000, "sigma2": s2}, "sigma2") for s2 in (0.05, 0.0955)],
     ("consistency", {"tail_cutoff": 32}, "tail_cutoff"),
     ("consistency", {"tail_cutoff": 8}, "tail_cutoff"),
     *[("convexity", {"lam": lam}, "lam") for lam in (0.0, 1.0, 1.5, math.nan)],
@@ -172,6 +184,20 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         run_experiment(name, config)
+
+
+def test_consistency_accepts_the_smallest_lattice_sigma2(monkeypatch):
+    # 0.0956 is inside the mode lattice's node cap; its refusal above is
+    # made before any estimator draw
+    calls = []
+    monkeypatch.setattr(experiments, "coefficient_chunks", lambda *a: calls.append(a) or iter(()))
+    with pytest.raises(ValueError, match="config key 'sigma2'"):
+        run_experiment("consistency", {"effort": 2000, "sigma2": 0.0955})
+    assert calls == []
+    monkeypatch.undo()
+    report = run_experiment("consistency", {"effort": 2000, "sigma2": 0.0956, "n_grid": [4, 8, 16]})
+    exact = [p for p in report["points"] if p["method"] == "mode_quadrature"]
+    assert len(exact) == 8 and all(p["effort"] == 16759155 for p in exact)
 
 
 def test_default_config_returns_fresh_copies():
@@ -209,11 +235,56 @@ def test_consistency_report_details():
     vals = [p["value"] for p in report["points"] if p["label"] == "laplace"]
     assert vals[0] > 10 * vals[-1]
     assert report["verdicts"]["hierarchical_monotone"]["passed"]
+    # both halves' exact distances, each half's self-distance exactly 0
+    levels = [2, 4, 8, 16, 32, 128]
+    for label in ("laplace", "hierarchical"):
+        exact = [p for p in report["points"] if p["label"] == label and p["method"] == "mode_quadrature"]
+        assert [p["x"] for p in exact] == levels
+        assert all(p["stderr"] == 0.0 and p["effort"] == 402753 for p in exact)
+        assert exact[-1]["value"] == 0.0 and all(p["value"] > 0.0 for p in exact[:-1])
+    hier = [p["value"] for p in report["points"] if p["label"] == "hierarchical"]
+    assert report["verdicts"]["hierarchical_monotone"]["observed"] == hier[:-1]
+    assert not [p for p in report["points"] if p["label"] == "hierarchical" and p["method"] == "prior_mc"]
+    verdict = report["verdicts"]["laplace_matches_exact"]
+    assert verdict["passed"] and len(verdict["observed"]) == 5
+    assert "3.09" in verdict["tolerance"] and "k = 5" in verdict["tolerance"]
+    assert -2.6 <= report["fits"]["laplace_exact_slope"] <= -1.5
+    assert -1.8 <= report["fits"]["hierarchical_exact_slope"] <= -1.3
 
 
-@pytest.mark.parametrize("n_grid", [[32, 16, 8, 4, 2], [2, 2, 4, 8, 16, 32]])
+def test_consistency_draws_one_batch_the_laplace_halfs(monkeypatch):
+    real, calls = experiments.coefficient_chunks, []
+
+    def counted(prior, *args):
+        calls.append(prior)
+        return real(prior, *args)
+
+    monkeypatch.setattr(experiments, "coefficient_chunks", counted)
+    report = run_experiment("consistency", {"effort": 2000})
+    assert len(calls) == 1 and calls[0].law == prior_from_json(LAPLACE_SERIES).law
+    assert report["verdicts"]["hierarchical_monotone"]["passed"]
+
+
+def test_consistency_exact_verdict_catches_a_biased_estimator(monkeypatch):
+    # a Hellinger estimate 10% high leaves every slope and ratio verdict
+    # unmoved; the z-test against the exact values fails it
+    config = {"effort": 20000}
+    assert all_verdicts_pass(run_experiment("consistency", config))
+    real = experiments.hellinger_from_reference
+
+    def biased(p0, potentials):
+        return [dataclasses.replace(r, value=1.1 * r.value, stderr=1.1 * r.stderr) for r in real(p0, potentials)]
+
+    monkeypatch.setattr(experiments, "hellinger_from_reference", biased)
+    verdicts = run_experiment("consistency", config)["verdicts"]
+    assert not verdicts["laplace_matches_exact"]["passed"]
+    assert verdicts["rate_slope_in_window"]["passed"] and verdicts["projection_slope_near_rate"]["passed"]
+
+
+@pytest.mark.parametrize("n_grid", [[32, 16, 8, 4, 2], [2, 2, 4, 8, 16, 32], [2, 4, 8, 16, 32, 128]])
 def test_consistency_fits_drop_the_smallest_level(n_grid):
-    # both slope fits drop level 2, however n_grid lists it
+    # both slope fits drop level 2, however n_grid lists it, and neither
+    # fits the reference level 128
     base = run_experiment("consistency", {"effort": 2000})
     assert run_experiment("consistency", {"effort": 2000, "n_grid": n_grid})["fits"] == base["fits"]
 
@@ -277,11 +348,13 @@ def test_reports_invariant_under_block_size(monkeypatch, name, config):
 
 def test_residual_suites_do_not_depend_on_the_blas_thread_count():
     # stability and metrics form every perturbed potential by a matrix-vector
-    # product on the residual buffer; a threaded BLAS must not move its bits
+    # product on the residual buffer, and consistency's exact distances sum
+    # the mode lattice by matrix products; a threaded BLAS must not move their bits
     code = (
         "import json\n"
         "from cbayes import run_experiment\n"
-        "for name, cfg in (('stability', {'effort': 30000}), ('metrics', {'effort': 30000, 'quad_effort': 50})):\n"
+        "for name, cfg in (('stability', {'effort': 30000}), ('metrics', {'effort': 30000, 'quad_effort': 50}),\n"
+        "                  ('consistency', {'effort': 5000})):\n"
         "    print(json.dumps(run_experiment(name, cfg), sort_keys=True, indent=2))\n"
     )
     outs = set()

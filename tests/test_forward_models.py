@@ -120,6 +120,29 @@ def test_truncation_commutes_with_zero_padding():
         model.window_positions(9)
 
 
+@pytest.mark.parametrize("s, trunc, zero_columns", [(0.0, 128, 32), (1.0, 16, 4), (1.0, 8, 2)])
+def test_data_modes_split_the_equispaced_design(s, trunc, zero_columns):
+    # consistency's, stability's and metrics' models: Fourier aliasing at 8
+    # equispaced points makes every column a multiple of one of 8 modes
+    model = make_deconv(s=s, trunc=trunc)
+    Q, mode_of, a = model.data_modes()
+    assert Q.shape == (8, 8)
+    assert np.allclose(Q.T @ Q, np.eye(8), rtol=0, atol=1e-14)
+    D = model.design_matrix()
+    assert np.allclose(D, a * Q[:, mode_of], rtol=0, atol=1e-12)
+    assert np.sum(a == 0) == zero_columns
+    assert set(mode_of[a != 0]) == set(range(8))
+
+
+def test_data_modes_need_mode_aligned_columns():
+    pts = np.array([0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95])  # not equispaced
+    assert DeconvolutionModel(AlgebraicMultipliers(0.0), pts, 16).data_modes() is None
+    # two modes reached at 4 points, completed by an orthonormal complement
+    Q, mode_of, a = DeconvolutionModel(AlgebraicMultipliers(0.0), equispaced_points(4), 1).data_modes()
+    assert np.allclose(Q.T @ Q, np.eye(4), rtol=0, atol=1e-14)
+    assert list(mode_of) == [0, 1] and np.allclose(a, [2.0, 2.0])
+
+
 def test_linear_model_truncation_and_validation():
     A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     model = LinearModel(A)

@@ -257,7 +257,7 @@ def test_gaussian_potential_validation():
     model = LinearModel(np.eye(2))
     with pytest.raises(ValueError):
         GaussianAdditive(model, 1.0, [1.0, 2.0, 3.0])
-    for s2 in (-1.0, float("nan")):  # NaN fails s2 > 0 as well
+    for s2 in (-1.0, float("nan"), float("inf")):  # NaN fails 0 < s2; inf would make the potential 0
         with pytest.raises(ValueError, match="noise variance"):
             GaussianAdditive(model, s2, [1.0, 2.0])
     with pytest.raises(ValueError):

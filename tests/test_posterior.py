@@ -40,7 +40,7 @@ from cbayes import (
     weighted_probability,
 )
 from cbayes import posterior, series_prior, streams
-from cbayes.measures1d import Gamma, Gaussian, Laplace
+from cbayes.measures1d import Gamma, Gaussian, Laplace, Logistic
 from cbayes.posterior import (
     MetricReport,
     _gap_check_core,
@@ -595,6 +595,112 @@ def test_hellinger_from_reference_refuses_bad_arrays():
     with pytest.raises(ValueError):
         hellinger_from_reference(p0, [np.r_[np.zeros(49), np.nan]])
     assert hellinger_from_reference(p0, []) == []
+
+
+# ---------------------------------------------------------- mode quadrature
+
+
+def consistency_setup(key, seed, sigma2):
+    from cbayes.config import model_from_json, prior_from_json
+    from cbayes.experiments import _synthetic_data, default_config
+
+    cfg = default_config("consistency")
+    prior, model = prior_from_json(cfg[key]), model_from_json(cfg["model"])
+    tag = "consistency" if key == "prior" else "consistency_hierarchical"
+    return prior, GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, tag)), cfg["n_grid"]
+
+
+@pytest.mark.parametrize("sigma2", [0.5, 1.0, 4.0])
+def test_exact_truncation_distances_match_the_gaussian_closed_form(sigma2):
+    # under a Gaussian iid prior both posteriors are Gaussian, and
+    # 1 - d_H^2 = |S0|^(1/4) |S1|^(1/4) / |(S0 + S1) / 2|^(1/2) exp(-dm' ((S0 + S1) / 2)^-1 dm / 8)
+    prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0), IID(Gaussian(0.0, 1.0)))
+    model = DeconvolutionModel(AlgebraicMultipliers(0.5), equispaced_points(8), 8)
+    y = np.random.default_rng(3).normal(size=8) * 1.5
+    phi = GaussianAdditive(model, sigma2, y)
+    G = model.design_matrix()
+    gamma = series_prior.coefficient_weights(prior.basis, prior.schedule, 8)
+
+    def gaussian_posterior(p):
+        Gp = G.copy()
+        Gp[:, p:] = 0.0
+        cov = np.linalg.inv(np.diag(gamma**-2) + Gp.T @ Gp / sigma2)
+        return cov @ Gp.T @ y / sigma2, cov
+
+    m0, S0 = gaussian_posterior(16)
+    pairs = posterior.hellinger_truncations_exact(prior, phi, [1, 2, 4, 6])
+    assert [N for N, _ in pairs] == [1, 2, 4, 6, 8]
+    for N, rep in pairs:
+        m1, S1 = gaussian_posterior(2 * N)
+        Sa, dm = 0.5 * (S0 + S1), m1 - m0
+        log_bc = (0.25 * np.linalg.slogdet(S0)[1] + 0.25 * np.linalg.slogdet(S1)[1] - 0.5 * np.linalg.slogdet(Sa)[1]
+                  - 0.125 * dm @ np.linalg.solve(Sa, dm))
+        assert rep.value == pytest.approx(math.sqrt(max(-math.expm1(log_bc), 0.0)), rel=1e-9, abs=1e-15)
+        assert (rep.stderr, rep.method, rep.clamped, rep.ess) == (0.0, "mode_quadrature", False, None)
+    assert pairs[-1][1].value == 0.0  # the reference level, exactly
+
+
+@pytest.mark.parametrize("key", ["prior", "hierarchical_prior"])
+@pytest.mark.parametrize("seed", [5, 17])
+@pytest.mark.parametrize("sigma2", [1.0, 4.0, 16.0])
+def test_exact_truncation_distances_converge_in_the_lattice(monkeypatch, key, seed, sigma2):
+    # half the step and 1.25 times the range move no distance by 1e-9 relatively
+    prior, phi, n_grid = consistency_setup(key, seed, sigma2)
+    base = posterior.hellinger_truncations_exact(prior, phi, n_grid)
+    monkeypatch.setattr(posterior, "_MODE_STEP", posterior._MODE_STEP / 2)
+    monkeypatch.setattr(posterior, "_MODE_TAIL", posterior._MODE_TAIL * 1.25**2)
+    fine = posterior.hellinger_truncations_exact(prior, phi, n_grid)
+    assert fine[0][1].effort > 2 * base[0][1].effort
+    for (N, a), (_, b) in zip(base, fine):
+        assert a.value == pytest.approx(b.value, rel=1e-9, abs=0.0), N
+    assert base[-1][1].value == fine[-1][1].value == 0.0
+
+
+@pytest.mark.parametrize("key", ["prior", "hierarchical_prior"])
+def test_mode_lattice_step_follows_a_wide_noise(monkeypatch, key):
+    # at sigma2 = 1000 the u-sum's Gaussian, of sd 1 / (2 sigma), sets the
+    # step below _MODE_STEP; with the step at 0.02 the values move by 3e-6
+    prior, phi, n_grid = consistency_setup(key, 5, 1000.0)
+    assert posterior._mode_lattice(1000.0)[0] < posterior._MODE_STEP
+    base = posterior.hellinger_truncations_exact(prior, phi, n_grid)
+    monkeypatch.setattr(posterior, "_MODE_TAIL", posterior._MODE_TAIL * 4.0)  # twice the range, half the step
+    fine = posterior.hellinger_truncations_exact(prior, phi, n_grid)
+    for (N, a), (_, b) in zip(base, fine):
+        assert a.value == pytest.approx(b.value, rel=1e-8, abs=0.0), N
+
+
+def test_exact_truncation_distances_refuse_what_they_cannot_compute():
+    prior, phi, n_grid = consistency_setup("prior", 0, 4.0)
+    skewed = DeconvolutionModel(AlgebraicMultipliers(0.0), [0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95], 128)
+    with pytest.raises(ValueError, match="mode-aligned"):
+        posterior.hellinger_truncations_exact(prior, GaussianAdditive(skewed, 4.0, phi.y), n_grid)
+    with pytest.raises(ValueError, match="scalar noise"):
+        posterior.hellinger_truncations_exact(prior, GaussianAdditive(phi.model, 4.0 * np.eye(8), phi.y), n_grid)
+    h, n, nodes = posterior._mode_lattice(0.05)
+    assert nodes > posterior._MODE_NODES
+    with pytest.raises(ValueError, match="sigma2 = 0.05 needs"):
+        posterior.hellinger_truncations_exact(prior, GaussianAdditive(phi.model, 0.05, phi.y), n_grid)
+    logistic = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Logistic(0.0, 1.0)))
+    with pytest.raises(NotImplementedError):
+        posterior.hellinger_truncations_exact(logistic, phi, n_grid)
+
+
+def test_mode_lattice_is_summed_in_slices_at_the_smallest_accepted_sigma2():
+    # sigma2 = 0.0956 is just inside the node cap (0.0955 is not); one 2-D
+    # kernel over the whole lattice would hold 134 MB, a row slice 8 MB
+    assert posterior._mode_lattice(0.0955)[2] > posterior._MODE_NODES
+    h, n, nodes = posterior._mode_lattice(0.0956)
+    assert nodes <= posterior._MODE_NODES and nodes * 8 > 120 << 20
+    prior, phi, n_grid = consistency_setup("hierarchical_prior", 0, 0.0956)
+    tracemalloc.start()
+    try:
+        pairs = posterior.hellinger_truncations_exact(prior, phi, n_grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20
+    assert pairs[0][1].effort == nodes and pairs[-1][1].value == 0.0
+    assert all(a.value > b.value for (_, a), (_, b) in zip(pairs[:-1], pairs[1:]))
 
 
 def test_paired_metrics_share_weights_and_equal_the_public_estimates():

@@ -36,13 +36,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.11.0
-    "stability": "eb2abfa50df78cc9782bf8f5179c1af266415532dac566ba02e1ff25dbe23301",
-    "consistency": "a2fe94b1945d71c9fab19381964431c9ab986810534d8f1a2700c69314f88ce4",
-    "metrics": "704249fa5147b84f4e317a45fe1557751b4a2b2b4d79a02450cb5e09a9adf683",
-    "convexity": "02f4e158a8b4852faad95fadda16a8cca3b3e6d5929cea950504d976b14f4bdc",
-    "audit": "d6ad8ad5f928df3f3c531a8be89dc442145432cb31b363ba42277a5dc3a85da7",
-    "map_demo": "03f6c26c0dae13b991dd5c78ba7f847818470c8ac84e931e438cc79512dd132c",
+DIGESTS = {  # report revision 0.12.0
+    "stability": "dfc378d774281d8b9b254cb19fd9b7937f7cd4f5ae79ff938fe8e1a4ebfddaef",
+    "consistency": "427f2a374088a44139dab488b5b44ec1845d9087d87595bc2f0aa429c943519b",
+    "metrics": "c35c59f288704b5991482ae6b55eee3060e223d5b37cee1e32ea42678ff2948c",
+    "convexity": "cd6c7fe17129443118565e924938049d0ab76a561f12a175ffff8648cb93e5fd",
+    "audit": "a18bc9c89d83eb509032dcd4377bf6980694765a7494e2e0eb7893713e7c5416",
+    "map_demo": "1f5ff3053cca30e92e33a9487f04fe6c83d9a403f5686d7b8bd486cf62413fd8",
 }
 
 

@@ -599,6 +599,54 @@ def test_hierarchical_coefficient_variance():
     assert p.coefficient_laws(1) is None
 
 
+CF_LAWS = [
+    IID(Laplace(0.0, 1.7)),
+    IID(Gaussian(0.0, 0.3)),
+    Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0)),
+    Hierarchical(Gamma(2.0, 0.5), Gaussian(0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("law", CF_LAWS)
+def test_log_cf_is_exactly_zero_at_zero(law):
+    # a cf off by rounding at 0 enters log BC once per tail coefficient
+    assert law._log_cf(0.0) == 0.0
+    assert np.all(law._log_cf(np.zeros(5)) == 0.0)
+    assert np.all(law._log_cf(np.array([0.3, 1.0, 30.0])) < 0.0)
+
+
+@pytest.mark.parametrize("law", CF_LAWS)
+def test_log_cf_matches_a_numerical_integral(law):
+    import scipy.integrate
+
+    if isinstance(law, IID):
+        def cf(t):
+            return scipy.integrate.quad(lambda x: math.cos(t * x) * float(law.dist.density(x)),
+                                        -60.0, 60.0, points=[0.0], epsabs=1e-15, limit=400)[0]
+        for t in (0.05, 0.7, 3.0):
+            assert math.exp(float(law._log_cf(np.array(t)))) == pytest.approx(cf(t), rel=1e-9, abs=1e-12)
+        return
+    lam_sigma = law.scale_law.lam * law.mode_law.sigma
+    # on both sides of the switch from the series to the erfcx form at x = 0.05
+    for x in (0.001, 0.01, 0.03, 0.049, 0.0499999, 0.05, 0.0500001, 0.051, 0.07, 0.2, 1.0, 5.0, 40.0):
+        exact = scipy.integrate.quad(lambda z: z * math.exp(-z - 0.5 * (z * x) ** 2), 0.0, math.inf,
+                                     epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        got = math.exp(float(law._log_cf(np.array([x / lam_sigma, -x / lam_sigma]))[1]))
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), x
+
+
+@pytest.mark.parametrize("law", [
+    IID(Logistic(0.0, 1.0)),
+    IID(Laplace(1.0, 1.0)),  # not centred: its cf is complex
+    IID(Gaussian(0.5, 1.0)),
+    Hierarchical(Gamma(3.0, 1.0), Gaussian(0.0, 1.0)),
+    Hierarchical(Gamma(2.0, 1.0), Laplace(0.0, 1.0)),
+])
+def test_log_cf_refuses_laws_without_a_closed_form(law):
+    with pytest.raises(NotImplementedError, match="closed-form characteristic function"):
+        law._log_cf(np.zeros(1))
+
+
 def test_empirical_l2_norm_stabilizes():
     # mean ||u||^2 changes by < 1% when the window doubles past N = 64
     p = laplace_prior()
