@@ -67,11 +67,10 @@ from .measures1d import (
     second_moment,
 )
 from .posterior import (
-    _MODE_NODES,
     PosteriorSpec,
     ProductPrior,
     _l1_objective,
-    _mode_lattice,
+    _ModeRefusal,
     _paired_metrics,
     hellinger,
     hellinger_from_potentials,
@@ -477,6 +476,15 @@ def _truncation_distances(prior, phi, n_grid, effort, seed):
     return list(zip(levels, hellinger_from_reference(pots[levels.index(n_ref)], pots)))
 
 
+def _exact_truncations(key: str, prior: SeriesPrior, phi, n_grid) -> list:
+    """hellinger_truncations_exact, its refusal named by the config key at
+    fault: key itself when that is the prior."""
+    try:
+        return hellinger_truncations_exact(prior, phi, n_grid)
+    except _ModeRefusal as exc:
+        _require(False, key if exc.subject == "prior" else exc.subject, exc.what)
+
+
 _EXACT_SIZE = 0.01
 
 
@@ -507,19 +515,12 @@ def run_consistency(cfg: dict) -> dict:
     _require(isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID), "prior",
              "must be a series with an algebraic_fourier schedule and an iid law")
     hier = _series_prior(cfg, "hierarchical_prior", n_ref)
-    # the exact distances need the data modes, a closed-form cf and a lattice within its cap
-    _require(model.data_modes() is not None, "model", "must have mode-aligned columns (equispaced observation points)")
-    for key, pr in (("prior", prior), ("hierarchical_prior", hier)):
-        try:
-            pr.law._log_cf(np.zeros(1))
-        except NotImplementedError:
-            _require(False, key, "must have a law with a closed-form characteristic function"
-                     " (laplace or gaussian centred at 0, or gamma(k=2) scales of gaussian(m=0) modes)")
-    _require(_mode_lattice(phi.noise)[2] <= _MODE_NODES, "sigma2",
-             f"is too small for the mode lattice's cap of {_MODE_NODES} nodes")
+    # both halves' exact distances, each refused naming its key before any estimator draw
+    exact = _exact_truncations("prior", prior, phi, n_grid)
+    y_h = _synthetic_data(hier, model, phi.noise, seed, "consistency_hierarchical")
+    exact_h = _exact_truncations("hierarchical_prior", hier, GaussianAdditive(model, phi.noise, y_h), n_grid)
 
     points = []
-    exact = hellinger_truncations_exact(prior, phi, n_grid)
     pairs = _truncation_distances(prior, phi, n_grid, effort, seed)
     ref_rep = None
     fit_x, fit_y, exact_y = [], [], []
@@ -547,8 +548,6 @@ def run_consistency(cfg: dict) -> dict:
     proj_slope, _, proj_se = _line_fit(proj_x[1:], proj_y[1:])
 
     # hierarchical prior: exact distances, no rate claim, monotone decay only
-    y_h = _synthetic_data(hier, model, phi.noise, seed, "consistency_hierarchical")
-    exact_h = hellinger_truncations_exact(hier, GaussianAdditive(model, phi.noise, y_h), n_grid)
     hier_vals = []
     for N, ex in exact_h:
         points.append(_point(N, ex.value, ex.stderr, ex.method, ex.effort, "hierarchical"))

@@ -157,14 +157,14 @@ class DeconvolutionModel:
 
     def data_modes(self):
         """(Q, mode_of_column, a) with the design's column k equal to
-        a[k] * Q[:, mode_of_column[k]] and Q an orthonormal (data_dim,
-        data_dim) matrix, or None when the columns are not mode-aligned.
+        a[k] * Q[:, mode_of_column[k]] and Q a (data_dim, modes) matrix
+        with orthonormal columns, or None when the columns are not
+        mode-aligned.
 
         Mode-aligned means every pair of nonzero columns is parallel or
         orthogonal, to _MODE_TOL relative; a column below _MODE_TOL of the
         largest column norm is a zero column, with a[k] == 0 (and mode 0).
-        Modes are numbered in the order their first column appears, and
-        Q's columns past the last mode complete the basis.
+        Modes are numbered in the order their first column appears.
         """
         D = self._design
         norms = np.linalg.norm(D, axis=0)
@@ -180,7 +180,4 @@ class DeconvolutionModel:
             mode_of[par], a[par] = len(modes), c[par]
             todo &= ~par
             modes.append(q)
-        m = self.data_dim
-        Q = np.zeros((m, 0)) if not modes else np.stack(modes, axis=1)
-        w, V = np.linalg.eigh(np.eye(m) - Q @ Q.T)  # the complement: eigenvalue 1
-        return np.hstack([Q, V[:, w > 0.5]]), mode_of, a
+        return np.array(modes).reshape(len(modes), self.data_dim).T, mode_of, a

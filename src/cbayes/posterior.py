@@ -45,12 +45,13 @@ between the posterior at a deconvolution model's truncation and at its
 window truncations, for a series prior with a closed-form characteristic
 function (cf) and scalar noise sigma2.  It rests on the model's data
 modes (DeconvolutionModel.data_modes): with the design's column k equal
-to a_k Q[:, j(k)], Q orthonormal, the potential is sum_j (w_j - y~_j)^2 /
-(2 sigma2) with y~ = Q' y and w_j = sum_{k: j(k) = j} a_k u_k, and the
-modes' w_j are independent under the prior, each with the cf psi_j(t) =
-prod_k phi(|a_k| gamma_k t) of its coefficients' law phi and weights
-gamma_k.  A truncation splits each w_j into its window part A and tail
-part B.  Writing v = 2 sigma2, per mode
+to a_k Q[:, j(k)], Q with orthonormal columns, the potential is, up to
+a constant, sum_j (w_j - y~_j)^2 / (2 sigma2) with y~ = Q' y and w_j =
+sum_{k: j(k) = j} a_k u_k, and the modes' w_j are independent under the
+prior, each with the cf psi_j(t) = prod_k phi(|a_k| gamma_k t) of its
+coefficients' law phi and weights gamma_k.  A truncation splits each
+w_j into its window part A and tail part B.  Writing v = 2 sigma2, per
+mode
 
     Z_N = sqrt(sigma2 / 2 pi) int psi_A(t) exp(-sigma2 t^2 / 2) cos(t y~_j) dt,
     T = (v / 2 pi) int int psi_A(t) psi_B(u) exp(-v ((t - u)^2 + u^2) / 2) cos(t y~_j) dt du,
@@ -59,11 +60,21 @@ and Z_ref is Z_N with psi_A psi_B for psi_A; then log BC = sum_j (log T -
 log Z_N / 2 - log Z_ref / 2) and d_H = sqrt(-expm1(log BC)).  The
 integrands are smooth and their Gaussian factors decay fast, so the
 trapezoid rule on a lattice of step h converges exponentially
-(Trefethen and Weideman, SIAM Rev. 2014): its error is the mode's data
-density beyond 2 pi / h, about 314 at h = 0.02, and the truncated
-range drops exp(-40) of the Gaussian weight.  Halving h and stretching
-the range by 1.25 moves the consistency suite's distances by under 1e-10
-relatively.
+(Trefethen and Weideman, SIAM Rev. 2014), and the truncated range drops
+exp(-40) of the Gaussian weight.  The rule's error is aliasing: as a
+function of y~_j each of Z_N, Z_ref and T is a symmetric unimodal
+density-like function, and the lattice adds its values at y~_j + 2 pi
+k / h for every k; for |y~_j| < pi / h they sum to at most the lattice
+sum at y~_j = pi / h, which the routine computes alongside.  Where that
+bound exceeds 1e-10 of an integral, the step is halved, up to a node
+cap.  The consistency suite's Laplace half stays at step 0.02, and its
+hierarchical half, whose Gamma-scale tails are heavier, goes to 0.01;
+halving the step again and stretching the range by 1.25 moves its
+distances by under 1e-10 relatively.  A prior that spreads a mode so
+widely, or data so far into a truncated posterior's tail, that no
+lattice within the cap meets the bound is refused: a Gaussian iid prior
+of scale 10 on an 8-point, truncation-8 model matches the closed form
+to 1e-12, and one of scale 15 or more is refused.
 
 Also here: normalization constants with importance-sampling diagnostics,
 and l1-penalized MAP estimates by proximal gradient.
@@ -436,13 +447,27 @@ def _hellinger_core(ref: tuple, s, t, ess, sT=None, lin=None, tmp=None) -> Metri
     return MetricReport(value, stderr, "prior_mc", n, raw < 0, ess)
 
 
-# the mode-quadrature lattice of hellinger_truncations_exact: its step,
-# the Gaussian tail exp(-_MODE_TAIL) at its end, the cap on its 2-D nodes,
-# and the values per row slice of the 2-D sum (one 8 MB coefficient block)
+# the mode-quadrature lattice of hellinger_truncations_exact: its first
+# step, the Gaussian tail exp(-_MODE_TAIL) at its end, the cap on its 2-D
+# nodes, the largest aliasing bound accepted, relative to the integral it
+# bounds, and the values per slice of its sums (512 KB: slices of 8 MB,
+# the size of a coefficient block, raised the consistency suite's peak
+# RSS by 2 MB)
 _MODE_STEP = 0.02
 _MODE_TAIL = 40.0
 _MODE_NODES = 1 << 24
-_MODE_SLICE_VALUES = 1 << 20
+_MODE_ALIAS = 1e-10
+_MODE_SLICE_VALUES = 1 << 16
+
+
+class _ModeRefusal(ValueError):
+    """hellinger_truncations_exact cannot compute the distances; subject
+    names the input at fault ("model", "sigma2" or "prior") and what
+    completes the sentence that begins with it."""
+
+    def __init__(self, subject: str, what: str):
+        super().__init__(f"{subject} {what}")
+        self.subject, self.what = subject, what
 
 
 def _mode_lattice(sigma2: float) -> tuple:
@@ -468,30 +493,67 @@ def hellinger_truncations_exact(prior: SeriesPrior, phi, n_grid) -> list:
     its model's truncation n_ref and at each window truncation N, over
     the series prior, by mode quadrature (see the module docstring).
 
+    The lattice starts at _mode_lattice(sigma2) and halves its step,
+    keeping its range, while a mode's aliasing bound exceeds _MODE_ALIAS.
     Each report has method "mode_quadrature", stderr 0 and effort the
     2-D lattice's node count.  A level whose tail holds no nonzero column
     (n_ref itself) has potential phi's own and gives exactly 0.  Raises
-    ValueError when the model has no data modes, the noise is not
-    scalar, or sigma2 needs more than _MODE_NODES lattice nodes; the
-    prior law's _log_cf raises NotImplementedError when it has no closed
-    form.
+    _ModeRefusal, a ValueError naming its subject, when the model has no
+    data modes ("model"), the noise is not scalar or sigma2 needs more
+    than _MODE_NODES lattice nodes ("sigma2"), or the prior's law has no
+    closed-form cf or leaves an integral unresolved at _MODE_NODES
+    ("prior").
     """
     model, n_ref = phi.model, phi.model.truncation
     modes = model.data_modes()
     if modes is None:
-        raise ValueError("the model's columns are not mode-aligned")
+        raise _ModeRefusal("model", "must have mode-aligned columns (equispaced observation points)")
     if np.ndim(phi.noise) != 0:
-        raise ValueError("mode quadrature needs a scalar noise variance")
+        raise _ModeRefusal("sigma2", "must be a scalar for mode quadrature")
+    try:
+        prior.law._log_cf(np.zeros(1))
+    except NotImplementedError as exc:
+        raise _ModeRefusal("prior", "must have a law with a closed-form characteristic function (laplace or"
+                           " gaussian centred at 0, or gamma(k=2) scales of gaussian(m=0) modes)") from exc
     sigma2 = float(phi.noise)
     h, n, nodes = _mode_lattice(sigma2)
     if nodes > _MODE_NODES:
-        raise ValueError(f"sigma2 = {sigma2!r} needs {nodes} lattice nodes, above the cap of {_MODE_NODES}")
+        raise _ModeRefusal("sigma2", f"is too small: its mode lattice at sigma2 = {sigma2!r} needs {nodes}"
+                           f" nodes, above the cap of {_MODE_NODES}")
     Q, mode_of, a = modes
     y = Q.T @ phi.y
     levels = sorted(set(int(N) for N in n_grid) | {n_ref})
     ends = [len(model.window_positions(N)) for N in levels]
     scales = np.abs(a) * (prior.dilation * coefficient_weights(prior.basis, prior.schedule, n_ref))
+    while (log_bc := _mode_log_bc(prior.law, sigma2, y, mode_of, scales, ends, h, n)) is None:
+        h, n = h / 2, 2 * n
+        nodes = (4 * n + 1) * (2 * n + 1)
+        if nodes > _MODE_NODES:
+            raise _ModeRefusal("prior", f"leaves a data mode's integral unresolved within the mode lattice's"
+                               f" cap of {_MODE_NODES} nodes (too wide a mode, or data too far in a"
+                               f" truncated posterior's tail)")
+    out = []
+    for v in log_bc:
+        raw = -math.expm1(v)
+        out.append(MetricReport(math.sqrt(raw) if raw > 0 else 0.0, 0.0, "mode_quadrature", nodes, raw < 0))
+    return list(zip(levels, out))
+
+
+def _mode_log_bc(law, sigma2: float, y, mode_of, scales, ends, h: float, n: int):
+    """log BC at each window end of ends on the lattice (h, n) of
+    _mode_lattice, or None when, for some level and mode, Z_N or T has an
+    aliasing bound above _MODE_ALIAS of itself or |y_j| >= pi / h.
+
+    Each of Z_N, Z_ref and T is, as a function of y_j, a symmetric unimodal
+    function: the noise's Gaussian convolved with the law of A, of A + B,
+    or, for T, of A + B/2 reweighted by exp(-B^2 / (8 sigma2)).  The
+    lattice sum at y_j adds its values at y_j + 2 pi k / h, and for |y_j| <
+    pi / h those other values sum to at most the lattice sum at y = pi / h,
+    where cos(t y) is (-1)^k at t = k h.
+    """
     t = h * np.arange(-2 * n, 2 * n + 1)
+    if np.any(np.abs(y) * h >= math.pi):
+        return None
 
     # each mode's sum of its coefficients' log-cfs, on t >= 0 and then
     # mirrored: one cf per coefficient, added in column order, a slice of
@@ -505,7 +567,7 @@ def hellinger_truncations_exact(prior: SeriesPrior, phi, n_grid) -> list:
         ks = start + np.flatnonzero(scales[start:end])
         for lo in range(0, len(ks), rows):
             k = ks[lo : lo + rows]
-            np.add.at(run, mode_of[k], prior.law._log_cf(np.multiply.outer(scales[k], half)))
+            np.add.at(run, mode_of[k], law._log_cf(np.multiply.outer(scales[k], half)))
         window.append(np.concatenate([run[:, :0:-1], run], axis=1))
         start = end
     full = window[-1]  # ends[-1] is n_ref's: the whole window
@@ -517,6 +579,7 @@ def hellinger_truncations_exact(prior: SeriesPrior, phi, n_grid) -> list:
     #   T = Z_N + (sigma2 / pi) h^2 sum_t psi_A c_j sum_u beta(u) exp(-sigma2 ((t - u)^2 + u^2)),
     # since at beta = 0 the u-sum is the Gaussian integral sqrt(sigma2 / 2 pi) g(t)
     cos = np.cos(np.multiply.outer(y, t))
+    sign = np.resize([1.0, -1.0], len(t))  # cos(t pi / h), as t / h = -2n, ..., 2n
     gauss = np.exp(-0.5 * sigma2 * t * t)
     u = t[n : 3 * n + 1]
     psi_a = [np.exp(w) for w in window]
@@ -535,25 +598,25 @@ def hellinger_truncations_exact(prior: SeriesPrior, phi, n_grid) -> list:
         inner[lo : lo + rows] = np.exp(kern, out=kern) @ tails
 
     m, out = len(y), []
+    scale_t = h * math.sqrt(2.0 * sigma2 / math.pi)  # T's u-sum part, in units of Z_N's sum
     for i, (psi, tail) in enumerate(zip(psi_a, beta)):
         zg = psi * gauss
+        z_alias = zg @ sign
         zg *= cos
         z = np.sum(zg, axis=1)
-        if not np.all(z > 0):
-            raise ValueError("a data mode's integral is not positive on the lattice")
+        kernel = inner[:, i * m : (i + 1) * m].T
+        t_alias = z_alias + scale_t * ((psi * kernel) @ sign)
         # log BC = sum_j log(T / sqrt(Z_N Z_ref)), from the two small ratios
         # (T - Z_N) / Z_N and (Z_ref - Z_N) / Z_N: the direct logs cancel to
         # about 1e-15 absolute, a visible fraction of d_H^2 ~ 1e-7
         psi *= cos
-        psi *= inner[:, i * m : (i + 1) * m].T
-        t_ratio = h * math.sqrt(2.0 * sigma2 / math.pi) * np.sum(psi, axis=1) / z
+        psi *= kernel
+        t_part = scale_t * np.sum(psi, axis=1)
+        if not (np.all(np.abs(z_alias) <= _MODE_ALIAS * z) and np.all(np.abs(t_alias) <= _MODE_ALIAS * (z + t_part))):
+            return None
         z_ratio = np.sum(zg * tail, axis=1) / z
-        log_bc = float(np.sum(np.log1p(t_ratio) - 0.5 * np.log1p(z_ratio)))
-        if not math.isfinite(log_bc):
-            raise ValueError("a data mode's integral is not positive on the lattice")
-        raw = -math.expm1(log_bc)
-        out.append(MetricReport(math.sqrt(raw) if raw > 0 else 0.0, 0.0, "mode_quadrature", nodes, raw < 0))
-    return list(zip(levels, out))
+        out.append(float(np.sum(np.log1p(t_part / z) - 0.5 * np.log1p(z_ratio))))
+    return out
 
 
 def total_variation(

@@ -150,6 +150,12 @@ SKEWED_MODEL = dict(default_config("consistency")["model"],
     ("consistency", {"effort": 2000, "hierarchical_prior": dict(HIERARCHICAL_SERIES, law=dict(
         HIERARCHICAL_SERIES["law"], scale={"kind": "gamma", "params": {"k": 3.0, "lam": 1.0}}))}, "hierarchical_prior"),
     *[("consistency", {"effort": 2000, "sigma2": s2}, "sigma2") for s2 in (0.05, 0.0955)],
+    # a law so wide that no lattice within the node cap resolves every data mode
+    ("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, law={
+        "kind": "iid", "dist": {"kind": "laplace", "params": {"m": 0.0, "sigma": 30.0}}})}, "prior"),
+    ("consistency", {"effort": 2000, "hierarchical_prior": dict(HIERARCHICAL_SERIES, law=dict(
+        HIERARCHICAL_SERIES["law"], mode={"kind": "gaussian", "params": {"m": 0.0, "sigma": 30.0}}))},
+     "hierarchical_prior"),
     ("consistency", {"tail_cutoff": 32}, "tail_cutoff"),
     ("consistency", {"tail_cutoff": 8}, "tail_cutoff"),
     *[("convexity", {"lam": lam}, "lam") for lam in (0.0, 1.0, 1.5, math.nan)],
@@ -187,15 +193,21 @@ def test_unrunnable_config_rejected_naming_the_key(name, config, key):
 
 
 def test_consistency_accepts_the_smallest_lattice_sigma2(monkeypatch):
-    # 0.0956 is inside the mode lattice's node cap; its refusal above is
-    # made before any estimator draw
+    # 0.0956 is inside the mode lattice's node cap, where the default
+    # hierarchical prior's heavier tails need half the step and are refused
+    # in their turn; every refusal is made before any estimator draw
     calls = []
     monkeypatch.setattr(experiments, "coefficient_chunks", lambda *a: calls.append(a) or iter(()))
     with pytest.raises(ValueError, match="config key 'sigma2'"):
         run_experiment("consistency", {"effort": 2000, "sigma2": 0.0955})
+    with pytest.raises(ValueError, match="config key 'hierarchical_prior'"):
+        run_experiment("consistency", {"effort": 2000, "sigma2": 0.0956})
     assert calls == []
     monkeypatch.undo()
-    report = run_experiment("consistency", {"effort": 2000, "sigma2": 0.0956, "n_grid": [4, 8, 16]})
+    narrow = dict(HIERARCHICAL_SERIES, law=dict(HIERARCHICAL_SERIES["law"], mode={
+        "kind": "gaussian", "params": {"m": 0.0, "sigma": 0.5}}))
+    report = run_experiment("consistency", {"effort": 2000, "sigma2": 0.0956, "n_grid": [4, 8, 16],
+                                            "hierarchical_prior": narrow})
     exact = [p for p in report["points"] if p["method"] == "mode_quadrature"]
     assert len(exact) == 8 and all(p["effort"] == 16759155 for p in exact)
 
@@ -237,10 +249,12 @@ def test_consistency_report_details():
     assert report["verdicts"]["hierarchical_monotone"]["passed"]
     # both halves' exact distances, each half's self-distance exactly 0
     levels = [2, 4, 8, 16, 32, 128]
-    for label in ("laplace", "hierarchical"):
+    # step 0.02 for the Laplace half; 0.01, four times the nodes, for the
+    # hierarchical half, whose aliasing bound exceeds 1e-10 at 0.02
+    for label, nodes in (("laplace", 402753), ("hierarchical", 1608321)):
         exact = [p for p in report["points"] if p["label"] == label and p["method"] == "mode_quadrature"]
         assert [p["x"] for p in exact] == levels
-        assert all(p["stderr"] == 0.0 and p["effort"] == 402753 for p in exact)
+        assert all(p["stderr"] == 0.0 and p["effort"] == nodes for p in exact)
         assert exact[-1]["value"] == 0.0 and all(p["value"] > 0.0 for p in exact[:-1])
     hier = [p["value"] for p in report["points"] if p["label"] == "hierarchical"]
     assert report["verdicts"]["hierarchical_monotone"]["observed"] == hier[:-1]

@@ -137,9 +137,9 @@ def test_data_modes_split_the_equispaced_design(s, trunc, zero_columns):
 def test_data_modes_need_mode_aligned_columns():
     pts = np.array([0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95])  # not equispaced
     assert DeconvolutionModel(AlgebraicMultipliers(0.0), pts, 16).data_modes() is None
-    # two modes reached at 4 points, completed by an orthonormal complement
+    # two modes reached at 4 points: Q holds only those two
     Q, mode_of, a = DeconvolutionModel(AlgebraicMultipliers(0.0), equispaced_points(4), 1).data_modes()
-    assert np.allclose(Q.T @ Q, np.eye(4), rtol=0, atol=1e-14)
+    assert Q.shape == (4, 2) and np.allclose(Q.T @ Q, np.eye(2), rtol=0, atol=1e-14)
     assert list(mode_of) == [0, 1] and np.allclose(a, [2.0, 2.0])
 
 

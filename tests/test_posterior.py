@@ -610,44 +610,82 @@ def consistency_setup(key, seed, sigma2):
     return prior, GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, seed, tag)), cfg["n_grid"]
 
 
-@pytest.mark.parametrize("sigma2", [0.5, 1.0, 4.0])
-def test_exact_truncation_distances_match_the_gaussian_closed_form(sigma2):
-    # under a Gaussian iid prior both posteriors are Gaussian, and
-    # 1 - d_H^2 = |S0|^(1/4) |S1|^(1/4) / |(S0 + S1) / 2|^(1/2) exp(-dm' ((S0 + S1) / 2)^-1 dm / 8)
-    prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0), IID(Gaussian(0.0, 1.0)))
-    model = DeconvolutionModel(AlgebraicMultipliers(0.5), equispaced_points(8), 8)
-    y = np.random.default_rng(3).normal(size=8) * 1.5
-    phi = GaussianAdditive(model, sigma2, y)
-    G = model.design_matrix()
-    gamma = series_prior.coefficient_weights(prior.basis, prior.schedule, 8)
+def gaussian_closed_form(prior, phi, levels):
+    # under a Gaussian iid prior both posteriors are Gaussian, and with the
+    # eigenvalues 1 + d of S0^-1 S1 = I + (P0 - P1) S1 (P the precisions),
+    # 1 - d_H^2 = prod_d (1 - (d / (2 + d))^2)^(1/4) exp(-dm' ((S0 + S1) / 2)^-1 dm / 8);
+    # forming d from P0 - P1, the tail columns' Gram over sigma2, keeps the
+    # log-determinants from cancelling to 1e-9 of d_H^2 ~ 1e-6
+    G, y, sigma2, n_ref = phi.model.design_matrix(), phi.y, phi.noise, phi.model.truncation
+    gamma = prior.dilation * series_prior.coefficient_weights(prior.basis, prior.schedule, n_ref) * prior.law.dist.sigma
 
     def gaussian_posterior(p):
         Gp = G.copy()
         Gp[:, p:] = 0.0
-        cov = np.linalg.inv(np.diag(gamma**-2) + Gp.T @ Gp / sigma2)
-        return cov @ Gp.T @ y / sigma2, cov
+        gram = Gp.T @ Gp / sigma2
+        cov = np.linalg.inv(np.diag(gamma**-2) + gram)
+        return cov @ Gp.T @ y / sigma2, cov, gram
 
-    m0, S0 = gaussian_posterior(16)
+    m0, S0, gram0 = gaussian_posterior(2 * n_ref)
+    out = []
+    for N in levels:
+        m1, S1, gram1 = gaussian_posterior(2 * N)
+        d = np.linalg.eigvals((gram0 - gram1) @ S1).real
+        Sa, dm = 0.5 * (S0 + S1), m1 - m0
+        log_bc = 0.25 * np.sum(np.log1p(-((d / (2.0 + d)) ** 2))) - 0.125 * dm @ np.linalg.solve(Sa, dm)
+        out.append(math.sqrt(max(-math.expm1(log_bc), 0.0)))
+    return out
+
+
+@pytest.mark.parametrize("sigma2, scale, nodes", [
+    (0.5, 1.0, 3209311), (1.0, 1.0, 1608321), (4.0, 1.0, 402753), (4.0, 10.0, 1608321), (4.0, 30.0, None),
+    (4.0, 100.0, None),
+])
+def test_exact_truncation_distances_match_the_gaussian_closed_form(sigma2, scale, nodes):
+    # data drawn from a Gaussian iid prior of this scale.  A fixed step of
+    # 0.02 read scale 30's N = 1 distance 3e-9 relatively off, and no value
+    # at scale 100.  Scale 10 meets the aliasing bound at half that step;
+    # at 30 and 100 no step within the node cap does, for levels whose
+    # windows explain little of the data, and the prior is refused
+    from cbayes.experiments import _synthetic_data
+
+    prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0), IID(Gaussian(0.0, scale)))
+    model = DeconvolutionModel(AlgebraicMultipliers(0.5), equispaced_points(8), 8)
+    phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, 0, "closed_form"))
+    if nodes is None:
+        with pytest.raises(ValueError, match="^prior leaves a data mode's integral unresolved") as info:
+            posterior.hellinger_truncations_exact(prior, phi, [1, 2, 4, 6])
+        assert info.value.subject == "prior"
+        return
     pairs = posterior.hellinger_truncations_exact(prior, phi, [1, 2, 4, 6])
     assert [N for N, _ in pairs] == [1, 2, 4, 6, 8]
-    for N, rep in pairs:
-        m1, S1 = gaussian_posterior(2 * N)
-        Sa, dm = 0.5 * (S0 + S1), m1 - m0
-        log_bc = (0.25 * np.linalg.slogdet(S0)[1] + 0.25 * np.linalg.slogdet(S1)[1] - 0.5 * np.linalg.slogdet(Sa)[1]
-                  - 0.125 * dm @ np.linalg.solve(Sa, dm))
-        assert rep.value == pytest.approx(math.sqrt(max(-math.expm1(log_bc), 0.0)), rel=1e-9, abs=1e-15)
-        assert (rep.stderr, rep.method, rep.clamped, rep.ess) == (0.0, "mode_quadrature", False, None)
+    for (N, rep), value in zip(pairs, gaussian_closed_form(prior, phi, [1, 2, 4, 6, 8])):
+        assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-15), N
+        assert (rep.stderr, rep.method, rep.effort) == (0.0, "mode_quadrature", nodes)
+        assert (rep.clamped, rep.ess) == (False, None)
     assert pairs[-1][1].value == 0.0  # the reference level, exactly
+
+
+def lattice_step(effort, sigma2):
+    """The step of the mode lattice with this many nodes at sigma2."""
+    h, n, nodes = posterior._mode_lattice(sigma2)
+    while nodes < effort:
+        h, n = h / 2, 2 * n
+        nodes = (4 * n + 1) * (2 * n + 1)
+    assert nodes == effort
+    return h
 
 
 @pytest.mark.parametrize("key", ["prior", "hierarchical_prior"])
 @pytest.mark.parametrize("seed", [5, 17])
 @pytest.mark.parametrize("sigma2", [1.0, 4.0, 16.0])
 def test_exact_truncation_distances_converge_in_the_lattice(monkeypatch, key, seed, sigma2):
-    # half the step and 1.25 times the range move no distance by 1e-9 relatively
+    # half the step the aliasing bound chose and 1.25 times the range move
+    # no distance by 1e-9 relatively
     prior, phi, n_grid = consistency_setup(key, seed, sigma2)
     base = posterior.hellinger_truncations_exact(prior, phi, n_grid)
-    monkeypatch.setattr(posterior, "_MODE_STEP", posterior._MODE_STEP / 2)
+    monkeypatch.setattr(posterior, "_MODE_STEP", lattice_step(base[0][1].effort, sigma2) / 2)
+    monkeypatch.setattr(posterior, "_MODE_NODES", posterior._MODE_NODES * 8)  # room for the finer lattice
     monkeypatch.setattr(posterior, "_MODE_TAIL", posterior._MODE_TAIL * 1.25**2)
     fine = posterior.hellinger_truncations_exact(prior, phi, n_grid)
     assert fine[0][1].effort > 2 * base[0][1].effort
@@ -672,26 +710,27 @@ def test_mode_lattice_step_follows_a_wide_noise(monkeypatch, key):
 def test_exact_truncation_distances_refuse_what_they_cannot_compute():
     prior, phi, n_grid = consistency_setup("prior", 0, 4.0)
     skewed = DeconvolutionModel(AlgebraicMultipliers(0.0), [0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95], 128)
-    with pytest.raises(ValueError, match="mode-aligned"):
+    with pytest.raises(ValueError, match="^model must have mode-aligned columns"):
         posterior.hellinger_truncations_exact(prior, GaussianAdditive(skewed, 4.0, phi.y), n_grid)
-    with pytest.raises(ValueError, match="scalar noise"):
+    with pytest.raises(ValueError, match="^sigma2 must be a scalar"):
         posterior.hellinger_truncations_exact(prior, GaussianAdditive(phi.model, 4.0 * np.eye(8), phi.y), n_grid)
     h, n, nodes = posterior._mode_lattice(0.05)
     assert nodes > posterior._MODE_NODES
-    with pytest.raises(ValueError, match="sigma2 = 0.05 needs"):
+    with pytest.raises(ValueError, match="^sigma2 is too small: its mode lattice at sigma2 = 0.05 needs"):
         posterior.hellinger_truncations_exact(prior, GaussianAdditive(phi.model, 0.05, phi.y), n_grid)
     logistic = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Logistic(0.0, 1.0)))
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(ValueError, match="^prior must have a law with a closed-form characteristic function") as info:
         posterior.hellinger_truncations_exact(logistic, phi, n_grid)
+    assert isinstance(info.value.__cause__, NotImplementedError)
 
 
 def test_mode_lattice_is_summed_in_slices_at_the_smallest_accepted_sigma2():
     # sigma2 = 0.0956 is just inside the node cap (0.0955 is not); one 2-D
-    # kernel over the whole lattice would hold 134 MB, a row slice 8 MB
+    # kernel over the whole lattice would hold 134 MB, a row slice 512 KB
     assert posterior._mode_lattice(0.0955)[2] > posterior._MODE_NODES
     h, n, nodes = posterior._mode_lattice(0.0956)
     assert nodes <= posterior._MODE_NODES and nodes * 8 > 120 << 20
-    prior, phi, n_grid = consistency_setup("hierarchical_prior", 0, 0.0956)
+    prior, phi, n_grid = consistency_setup("prior", 0, 0.0956)
     tracemalloc.start()
     try:
         pairs = posterior.hellinger_truncations_exact(prior, phi, n_grid)

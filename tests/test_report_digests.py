@@ -38,7 +38,7 @@ OVERRIDES = {
 
 DIGESTS = {  # report revision 0.12.0
     "stability": "dfc378d774281d8b9b254cb19fd9b7937f7cd4f5ae79ff938fe8e1a4ebfddaef",
-    "consistency": "427f2a374088a44139dab488b5b44ec1845d9087d87595bc2f0aa429c943519b",
+    "consistency": "06e4d9b39ccf95ab69206ee70928260e7ab1489ebb20e15c2803a2c4fd32c4fd",
     "metrics": "c35c59f288704b5991482ae6b55eee3060e223d5b37cee1e32ea42678ff2948c",
     "convexity": "cd6c7fe17129443118565e924938049d0ab76a561f12a175ffff8648cb93e5fd",
     "audit": "a18bc9c89d83eb509032dcd4377bf6980694765a7494e2e0eb7893713e7c5416",
