@@ -3,7 +3,7 @@ dimensional Bayesian posteriors for linear and deconvolution models, and
 numerical well-posedness checks (stability in the data, truncation
 consistency, convexity inequalities, exponential integrability)."""
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .measures1d import (
     Distribution1D,
@@ -34,7 +34,6 @@ from .series_prior import (
     sample_field,
 )
 from .forward_models import (
-    AlgebraicMultipliers,
     DeconvolutionModel,
     LinearModel,
     equispaced_points,
@@ -84,7 +83,6 @@ __all__ = [
     "marginal_convexity_test",
     "LinearModel",
     "DeconvolutionModel",
-    "AlgebraicMultipliers",
     "equispaced_points",
     "GaussianAdditive",
     "MultiplicativeUniform",

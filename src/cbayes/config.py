@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .forward_models import AlgebraicMultipliers, DeconvolutionModel, LinearModel
+from .forward_models import DeconvolutionModel, LinearModel
 from .likelihood import GaussianAdditive, MultiplicativeUniform
 from .measures1d import Exponential, Gamma, Gaussian, Laplace, Logistic, Uniform
 from .posterior import ProductPrior
@@ -133,7 +133,7 @@ def model_to_json(model) -> dict:
     if isinstance(model, LinearModel):
         return {"kind": "linear", "matrix": [[float(v) for v in row] for row in model.matrix]}
     if isinstance(model, DeconvolutionModel):
-        if isinstance(model.multipliers, AlgebraicMultipliers):
+        if isinstance(model.multipliers, AlgebraicFourier):
             mult = {"algebraic": float(model.multipliers.s)}
         else:
             mult = [float(v) for v in model.multiplier_values()]
@@ -152,7 +152,7 @@ def model_from_json(obj: dict):
     if obj["kind"] == "deconvolution":
         mult = obj["multipliers"]
         if isinstance(mult, dict):
-            mult = AlgebraicMultipliers(float(mult["algebraic"]))
+            mult = AlgebraicFourier(float(mult["algebraic"]))
         else:
             mult = np.asarray(mult, dtype=float)
         return DeconvolutionModel(mult, np.asarray(obj["observation_points"], dtype=float), int(obj["truncation"]))

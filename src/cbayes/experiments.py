@@ -83,7 +83,6 @@ from .posterior import (
 )
 from .series_prior import (
     AlgebraicFourier,
-    ExplicitSchedule,
     FourierCircle,
     IID,
     SeriesPrior,
@@ -161,7 +160,6 @@ def default_config(experiment: str) -> dict:
             "model": _deconvolution(0.0, 128),
             "sigma2": 4.0,
             "n_grid": [2, 4, 8, 16, 32],
-            "tail_cutoff": 100000,
         }
     if experiment == "convexity":
         return {"seed": 0, "effort": 100000, "lam": 0.5}
@@ -324,17 +322,23 @@ def _effort(cfg: dict) -> int:
     return effort
 
 
+def _decoded(key: str, make):
+    """make(), which decodes the config object under key or checks what it
+    decoded to, refused naming the key when the codec or a constructor
+    raises ValueError, KeyError (a missing field) or TypeError."""
+    try:
+        return make()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"config key {key!r} does not decode: {type(exc).__name__}: {exc}") from None
+
+
 def _series_prior(cfg: dict, key: str, N: int) -> SeriesPrior:
     """The series prior under key, refused naming the key when it does not
-    parse or cannot be drawn at window level N."""
-    try:
-        prior = prior_from_json(cfg[key])
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r} is not a prior: {exc}") from None
+    decode or cannot be drawn at window level N (an explicit schedule
+    shorter than the window)."""
+    prior = _decoded(key, lambda: prior_from_json(cfg[key]))
     _require(isinstance(prior, SeriesPrior), key, "must be a series prior")
-    schedule = prior.schedule
-    short = isinstance(schedule, ExplicitSchedule) and len(schedule.values) < len(prior.basis.window_indices(N))
-    _require(not short, key, f"has an explicit schedule shorter than the window at level {N}")
+    _decoded(key, lambda: prior.weights(N))
     return prior
 
 
@@ -344,7 +348,7 @@ def _deconvolution_setup(cfg: dict, tag: str):
     tag.  A model, prior or sigma2 the suite cannot run with (sigma2 not
     positive and finite, NaN included) is refused naming the key before
     the draw."""
-    model = model_from_json(cfg["model"])
+    model = _decoded("model", lambda: model_from_json(cfg["model"]))
     _require(isinstance(model, DeconvolutionModel), "model", "must be a deconvolution model")
     prior = _series_prior(cfg, "prior", model.truncation)
     sigma2 = float(cfg["sigma2"])
@@ -439,18 +443,6 @@ def run_stability(cfg: dict) -> dict:
 # consistency
 
 
-def _window_tail_norm(schedule_s: float, coeff_var: float, N: int, cutoff: int) -> float:
-    """L2 projection error sqrt(Var * sum of gamma_k^2 outside the window).
-
-    The window at level N is {-N, ..., N-1}, so the complement holds the
-    signed indices k >= N and k <= -(N+1).
-    """
-    k_hi = np.arange(N, cutoff, dtype=float)
-    k_lo = np.arange(N + 1, cutoff, dtype=float)
-    tail = np.sum((1.0 + k_hi * k_hi) ** (-2.0 * schedule_s)) + np.sum((1.0 + k_lo * k_lo) ** (-2.0 * schedule_s))
-    return math.sqrt(coeff_var * tail)
-
-
 def _truncation_distances(prior, phi, n_grid, effort, seed):
     """Paired-seed d_H between the posterior of potential phi at its
     model's truncation (the reference level) and each window truncation
@@ -486,6 +478,7 @@ def _exact_truncations(key: str, prior: SeriesPrior, phi, n_grid) -> list:
 
 
 _EXACT_SIZE = 0.01
+_TAIL_CUTOFF = 100000  # window level at which the projection-error oracle cuts its tail sum
 
 
 def _exact_verdict(reps, exact) -> dict:
@@ -509,9 +502,7 @@ def run_consistency(cfg: dict) -> dict:
     _require(all(1 <= n <= n_ref for n in n_grid), "n_grid", "levels must lie in [1, the model truncation]")
     # each slope fit drops the smallest level and needs two after the drop
     _require(len(set(n_grid) - {n_ref}) >= 3, "n_grid", "needs 3 distinct levels below the model truncation")
-    cutoff = int(cfg["tail_cutoff"])
-    _require(cutoff > max(n_grid), "tail_cutoff", "must exceed every n_grid level, or a tail sum is empty")
-    # the tail-sum oracle is built for the weights (1+k^2)^(-s) of one iid law
+    # the tail-sum oracle's rate verdict is stated for algebraic Fourier weights, and it reads one iid law's variance
     _require(isinstance(prior.schedule, AlgebraicFourier) and isinstance(prior.law, IID), "prior",
              "must be a series with an algebraic_fourier schedule and an iid law")
     hier = _series_prior(cfg, "hierarchical_prior", n_ref)
@@ -536,13 +527,15 @@ def run_consistency(cfg: dict) -> dict:
     for N, ex in exact:
         points.append(_point(N, ex.value, ex.stderr, ex.method, ex.effort, "laplace"))
 
-    # deterministic projection-error oracle for the same schedule
-    s = float(cfg["prior"]["schedule"]["s"])
+    # deterministic projection-error oracle: the prior's L2 mass outside
+    # window N, sqrt(E xi^2 * sum of (dilation gamma_k)^2), its index sum
+    # cut at the window of level _TAIL_CUTOFF
     coeff_var = second_moment(prior.law.dist)  # centered law: variance
+    tail_sq = np.square(prior.weights(_TAIL_CUTOFF))
     proj_x, proj_y = [], []
     for N in sorted(set(n_grid) - {n_ref}):  # the levels of the d_H fit, in its order
-        e = _window_tail_norm(s, coeff_var, N, cutoff)
-        points.append(_point(N, e, 0.0, "tail_sum", cutoff, "projection_error"))
+        e = math.sqrt(coeff_var * float(np.sum(tail_sq[len(prior.basis.window_indices(N)) :])))
+        points.append(_point(N, e, 0.0, "tail_sum", _TAIL_CUTOFF, "projection_error"))
         proj_x.append(math.log(N))
         proj_y.append(math.log(e))
     proj_slope, _, proj_se = _line_fit(proj_x[1:], proj_y[1:])
@@ -821,7 +814,7 @@ def run_audit(cfg: dict) -> dict:
     _require(num >= 10, "num_samples", "must be at least 10")
     radius = float(cfg["radius"])
     _require(radius > 0, "radius", "must be positive")
-    phis = [potential_from_json(pot_cfg) for pot_cfg in cfg["potentials"]]
+    phis = _decoded("potentials", lambda: [potential_from_json(pot_cfg) for pot_cfg in cfg["potentials"]])
     _require(any(isinstance(phi, GaussianAdditive) for phi in phis), "potentials",
              "must hold an additive-Gaussian potential, or gaussian_unflagged judges none")
     points = []

@@ -4,9 +4,10 @@ Two kinds are supported.  LinearModel applies an explicit matrix to the
 coefficient vector.  DeconvolutionModel acts diagonally on the basis
 (multiplier per index, the Fourier picture of circular convolution with a
 fixed kernel) and then collects point values at observation locations.
-Multipliers may be an algebraic closed form (1+k^2)^(-s) or an explicit
-list over the window in enumeration order; s = 0 gives flat multipliers,
-plain point evaluation with no smoothing.
+Multipliers may be series_prior.AlgebraicFourier, the closed form
+(1+k^2)^(-s) that also serves as a prior's decay schedule, or an explicit
+list of finite values over the window in enumeration order; s = 0 gives
+flat multipliers, plain point evaluation with no smoothing.
 
 At m equispaced observation points the trigonometric columns alias:
 every column of the design is a multiple of one of m orthonormal data
@@ -22,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series_prior import FourierCircle
+from .series_prior import AlgebraicFourier, FourierCircle
 
 __all__ = [
     "LinearModel",
     "DeconvolutionModel",
-    "AlgebraicMultipliers",
     "equispaced_points",
 ]
 
@@ -40,20 +40,6 @@ def equispaced_points(m: int) -> np.ndarray:
 
 
 _MODE_TOL = 1e-9  # relative tolerance of data_modes' parallel, orthogonal and zero tests
-
-
-@dataclass(frozen=True)
-class AlgebraicMultipliers:
-    """Kernel multipliers (1 + k^2)^(-s) on the signed index."""
-
-    s: float
-
-    def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("decay exponent must be nonnegative")
-
-    def values(self, indices: np.ndarray) -> np.ndarray:
-        return (1.0 + np.asarray(indices, dtype=float) ** 2) ** (-self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,14 +96,18 @@ class DeconvolutionModel:
 
     def __post_init__(self):
         pts = np.asarray(self.observation_points, dtype=float)
+        if pts.size == 0:
+            raise ValueError("need at least one observation point")
         object.__setattr__(self, "observation_points", pts)
         idx = self.basis.window_indices(self.truncation)
-        if isinstance(self.multipliers, AlgebraicMultipliers):
-            mult = self.multipliers.values(idx)
+        if isinstance(self.multipliers, AlgebraicFourier):
+            mult = self.multipliers.at(idx)
         else:
             mult = np.asarray(self.multipliers, dtype=float)
             if mult.shape != idx.shape:
                 raise ValueError("explicit multipliers must cover the window")
+            if not np.all(np.isfinite(mult)):
+                raise ValueError("explicit multipliers must be finite")
         E = np.stack([self.basis.evaluate(int(k), pts) for k in idx], axis=1)
         object.__setattr__(self, "_indices", idx)
         object.__setattr__(self, "_mult", mult)

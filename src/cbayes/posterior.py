@@ -89,7 +89,7 @@ import numpy as np
 
 from . import streams
 from .measures1d import Distribution1D, _gauss_legendre, quantile_interval
-from .series_prior import SeriesPrior, _share_work, coefficient_weights, sample_coefficients
+from .series_prior import SeriesPrior, _share_work, sample_coefficients
 
 __all__ = [
     "ProductPrior",
@@ -524,7 +524,7 @@ def hellinger_truncations_exact(prior: SeriesPrior, phi, n_grid) -> list:
     y = Q.T @ phi.y
     levels = sorted(set(int(N) for N in n_grid) | {n_ref})
     ends = [len(model.window_positions(N)) for N in levels]
-    scales = np.abs(a) * (prior.dilation * coefficient_weights(prior.basis, prior.schedule, n_ref))
+    scales = np.abs(a) * prior.weights(n_ref)
     while (log_bc := _mode_log_bc(prior.law, sigma2, y, mode_of, scales, ends, h, n)) is None:
         h, n = h / 2, 2 * n
         nodes = (4 * n + 1) * (2 * n + 1)

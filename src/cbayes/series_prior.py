@@ -159,13 +159,17 @@ class AbstractOrthonormal:
 
 @dataclass(frozen=True)
 class AlgebraicFourier:
-    """Weights (1 + k^2)^(-s) on the signed index k."""
+    """Weights (1 + k^2)^(-s) on the signed index k: a prior's decay
+    schedule, or a deconvolution kernel's multipliers."""
 
     s: float
 
     def __post_init__(self):
-        if self.s < 0:
+        if not self.s >= 0:
             raise ValueError("decay exponent must be nonnegative")
+
+    def at(self, indices) -> np.ndarray:
+        return (1.0 + np.asarray(indices, dtype=float) ** 2) ** (-self.s)
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,11 @@ class AlgebraicSequence:
     s: float
 
     def __post_init__(self):
-        if self.s < 0:
+        if not self.s >= 0:
             raise ValueError("decay exponent must be nonnegative")
+
+    def at(self, indices) -> np.ndarray:
+        return np.arange(1, len(indices) + 1, dtype=float) ** (-self.s)
 
 
 @dataclass(frozen=True)
@@ -190,25 +197,20 @@ class ExplicitSchedule:
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("schedule must not be empty")
-        if any(v <= 0 for v in vals):
+        if not all(v > 0 for v in vals):
             raise ValueError("weights must be positive")
         if any(b > a + 1e-15 for a, b in zip(vals[:-1], vals[1:])):
             raise ValueError("weights must be nonincreasing")
 
+    def at(self, indices) -> np.ndarray:
+        if len(self.values) < len(indices):
+            raise ValueError("explicit schedule shorter than the window")
+        return np.asarray(self.values[: len(indices)], dtype=float)
+
 
 def coefficient_weights(basis, schedule, N: int) -> np.ndarray:
     """Decay weights for window N, in enumeration order."""
-    idx = basis.window_indices(N)
-    if isinstance(schedule, AlgebraicFourier):
-        return (1.0 + idx.astype(float) ** 2) ** (-schedule.s)
-    if isinstance(schedule, AlgebraicSequence):
-        pos = np.arange(1, len(idx) + 1, dtype=float)
-        return pos ** (-schedule.s)
-    if isinstance(schedule, ExplicitSchedule):
-        if len(schedule.values) < len(idx):
-            raise ValueError("explicit schedule shorter than the window")
-        return np.asarray(schedule.values[: len(idx)], dtype=float)
-    raise TypeError(f"unknown schedule {schedule!r}")
+    return schedule.at(basis.window_indices(N))
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,10 @@ class SeriesPrior:
         if not isinstance(self.law, (IID, Hierarchical)):
             raise TypeError("law must be IID or Hierarchical")
 
+    def weights(self, N: int) -> np.ndarray:
+        """The slot scales dilation * gamma_k of window N, in enumeration order."""
+        return self.dilation * coefficient_weights(self.basis, self.schedule, N)
+
     def coefficient_laws(self, N: int):
         """Per-slot marginal laws of the coefficients, or None.
 
@@ -299,8 +305,7 @@ class SeriesPrior:
         """
         if not isinstance(self.law, IID):
             return None
-        w = self.dilation * coefficient_weights(self.basis, self.schedule, N)
-        return [self.law.dist.scaled(float(c)) for c in w]
+        return [self.law.dist.scaled(float(c)) for c in self.weights(N)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,7 +439,7 @@ def coefficient_chunks(prior: SeriesPrior, N: int, num_samples: int, seed: int):
     if num_samples < 1:
         raise ValueError("num_samples must be positive")
     idx = prior.basis.window_indices(N)
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    weights = prior.weights(N)
     dists = _law_dists(prior.law)
     gens = list(zip(*(_slot_streams(prior, seed, k) for k in idx)))  # per law, every slot's generator
     rows = max(1, _CHUNK_VALUES // len(idx))
@@ -690,7 +695,7 @@ def marginal_convexity_test(
     for k, _ in terms:
         if k not in index_pos:
             raise ValueError(f"functional index {k} outside window at level {N}")
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)[[index_pos[k] for k, _ in terms]]
+    weights = prior.weights(N)[[index_pos[k] for k, _ in terms]]
     gens = list(zip(*(_slot_streams(prior, seed, k) for k, _ in terms)))
     cols = np.empty((num_samples, len(terms)), order="F")
     _fill_columns(_law_dists(prior.law), gens, weights, cols, _one_thread)

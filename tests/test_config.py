@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cbayes import (
-    AlgebraicMultipliers,
     CustomPotential,
     DeconvolutionModel,
     GaussianAdditive,
@@ -107,7 +106,7 @@ def test_model_round_trip():
     back = model_from_json(model_to_json(lin))
     assert np.array_equal(back.matrix, lin.matrix)
 
-    dec = DeconvolutionModel(AlgebraicMultipliers(1.5), equispaced_points(6), 4)
+    dec = DeconvolutionModel(AlgebraicFourier(1.5), equispaced_points(6), 4)
     back = model_from_json(model_to_json(dec))
     assert np.array_equal(back.observation_points, dec.observation_points)
     assert np.array_equal(back.multiplier_values(), dec.multiplier_values())
@@ -119,7 +118,7 @@ def test_model_round_trip():
 
 
 def test_potential_round_trip():
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(4), 4)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(4), 4)
     y = [0.1, -0.2, 0.3, 0.0]
     phi = GaussianAdditive(model, 4.0, y, proj_level=2)
     back = potential_from_json(potential_to_json(phi))
@@ -206,7 +205,7 @@ def models(draw):
         return LinearModel(np.array(entries).reshape(rows, cols))
     truncation = draw(hst.integers(1, 5))
     if draw(hst.booleans()):
-        mult = AlgebraicMultipliers(draw(hst.floats(0.0, 4.0)))
+        mult = AlgebraicFourier(draw(hst.floats(0.0, 4.0)))
     else:
         mult = np.array(draw(hst.lists(_positive, min_size=2 * truncation, max_size=2 * truncation)))
     points = draw(hst.lists(hst.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))

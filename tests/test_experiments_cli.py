@@ -90,7 +90,7 @@ def test_seed_override_changes_measurements():
 def test_unknown_config_key_rejected():
     with pytest.raises(ValueError):
         run_experiment("stability", {"effrt": 100})
-    for retired in ({"n_ref": 128}, {"drop_smallest": True}):  # consistency's fixed settings
+    for retired in ({"n_ref": 128}, {"drop_smallest": True}, {"tail_cutoff": 100000}):  # consistency's fixed settings
         with pytest.raises(ValueError, match="unknown config keys"):
             run_experiment("consistency", retired)
     with pytest.raises(ValueError):
@@ -105,6 +105,8 @@ PRODUCT_PRIOR = {"kind": "product", "dists": [LAPLACE_SERIES["law"]["dist"]]}
 HIERARCHICAL_SERIES = default_config("consistency")["hierarchical_prior"]
 SKEWED_MODEL = dict(default_config("consistency")["model"],
                     observation_points=[0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95])  # no data modes
+MODEL_16 = default_config("stability")["model"]  # truncation 16: a 32-slot window
+GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
 
 
 @pytest.mark.parametrize("name,config,key", [
@@ -156,8 +158,9 @@ SKEWED_MODEL = dict(default_config("consistency")["model"],
     ("consistency", {"effort": 2000, "hierarchical_prior": dict(HIERARCHICAL_SERIES, law=dict(
         HIERARCHICAL_SERIES["law"], mode={"kind": "gaussian", "params": {"m": 0.0, "sigma": 30.0}}))},
      "hierarchical_prior"),
-    ("consistency", {"tail_cutoff": 32}, "tail_cutoff"),
-    ("consistency", {"tail_cutoff": 8}, "tail_cutoff"),
+    # a prior or model that does not decode (more such cases at the end)
+    ("consistency", {"prior": {"kind": "series"}}, "prior"),
+    ("consistency", {"model": {"kind": "warp"}}, "model"),
     *[("convexity", {"lam": lam}, "lam") for lam in (0.0, 1.0, 1.5, math.nan)],
     ("audit", {"radius": 0.0}, "radius"),
     ("audit", {"radius": -1.0}, "radius"),
@@ -186,6 +189,26 @@ SKEWED_MODEL = dict(default_config("consistency")["model"],
     ("map_demo", {"truth_positions": [], "truth_values": [], "noise_sigma": 0.0}, "noise_sigma"),
     # a perturbation the estimator cannot resolve gives d_H = 0, whose log the slope fit needs
     ("stability", {"effort": 2000, "deltas": [1e-9, 1e-8]}, "deltas"),
+    # NaN weights and empty observation points are refused by the constructors,
+    # not after a whole draw by a NaN potential or by an IndexError in misfit
+    *[(name, {"effort": 2000, "prior": dict(LAPLACE_SERIES, schedule=schedule)}, "prior")
+      for name in ("stability", "metrics")
+      for schedule in ({"kind": "algebraic_fourier", "s": math.nan}, {"kind": "algebraic_sequence", "s": math.nan},
+                       {"kind": "explicit", "values": [math.nan] * 32})],
+    *[("stability", {"effort": 2000, "model": dict(MODEL_16, **change)}, "model")
+      for change in ({"multipliers": {"algebraic": math.nan}}, {"multipliers": [math.nan] * 32},
+                     {"multipliers": [math.inf] * 32}, {"observation_points": []})],
+    ("audit", {"potentials": [dict(GAUSSIAN_POTENTIAL, model=dict(MODEL_16, multipliers={"algebraic": math.nan}))]},
+     "potentials"),
+    # a config object the codec or a constructor cannot decode, by a KeyError,
+    # TypeError or ValueError, is refused naming its key before any draw
+    *[(name, {key: obj}, key) for name, key in (("stability", "prior"), ("consistency", "hierarchical_prior"))
+      for obj in ({"kind": "series"}, dict(LAPLACE_SERIES, schedule={"kind": "algebraic_fourier"}), [1.0])],
+    *[(name, {"model": model}, "model") for name in ("stability", "metrics")
+      for model in ({"kind": "warp"}, {k: v for k, v in MODEL_16.items() if k != "multipliers"},
+                    dict(MODEL_16, truncation=0))],
+    ("audit", {"potentials": [{k: v for k, v in GAUSSIAN_POTENTIAL.items() if k != "noise"}]}, "potentials"),
+    ("audit", {"potentials": [dict(GAUSSIAN_POTENTIAL, kind="warp")]}, "potentials"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -210,6 +233,18 @@ def test_consistency_accepts_the_smallest_lattice_sigma2(monkeypatch):
                                             "hierarchical_prior": narrow})
     exact = [p for p in report["points"] if p["method"] == "mode_quadrature"]
     assert len(exact) == 8 and all(p["effort"] == 16759155 for p in exact)
+
+
+def test_consistency_projection_error_scales_with_the_dilation():
+    # the oracle reads the prior's slot scales dilation * gamma_k, and a
+    # power-of-two dilation scales each tail sum and its square root exactly
+    half = run_experiment("consistency", {"effort": 2000, "prior": dict(LAPLACE_SERIES, dilation=0.5)})
+
+    def projection_errors(report):
+        return [p["value"] for p in report["points"] if p["label"] == "projection_error"]
+
+    full = projection_errors(cached_report("consistency"))
+    assert len(full) == 5 and projection_errors(half) == [0.5 * v for v in full]
 
 
 def test_default_config_returns_fresh_copies():
@@ -509,7 +544,7 @@ def test_cli_sample_prior_accepts_prior_file(tmp_path):
 
 def test_cli_hellinger_matches_library(tmp_path):
     from cbayes import (
-        AlgebraicMultipliers, DeconvolutionModel, GaussianAdditive,
+        DeconvolutionModel, GaussianAdditive,
         PosteriorSpec, equispaced_points, hellinger,
     )
     from cbayes.config import potential_to_json, prior_from_json, prior_to_json
@@ -517,7 +552,7 @@ def test_cli_hellinger_matches_library(tmp_path):
     from cbayes.series_prior import AlgebraicFourier, FourierCircle, IID, SeriesPrior
 
     prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     ya = np.linspace(-0.5, 0.5, 8)
     pa = GaussianAdditive(model, 4.0, ya)
     pb = GaussianAdditive(model, 4.0, ya + 0.1)

@@ -16,9 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbayes import (
+    AlgebraicFourier,
     CustomPotential,
     DeconvolutionModel,
-    AlgebraicMultipliers,
     GaussianAdditive,
     LinearModel,
     MultiplicativeUniform,
@@ -92,7 +92,7 @@ def test_gaussian_potential_data_swap():
 @pytest.mark.parametrize("sigma2", [1.0, 4.0])
 def test_misfit_scalar_noise_matches_plain_formula(sigma2):
     # the plain formula, with the squared residual columns added left to right
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     gen = np.random.default_rng(5)
     y = gen.normal(size=8)
     phi = GaussianAdditive(model, sigma2, y)
@@ -162,7 +162,7 @@ def test_misfit_delta_is_the_shifted_data_difference(dense, order):
     # up to a few ulps of the misfits themselves, so the two forms agree to
     # 1e-12 relative to 1 + Phi(u; y) + Phi(u; y + s).
     gen = np.random.default_rng(11)
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     y = gen.normal(size=8)
     B = gen.normal(size=(8, 8))
     phi = GaussianAdditive(model, B @ B.T + np.eye(8) if dense else 0.7, y)
@@ -188,7 +188,7 @@ def test_misfit_of_residuals_against_zero_data_keeps_the_bits(order):
     # the suites subtract the data from their forward buffer in place and
     # take misfit(r, 0): fwd - y - 0 is fwd - y exactly
     gen = np.random.default_rng(12)
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     phi = GaussianAdditive(model, 4.0, gen.normal(size=8))
     fwd = np.asarray(model.apply_many(gen.normal(size=(300, model.dim))), order=order)
     expected = phi.misfit(fwd, phi.y)
@@ -243,7 +243,7 @@ def test_dense_covariance_must_be_symmetric_to_relative_1e12():
 
 
 def test_gaussian_potential_projection_masks_input():
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(4), 4)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(4), 4)
     y = np.array([0.1, 0.2, -0.1, 0.0])
     full = GaussianAdditive(model, 1.0, y)
     proj = GaussianAdditive(model, 1.0, y, 2)
@@ -318,7 +318,7 @@ def test_audit_gaussian_additive_clean():
 def test_audit_gaussian_far_data_not_flagged_lower_bound():
     # Phi >= 0; with data far from G(0) the halving sequence falls by more
     # than 15 toward Phi(0), by drops that halve at each step
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     y = 10.0 * np.array([0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0])
     phi = GaussianAdditive(model, 0.1, y)
     for seed in range(20):
@@ -418,7 +418,7 @@ def _scalar_loop_audit(phi, r, num_samples, seed):
 
 
 def _audit_potentials():
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     y = np.array([0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0])
     A = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.4], [0.0, -0.5, 1.2]])
     cov = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, so a deletion cannot
-leave a dead export behind, the package states one version, and the
-benchmark's tracer still finds every method it wraps."""
+leave a dead export behind, the package states one version, the README's
+minimal example runs, and the benchmark's tracer still finds every method
+it wraps."""
 
 import importlib
 import pkgutil
@@ -28,6 +29,13 @@ def test_pyproject_version_matches_package():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == cbayes.__version__
+
+
+def test_readme_example_runs():
+    # the first python block of the README, as a reader would paste it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_benchmark_tracer_installs():

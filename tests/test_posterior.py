@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbayes import (
-    AlgebraicMultipliers,
     CustomPotential,
     DeconvolutionModel,
     GaussianAdditive,
@@ -70,7 +69,7 @@ def tilt_spec():
 
 def series_pair(delta=0.0, n=8):
     prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), n)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), n)
     y = np.array([0.5, -0.25, 0.75, -0.5, 0.25, -0.75, 1.0, -1.0])
     phi1 = GaussianAdditive(model, 4.0, y)
     phi2 = GaussianAdditive(model, 4.0, y + delta * np.eye(8)[0])
@@ -287,7 +286,7 @@ def roadmap_pair(sigma2):
     # Laplace s=1.25, N=8 deconvolution, data 3*G(u) for the seed-5 field
     # and that data scaled by 1.01
     prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
-    model = DeconvolutionModel(AlgebraicMultipliers(1.0), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
     y = 3.0 * model.apply(sample_field(prior, 8, seed=5).coefficients)
     return (PosteriorSpec(prior, GaussianAdditive(model, sigma2, y), 8),
             PosteriorSpec(prior, GaussianAdditive(model, sigma2, 1.01 * y), 8))
@@ -650,7 +649,7 @@ def test_exact_truncation_distances_match_the_gaussian_closed_form(sigma2, scale
     from cbayes.experiments import _synthetic_data
 
     prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.0), IID(Gaussian(0.0, scale)))
-    model = DeconvolutionModel(AlgebraicMultipliers(0.5), equispaced_points(8), 8)
+    model = DeconvolutionModel(AlgebraicFourier(0.5), equispaced_points(8), 8)
     phi = GaussianAdditive(model, sigma2, _synthetic_data(prior, model, sigma2, 0, "closed_form"))
     if nodes is None:
         with pytest.raises(ValueError, match="^prior leaves a data mode's integral unresolved") as info:
@@ -709,7 +708,7 @@ def test_mode_lattice_step_follows_a_wide_noise(monkeypatch, key):
 
 def test_exact_truncation_distances_refuse_what_they_cannot_compute():
     prior, phi, n_grid = consistency_setup("prior", 0, 4.0)
-    skewed = DeconvolutionModel(AlgebraicMultipliers(0.0), [0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95], 128)
+    skewed = DeconvolutionModel(AlgebraicFourier(0.0), [0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95], 128)
     with pytest.raises(ValueError, match="^model must have mode-aligned columns"):
         posterior.hellinger_truncations_exact(prior, GaussianAdditive(skewed, 4.0, phi.y), n_grid)
     with pytest.raises(ValueError, match="^sigma2 must be a scalar"):

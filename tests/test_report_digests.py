@@ -36,13 +36,13 @@ OVERRIDES = {
     "map_demo": {},
 }
 
-DIGESTS = {  # report revision 0.12.0
-    "stability": "dfc378d774281d8b9b254cb19fd9b7937f7cd4f5ae79ff938fe8e1a4ebfddaef",
-    "consistency": "06e4d9b39ccf95ab69206ee70928260e7ab1489ebb20e15c2803a2c4fd32c4fd",
-    "metrics": "c35c59f288704b5991482ae6b55eee3060e223d5b37cee1e32ea42678ff2948c",
-    "convexity": "cd6c7fe17129443118565e924938049d0ab76a561f12a175ffff8648cb93e5fd",
-    "audit": "a18bc9c89d83eb509032dcd4377bf6980694765a7494e2e0eb7893713e7c5416",
-    "map_demo": "1f5ff3053cca30e92e33a9487f04fe6c83d9a403f5686d7b8bd486cf62413fd8",
+DIGESTS = {  # report revision 0.13.0
+    "stability": "bffaf74fb7d48cfc848b8c76995b80662bb622c021f97c73540e1f4b2dfdbcff",
+    "consistency": "92e01f7e24bd06e4ae337acb0d7c0d444d313e8dbbeb87be5fd3f1db92c550cd",
+    "metrics": "ccaf53d0682a78f7b3204b7960c169ef4c903b99944d03784b44b6861a81bca8",
+    "convexity": "be30444f8783a2ff11ec9b2452895f378bc8b49b169d9e4b8d7585f271a77094",
+    "audit": "bfaf3a35b976e6ae6834264d18bd71155ac5a4c1dd71f75f069ef77dc192e266",
+    "map_demo": "fbdab84dadb25354570874a3d1b38dd8963c7442850d1fb93848dc101f23e8b8",
 }
 
 
