@@ -215,7 +215,8 @@ def run_experiment(experiment: str, config: dict | None = None, seed: int | None
     if config:
         unknown = set(config) - set(cfg)
         if unknown:
-            raise ValueError(f"unknown config keys for {experiment}: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys for {experiment}: "
+                             + ", ".join(f"config key {key!r}" for key in sorted(unknown)))
         cfg.update(config)
     if seed is not None:
         cfg["seed"] = int(seed)

@@ -158,9 +158,9 @@ GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
     ("consistency", {"effort": 2000, "hierarchical_prior": dict(HIERARCHICAL_SERIES, law=dict(
         HIERARCHICAL_SERIES["law"], mode={"kind": "gaussian", "params": {"m": 0.0, "sigma": 30.0}}))},
      "hierarchical_prior"),
-    # a prior or model that does not decode (more such cases at the end)
-    ("consistency", {"prior": {"kind": "series"}}, "prior"),
-    ("consistency", {"model": {"kind": "warp"}}, "model"),
+    # tail_cutoff is a fixed setting, so an override is an unknown key, refused by name
+    ("consistency", {"tail_cutoff": 32}, "tail_cutoff"),
+    ("consistency", {"tail_cutoff": 8}, "tail_cutoff"),
     *[("convexity", {"lam": lam}, "lam") for lam in (0.0, 1.0, 1.5, math.nan)],
     ("audit", {"radius": 0.0}, "radius"),
     ("audit", {"radius": -1.0}, "radius"),
@@ -209,6 +209,8 @@ GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
                     dict(MODEL_16, truncation=0))],
     ("audit", {"potentials": [{k: v for k, v in GAUSSIAN_POTENTIAL.items() if k != "noise"}]}, "potentials"),
     ("audit", {"potentials": [dict(GAUSSIAN_POTENTIAL, kind="warp")]}, "potentials"),
+    ("consistency", {"prior": {"kind": "series"}}, "prior"),
+    ("consistency", {"model": {"kind": "warp"}}, "model"),
 ])
 def test_unrunnable_config_rejected_naming_the_key(name, config, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
