@@ -1,10 +1,11 @@
-"""JSON round-tripping for priors, models, and potentials.
+"""JSON decoding for priors, models, and potentials.
 
-Every experiment report embeds its fully resolved configuration, so any
-report can be regenerated from the file alone.  The codecs here map the
-library objects to plain dictionaries and back; config_hash fingerprints
-the canonical serialization for provenance.  Custom callback potentials
-cannot be serialized and are rejected.
+Every experiment report embeds the JSON config it ran, so replaying a
+report needs only JSON -> object decoding: the decoders here map plain
+dictionaries with `kind` discriminators to library objects, and nothing
+maps objects back.  canonical_json is the sorted text, with no NaN or
+infinity, that config_hash fingerprints for provenance.  Custom callback
+potentials have no JSON kind.
 """
 
 from __future__ import annotations
@@ -29,13 +30,9 @@ from .series_prior import (
 )
 
 __all__ = [
-    "dist_to_json",
     "dist_from_json",
-    "prior_to_json",
     "prior_from_json",
-    "model_to_json",
     "model_from_json",
-    "potential_to_json",
     "potential_from_json",
     "canonical_json",
     "config_hash",
@@ -51,13 +48,6 @@ _DIST_KINDS = {
 }
 
 
-def dist_to_json(d) -> dict:
-    for kind, (cls, fields) in _DIST_KINDS.items():
-        if type(d) is cls:
-            return {"kind": kind, "params": {f: float(getattr(d, f)) for f in fields}}
-    raise TypeError(f"unsupported distribution {type(d).__name__}")
-
-
 def dist_from_json(obj: dict):
     if obj["kind"] not in _DIST_KINDS:
         raise ValueError(f"unknown distribution kind {obj['kind']!r}")
@@ -68,16 +58,6 @@ def dist_from_json(obj: dict):
     return cls(**{f: float(obj["params"][f]) for f in fields})
 
 
-def _schedule_to_json(sched) -> dict:
-    if isinstance(sched, AlgebraicFourier):
-        return {"kind": "algebraic_fourier", "s": float(sched.s)}
-    if isinstance(sched, AlgebraicSequence):
-        return {"kind": "algebraic_sequence", "s": float(sched.s)}
-    if isinstance(sched, ExplicitSchedule):
-        return {"kind": "explicit", "values": [float(v) for v in sched.values]}
-    raise TypeError(f"unsupported schedule {type(sched).__name__}")
-
-
 def _schedule_from_json(obj: dict):
     if obj["kind"] == "algebraic_fourier":
         return AlgebraicFourier(float(obj["s"]))
@@ -86,30 +66,6 @@ def _schedule_from_json(obj: dict):
     if obj["kind"] == "explicit":
         return ExplicitSchedule(tuple(float(v) for v in obj["values"]))
     raise ValueError(f"unknown schedule kind {obj['kind']!r}")
-
-
-def prior_to_json(prior) -> dict:
-    if isinstance(prior, ProductPrior):
-        return {"kind": "product", "dists": [dist_to_json(d) for d in prior.dists]}
-    if not isinstance(prior, SeriesPrior):
-        raise TypeError(f"unsupported prior {type(prior).__name__}")
-    if not isinstance(prior.basis, FourierCircle):
-        raise TypeError("only the Fourier circle basis serializes")
-    if isinstance(prior.law, IID):
-        law = {"kind": "iid", "dist": dist_to_json(prior.law.dist)}
-    else:
-        law = {
-            "kind": "hierarchical",
-            "scale": dist_to_json(prior.law.scale_law),
-            "mode": dist_to_json(prior.law.mode_law),
-        }
-    return {
-        "kind": "series",
-        "basis": {"kind": "fourier_circle"},
-        "schedule": _schedule_to_json(prior.schedule),
-        "law": law,
-        "dilation": float(prior.dilation),
-    }
 
 
 def prior_from_json(obj: dict):
@@ -129,23 +85,6 @@ def prior_from_json(obj: dict):
     return SeriesPrior(FourierCircle(), _schedule_from_json(obj["schedule"]), law, float(obj["dilation"]))
 
 
-def model_to_json(model) -> dict:
-    if isinstance(model, LinearModel):
-        return {"kind": "linear", "matrix": [[float(v) for v in row] for row in model.matrix]}
-    if isinstance(model, DeconvolutionModel):
-        if isinstance(model.multipliers, AlgebraicFourier):
-            mult = {"algebraic": float(model.multipliers.s)}
-        else:
-            mult = [float(v) for v in model.multiplier_values()]
-        return {
-            "kind": "deconvolution",
-            "multipliers": mult,
-            "observation_points": [float(p) for p in model.observation_points],
-            "truncation": int(model.truncation),
-        }
-    raise TypeError(f"unsupported model {type(model).__name__}")
-
-
 def model_from_json(obj: dict):
     if obj["kind"] == "linear":
         return LinearModel(np.asarray(obj["matrix"], dtype=float))
@@ -157,24 +96,6 @@ def model_from_json(obj: dict):
             mult = np.asarray(mult, dtype=float)
         return DeconvolutionModel(mult, np.asarray(obj["observation_points"], dtype=float), int(obj["truncation"]))
     raise ValueError(f"unknown model kind {obj['kind']!r}")
-
-
-def potential_to_json(phi) -> dict:
-    if isinstance(phi, GaussianAdditive):
-        if np.ndim(phi.noise) == 0:
-            noise = {"sigma2": float(phi.noise)}
-        else:
-            noise = {"matrix": [[float(v) for v in row] for row in np.asarray(phi.noise)]}
-        return {
-            "kind": "gaussian_additive",
-            "model": model_to_json(phi.model),
-            "noise": noise,
-            "y": [float(v) for v in phi.y],
-            "proj_level": None if phi.proj_level is None else int(phi.proj_level),
-        }
-    if isinstance(phi, MultiplicativeUniform):
-        return {"kind": "multiplicative_uniform", "y": float(phi.y), "dim": int(phi.dim)}
-    raise TypeError(f"unsupported potential {type(phi).__name__}")
 
 
 def potential_from_json(obj: dict):

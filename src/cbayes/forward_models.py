@@ -110,7 +110,6 @@ class DeconvolutionModel:
                 raise ValueError("explicit multipliers must be finite")
         E = np.stack([self.basis.evaluate(int(k), pts) for k in idx], axis=1)
         object.__setattr__(self, "_indices", idx)
-        object.__setattr__(self, "_mult", mult)
         object.__setattr__(self, "_design", E * mult[None, :])
 
     @property
@@ -120,9 +119,6 @@ class DeconvolutionModel:
     @property
     def data_dim(self) -> int:
         return len(self.observation_points)
-
-    def multiplier_values(self) -> np.ndarray:
-        return self._mult.copy()
 
     def window_positions(self, M: int) -> np.ndarray:
         if M > self.truncation:

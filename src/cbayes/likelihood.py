@@ -300,7 +300,7 @@ def assumption_audit(phi, r: float, num_samples: int, seed: int) -> AuditReport:
     potential needs dim, evaluate and evaluate_many; data_dim and a batch-capable
     evaluate_with_data vary the data too.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("radius must be positive")
     if num_samples < 10:
         raise ValueError("num_samples must be at least 10")

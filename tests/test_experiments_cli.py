@@ -106,7 +106,8 @@ HIERARCHICAL_SERIES = default_config("consistency")["hierarchical_prior"]
 SKEWED_MODEL = dict(default_config("consistency")["model"],
                     observation_points=[0.0, 0.1, 0.3, 0.35, 0.6, 0.7, 0.8, 0.95])  # no data modes
 MODEL_16 = default_config("stability")["model"]  # truncation 16: a 32-slot window
-GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
+GAUSSIAN_POTENTIAL, LINEAR_POTENTIAL = default_config("audit")["potentials"][:2]
+UNRESOLVED_DELTAS = {"effort": 2000, "deltas": [1e-9, 1e-8]}  # the d_H estimates cancel to 0
 
 
 @pytest.mark.parametrize("name,config,key", [
@@ -188,7 +189,7 @@ GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
     ("map_demo", {"truth_values": [0.0, 0.0, 0.0], "noise_sigma": 0.0}, "noise_sigma"),
     ("map_demo", {"truth_positions": [], "truth_values": [], "noise_sigma": 0.0}, "noise_sigma"),
     # a perturbation the estimator cannot resolve gives d_H = 0, whose log the slope fit needs
-    ("stability", {"effort": 2000, "deltas": [1e-9, 1e-8]}, "deltas"),
+    ("stability", UNRESOLVED_DELTAS, "deltas"),
     # NaN weights and empty observation points are refused by the constructors,
     # not after a whole draw by a NaN potential or by an IndexError in misfit
     *[(name, {"effort": 2000, "prior": dict(LAPLACE_SERIES, schedule=schedule)}, "prior")
@@ -211,10 +212,26 @@ GAUSSIAN_POTENTIAL = default_config("audit")["potentials"][0]
     ("audit", {"potentials": [dict(GAUSSIAN_POTENTIAL, kind="warp")]}, "potentials"),
     ("consistency", {"prior": {"kind": "series"}}, "prior"),
     ("consistency", {"model": {"kind": "warp"}}, "model"),
+    # a NaN or an infinity no report could embed, refused before the run rather than by
+    # a NaN potential after a whole draw, or by the report's config hash after the audit
+    ("stability", {"model": dict(MODEL_16, observation_points=[0.0, math.nan] + MODEL_16["observation_points"][2:])},
+     "model"),
+    ("stability", {"prior": dict(LAPLACE_SERIES, law={
+        "kind": "iid", "dist": {"kind": "laplace", "params": {"m": math.nan, "sigma": 1.0}}})}, "prior"),
+    ("metrics", {"prior": dict(LAPLACE_SERIES, law={
+        "kind": "iid", "dist": {"kind": "laplace", "params": {"m": 0.0, "sigma": math.inf}}})}, "prior"),
+    ("audit", {"potentials": [GAUSSIAN_POTENTIAL, dict(LINEAR_POTENTIAL, model={
+        "kind": "linear", "matrix": [[1.0, math.nan], [0.2, 1.0]]})]}, "potentials"),
 ])
-def test_unrunnable_config_rejected_naming_the_key(name, config, key):
+def test_unrunnable_config_rejected_naming_the_key(monkeypatch, name, config, key):
+    work = []  # the suite's estimator draws and audit probes
+    for fn in ("coefficient_chunks", "assumption_audit"):
+        real = getattr(experiments, fn)
+        monkeypatch.setattr(experiments, fn, lambda *a, real=real, **k: work.append(a) or real(*a, **k))
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         run_experiment(name, config)
+    # only a deltas entry below what the estimator resolves is refused after the draw
+    assert work == [] or config == UNRESOLVED_DELTAS
 
 
 def test_consistency_accepts_the_smallest_lattice_sigma2(monkeypatch):
@@ -247,6 +264,20 @@ def test_consistency_projection_error_scales_with_the_dilation():
 
     full = projection_errors(cached_report("consistency"))
     assert len(full) == 5 and projection_errors(half) == [0.5 * v for v in full]
+
+
+@pytest.mark.parametrize("s", [1.0, 1.5])
+def test_consistency_rate_targets_follow_the_prior_exponent(s):
+    # the tail sum over |k| > N of (1 + k^2)^(-2s) decays as N^(1-4s), so
+    # the projection error's rate is N^((1-4s)/2): -1.5 at s = 1, -2.5 at 1.5
+    report = run_experiment("consistency", {"effort": 20000, "prior": dict(
+        LAPLACE_SERIES, schedule={"kind": "algebraic_fourier", "s": s})})
+    rate = (1.0 - 4.0 * s) / 2.0
+    verdicts = report["verdicts"]
+    assert verdicts["projection_slope_near_rate"]["tolerance"] == f"tail-sum slope = {rate!r} +/- 0.1"
+    assert verdicts["rate_slope_in_window"]["tolerance"] == (
+        f"log-log slope of d_H vs N in [{rate - 0.6!r}, {rate + 0.5!r}]")
+    assert [k for k, v in verdicts.items() if not v["passed"]] == []
 
 
 def test_default_config_returns_fresh_copies():
@@ -549,7 +580,6 @@ def test_cli_hellinger_matches_library(tmp_path):
         DeconvolutionModel, GaussianAdditive,
         PosteriorSpec, equispaced_points, hellinger,
     )
-    from cbayes.config import potential_to_json, prior_from_json, prior_to_json
     from cbayes.measures1d import Laplace
     from cbayes.series_prior import AlgebraicFourier, FourierCircle, IID, SeriesPrior
 
@@ -559,12 +589,26 @@ def test_cli_hellinger_matches_library(tmp_path):
     pa = GaussianAdditive(model, 4.0, ya)
     pb = GaussianAdditive(model, 4.0, ya + 0.1)
 
+    prior_obj = {
+        "kind": "series",
+        "basis": {"kind": "fourier_circle"},
+        "schedule": {"kind": "algebraic_fourier", "s": 1.25},
+        "law": {"kind": "iid", "dist": {"kind": "laplace", "params": {"m": 0.0, "sigma": 1.0}}},
+        "dilation": 1.0,
+    }
+    model_obj = {
+        "kind": "deconvolution",
+        "multipliers": {"algebraic": 1.0},
+        "observation_points": [float(p) for p in equispaced_points(8)],
+        "truncation": 8,
+    }
     prior_path = tmp_path / "prior.json"
     pa_path = tmp_path / "pa.json"
     pb_path = tmp_path / "pb.json"
-    prior_path.write_text(json.dumps(prior_to_json(prior)))
-    pa_path.write_text(json.dumps(potential_to_json(pa)))
-    pb_path.write_text(json.dumps(potential_to_json(pb)))
+    prior_path.write_text(json.dumps(prior_obj))
+    for path, y in ((pa_path, ya), (pb_path, ya + 0.1)):
+        path.write_text(json.dumps({"kind": "gaussian_additive", "model": model_obj, "noise": {"sigma2": 4.0},
+                                    "y": [float(v) for v in y], "proj_level": None}))
 
     res = invoke(["hellinger", "--prior", str(prior_path),
                   "--potential-a", str(pa_path), "--potential-b", str(pb_path),

@@ -68,10 +68,15 @@ def test_deconvolution_single_frequency_action():
         assert np.allclose(model.apply(c), expected, atol=1e-13)
 
 
+def basis_values(model, trunc):
+    return np.stack([BASIS.evaluate(int(k), model.observation_points) for k in BASIS.window_indices(trunc)], axis=1)
+
+
 def test_multiplier_values_and_dims():
+    # the design's column k is the basis function x_k at the points times multiplier(k)
     model = make_deconv(s=1.5, m=8, trunc=3)
     idx = BASIS.window_indices(3).astype(float)
-    assert np.allclose(model.multiplier_values(), (1.0 + idx**2) ** -1.5)
+    assert np.allclose(model.design_matrix(), basis_values(model, 3) * (1.0 + idx**2) ** -1.5)
     assert model.dim == 6
     assert model.data_dim == 8
 
@@ -79,7 +84,7 @@ def test_multiplier_values_and_dims():
 def test_explicit_multiplier_sequence():
     vals = np.array([1.0, 0.5, 0.5, 0.25, 0.25, 0.125])
     model = DeconvolutionModel(vals, equispaced_points(4), 3)
-    assert np.allclose(model.multiplier_values(), vals)
+    assert np.allclose(model.design_matrix(), basis_values(model, 3) * vals)
     with pytest.raises(ValueError):
         DeconvolutionModel(vals[:4], equispaced_points(4), 3)
 

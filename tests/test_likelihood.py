@@ -350,6 +350,13 @@ def test_audit_validation():
         assumption_audit(phi, r=1.0, num_samples=5, seed=0)
 
 
+def test_audit_refuses_a_nan_radius():
+    # every probe at a NaN radius is NaN, which would read as a clean report on nothing
+    phi = GaussianAdditive(LinearModel(np.eye(2)), 1.0, [0.5, -0.3])
+    with pytest.raises(ValueError, match="radius must be positive"):
+        assumption_audit(phi, math.nan, 100, 0)
+
+
 def test_audit_deterministic():
     phi = MultiplicativeUniform(1.0, dim=3)
     a = assumption_audit(phi, r=1.0, num_samples=200, seed=7)

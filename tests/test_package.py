@@ -38,6 +38,18 @@ def test_readme_example_runs():
     exec(compile(block, "README.md", "exec"), {})
 
 
+def test_readme_library_tour_has_a_row_per_module():
+    # one row for each module file, and none for a module that is gone,
+    # but the package's entry points and cli, which has its own section
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    rows = {line.split("`")[1] for line in tour.splitlines() if line.startswith("| `cbayes.")}
+    modules = {f"cbayes.{p.stem}" for p in (root / "src" / "cbayes").glob("*.py")}
+    assert rows == modules - {"cbayes.__init__", "cbayes.__main__", "cbayes.cli"}
+    assert "\n## CLI\n" in readme
+
+
 def test_benchmark_tracer_installs():
     # perfbench/tracing.py wraps the methods its table names from each
     # class's own namespace (vars(cls)[name]): the models' apply*, the
