@@ -98,6 +98,8 @@ class DeconvolutionModel:
         pts = np.asarray(self.observation_points, dtype=float)
         if pts.size == 0:
             raise ValueError("need at least one observation point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("observation points must be finite")
         object.__setattr__(self, "observation_points", pts)
         idx = self.basis.window_indices(self.truncation)
         if isinstance(self.multipliers, AlgebraicFourier):

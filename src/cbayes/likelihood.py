@@ -300,8 +300,8 @@ def assumption_audit(phi, r: float, num_samples: int, seed: int) -> AuditReport:
     potential needs dim, evaluate and evaluate_many; data_dim and a batch-capable
     evaluate_with_data vary the data too.
     """
-    if not r > 0:
-        raise ValueError("radius must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
     if num_samples < 10:
         raise ValueError("num_samples must be at least 10")
     dim = phi.dim

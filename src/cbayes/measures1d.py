@@ -22,15 +22,17 @@ exact samplers driven by explicit streams, a grid-based log-concavity
 checker, and interval masses from CDF differences, on which the
 convexity suite's closed-form oracles are computed.
 
-Samplers consume an explicit generator (see streams) through the one
-Distribution1D.sample, which states the sampler contract: a law only
+Samplers consume explicit generators (see streams) through the one
+Distribution1D.sample, which states the sampler contract: a tuple of
+generators fills a 2-D F-order array, one column each, and a law only
 turns uniforms into its draws in place (_transform), or reads its own
-variates from the stream (_draw).  Uniform, Exponential, Laplace and
-Logistic use inverse-CDF transforms of uniforms and integer-shape Gamma
-a sum of exponentials; Gaussian draws its normals from streams.normals
-and non-integer-shape Gamma calls Generator.standard_gamma
-(Marsaglia-Tsang), both numpy samplers whose output numpy may change
-between releases (NEP 19).
+variates from the stream (_draw).  A law has no scaled copy: a slot's
+scale multiplies the unit law's draws (see series_prior).  Uniform,
+Exponential, Laplace and Logistic use inverse-CDF transforms of
+uniforms and integer-shape Gamma a sum of exponentials; Gaussian draws
+its normals from streams.normals and non-integer-shape Gamma calls
+Generator.standard_gamma (Marsaglia-Tsang), both numpy samplers whose
+output numpy may change between releases (NEP 19).
 
 The CDFs are closed forms in numpy and math: Gaussian through math.erfc,
 integer-shape Gamma through Poisson sums (_integer_gamma_cdf).  Only a
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,7 +113,13 @@ class Distribution1D:
     A law states its log density and CDF once, as _log_density and _cdf
     on float arrays.  density, log_density and cdf take a scalar or an
     array: a float for a 0-d input, else an array of the input's shape,
-    and NaN wherever the input is NaN, whatever the law."""
+    and NaN wherever the input is NaN, whatever the law.  Every law's
+    __post_init__ first refuses a NaN or infinite parameter here."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{type(self).__name__} parameter {f.name} must be finite")
 
     def density(self, x):
         """exp(log density)."""
@@ -129,38 +137,16 @@ class Distribution1D:
     def _cdf(self, x: np.ndarray):
         raise NotImplementedError
 
-    def sample(self, gen: np.random.Generator, size=None, out=None):
-        """Exact draws from the stream gen: a float when size and out are
-        None, else an array of size draws.
-
-        Every law draws through this one method.  It reads gen draw by
-        draw, so a stream continued call by call gives the draws of one
-        call.  Given out= (a contiguous 1-D float64 array, such as one
-        column of an F-order block; size, if given, must equal its
-        length) the draws are written into out and out itself is
-        returned, with the same bits as a call without it; the law works
-        in place with at most one draw-sized scratch array.  gen may be a
-        tuple of generators with out a 2-D F-order float64 array of one
-        column per generator: column j then holds gen[j]'s draws, with
-        the bits of a call on gen[j] alone, and out is returned.  A
-        single generator is a group of one, so any other out is refused
-        with ValueError.  One generator call per column reads the
-        stream, then the law's transform runs once over all of out."""
-        single = not isinstance(gen, tuple)
-        gens = (gen,) if single else gen
-        if single and out is None:
-            x = np.empty(1 if size is None else int(size))
-            self._draw(gens, x)
-            return float(x[0]) if size is None else x
-        if single and np.ndim(out) == 1:
-            x = out
-        elif np.ndim(out) == 2 and out.shape[1] == len(gens) and out.flags.f_contiguous:
-            x = out.reshape(-1, order="F", copy=False)
-        else:
-            raise ValueError("out must be 1-D for one generator, or 2-D F-order with one column per generator")
-        if size is not None and int(size) != len(out):
-            raise ValueError("size must equal len(out)")
-        self._draw(gens, x)
+    def sample(self, gens: tuple, out: np.ndarray) -> np.ndarray:
+        """Exact draws into out, a 2-D F-order float64 array, column j from
+        gens[j] of the tuple gens, with the bits of a group of one; returns
+        out, and refuses any other gens or out with ValueError.  Every law
+        draws through this one method: one generator call per column reads
+        its stream draw by draw, so a stream continued call by call gives
+        the draws of one call, then the law's transform runs over out once."""
+        if not (isinstance(gens, tuple) and np.shape(out)[1:] == (len(gens),) and out.flags.f_contiguous):
+            raise ValueError("gens must be a tuple, and out 2-D F-order with one column per generator")
+        self._draw(gens, out.reshape(-1, order="F", copy=False))
         return out
 
     def _draw(self, gens: tuple, x: np.ndarray) -> None:
@@ -183,10 +169,6 @@ class Distribution1D:
     def support(self) -> tuple[float, float]:
         return (-math.inf, math.inf)
 
-    def scaled(self, c: float) -> "Distribution1D":
-        """Law of c*X for c > 0; every supported family is closed under this."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Gaussian(Distribution1D):
@@ -194,6 +176,7 @@ class Gaussian(Distribution1D):
     sigma: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
@@ -217,15 +200,13 @@ class Gaussian(Distribution1D):
             return super()._log_cf(t)
         return -0.5 * np.square(self.sigma * t)
 
-    def scaled(self, c):
-        return Gaussian(c * self.m, c * self.sigma)
-
 
 @dataclass(frozen=True)
 class Exponential(Distribution1D):
     lam: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.lam > 0:
             raise ValueError("lam must be positive")
 
@@ -243,9 +224,6 @@ class Exponential(Distribution1D):
     def support(self):
         return (0.0, math.inf)
 
-    def scaled(self, c):
-        return Exponential(self.lam / c)
-
 
 @dataclass(frozen=True)
 class Laplace(Distribution1D):
@@ -253,6 +231,7 @@ class Laplace(Distribution1D):
     sigma: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
 
@@ -285,9 +264,6 @@ class Laplace(Distribution1D):
             return super()._log_cf(t)
         return -np.log1p(np.square(self.sigma * t))
 
-    def scaled(self, c):
-        return Laplace(c * self.m, c * self.sigma)
-
 
 @dataclass(frozen=True)
 class Logistic(Distribution1D):
@@ -295,6 +271,7 @@ class Logistic(Distribution1D):
     s: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.s > 0:
             raise ValueError("s must be positive")
 
@@ -313,9 +290,6 @@ class Logistic(Distribution1D):
         x *= self.s
         x += self.m
 
-    def scaled(self, c):
-        return Logistic(c * self.m, c * self.s)
-
 
 @dataclass(frozen=True)
 class Gamma(Distribution1D):
@@ -329,6 +303,7 @@ class Gamma(Distribution1D):
     lam: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.k >= 1:
             raise ValueError("shape k must be at least 1 for log-concavity")
         if not self.lam > 0:
@@ -380,9 +355,6 @@ class Gamma(Distribution1D):
     def support(self):
         return (0.0, math.inf)
 
-    def scaled(self, c):
-        return Gamma(self.k, c * self.lam)
-
 
 # Above this shape the Poisson weight e^-t of _integer_gamma_cdf could
 # underflow where the lower sum still matters (t > 745 needs k > ~500).
@@ -423,6 +395,7 @@ class Uniform(Distribution1D):
     b: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.b > self.a:
             raise ValueError("b must exceed a")
 
@@ -438,9 +411,6 @@ class Uniform(Distribution1D):
 
     def support(self):
         return (self.a, self.b)
-
-    def scaled(self, c):
-        return Uniform(c * self.a, c * self.b)
 
 
 @dataclass(frozen=True)

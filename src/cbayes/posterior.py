@@ -14,8 +14,9 @@ Total variation averages the absolute difference of the two normalized
 weights; its standard error uses the influence function of the ratio
 statistic.  Both metrics also have a deterministic tensor Gauss-Legendre
 path for priors with at most two independent coordinates; its rule is
-measures1d's cached one, and its Hellinger integrand is the same sqrt(s1)
-sqrt(s2).
+measures1d's cached one, an IID series prior's nodes are its unit law's
+times SeriesPrior.weights, and its Hellinger integrand is the same
+sqrt(s1) sqrt(s2).
 
 Weights are formed in the log domain, by one routine (_weights): each
 potential array has its minimum subtracted before exponentiating, so the
@@ -89,7 +90,7 @@ import numpy as np
 
 from . import streams
 from .measures1d import Distribution1D, _gauss_legendre, quantile_interval
-from .series_prior import SeriesPrior, _share_work, sample_coefficients
+from .series_prior import IID, SeriesPrior, _share_work, sample_coefficients
 
 __all__ = [
     "ProductPrior",
@@ -130,15 +131,12 @@ class ProductPrior:
     def dim(self) -> int:
         return len(self.dists)
 
-    def coefficient_laws(self):
-        return list(self.dists)
-
     def sample(self, num_samples: int, seed: int) -> np.ndarray:
         """Column-major (num_samples, dim) draws: coordinate j's sampler
         fills column j in place from its own stream."""
         out = np.empty((num_samples, self.dim), order="F")
         for j, d in enumerate(self.dists):
-            d.sample(streams.substream(seed, streams.COEFFS, j, 0), out=out[:, j])
+            d.sample((streams.substream(seed, streams.COEFFS, j, 0),), out[:, j : j + 1])
         return out
 
 
@@ -175,11 +173,6 @@ class PosteriorSpec:
         if isinstance(self.prior, ProductPrior):
             return self.prior.sample(num_samples, seed)
         return sample_coefficients(self.prior, self.N, num_samples, seed)
-
-    def coefficient_laws(self):
-        if isinstance(self.prior, ProductPrior):
-            return self.prior.coefficient_laws()
-        return self.prior.coefficient_laws(self.N)
 
 
 def _same_reference(spec1: PosteriorSpec, spec2: PosteriorSpec):
@@ -289,18 +282,25 @@ def _resolve_effort(method: str, effort: int | None) -> int:
 
 
 def _quadrature_grid(spec: PosteriorSpec, nodes: int):
-    laws = spec.coefficient_laws()
-    if laws is None:
+    """Tensor Gauss-Legendre points and weights of the unit laws, each
+    coordinate's points times its scale (SeriesPrior.weights, or 1): cX
+    has density f(x / c) / c, so the node weights f(x) dx stay."""
+    prior = spec.prior
+    if isinstance(prior, ProductPrior):
+        laws, scales = prior.dists, np.ones(prior.dim)
+    elif isinstance(prior.law, IID):
+        laws, scales = [prior.law.dist] * spec.dim, prior.weights(spec.N)
+    else:
         raise ValueError("quadrature needs independent coordinate laws")
     if len(laws) > 2:
         raise ValueError("quadrature supports at most two coordinates")
     x, w = _gauss_legendre(nodes)
     axes = []
-    for d in laws:
+    for d, c in zip(laws, scales):
         a, b = quantile_interval(d, 1e-12, 1.0 - 1e-12)
         pts = 0.5 * (b - a) * (x + 1.0) + a
         wts = 0.5 * (b - a) * w * d.density(pts)
-        axes.append((pts, wts))
+        axes.append((pts * c, wts))
     if len(axes) == 1:
         points = axes[0][0][:, None]
         weights = axes[0][1]
@@ -746,14 +746,15 @@ def weighted_probability(
 
     lower and upper are (dim,) vectors for one ProbabilityReport, or
     (k, dim) arrays for a list of k reports from one prior draw and one
-    evaluate_many call, each the single-box report's bits.
+    evaluate_many call, each the single-box report's bits.  A bound may
+    be infinite, but not NaN.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.ndim not in (1, 2) or lower.shape != upper.shape or lower.shape[-1] != spec.dim:
         raise ValueError("box bounds must be (dim,) or (k, dim) arrays matching the window dimension")
-    if np.any(lower > upper):
-        raise ValueError("box bounds must be ordered")
+    if not np.all(lower <= upper):
+        raise ValueError("box bounds must be ordered and not NaN")
     c, w, total, ess, _ = _weighted_draws(spec, num_samples, seed)
     reps = []
     for lo, hi in zip(np.atleast_2d(lower), np.atleast_2d(upper)):
@@ -801,6 +802,8 @@ def map_estimate_l1(A, y, sigma: float, lam: float, tol: float = 1e-10, max_iter
         raise ValueError("sigma must lie in (0, inf)")
     if not lam > 0:
         raise ValueError("lam must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     weight = sigma * sigma / lam
     L = float(np.linalg.norm(A, 2)) ** 2
     z = np.zeros(A.shape[1])

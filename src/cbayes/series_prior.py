@@ -63,6 +63,8 @@ projection keeps a leading slice; columns, multipliers and explicit
 weights are positional in this order.
 Algebraic Fourier weights apply to the signed index k as (1+k^2)^(-s);
 algebraic sequence weights apply to the 1-based enumeration position.
+Every slot scale is one SeriesPrior.weights(N) call, the dilation times
+the schedule's weights, which multiplies the unit law's draws or nodes.
 """
 
 from __future__ import annotations
@@ -88,7 +90,6 @@ __all__ = [
     "Hierarchical",
     "SeriesPrior",
     "FieldSample",
-    "coefficient_weights",
     "sample_field",
     "sample_coefficients",
     "coefficient_chunks",
@@ -165,8 +166,8 @@ class AlgebraicFourier:
     s: float
 
     def __post_init__(self):
-        if not self.s >= 0:
-            raise ValueError("decay exponent must be nonnegative")
+        if not 0 <= self.s < math.inf:
+            raise ValueError("decay exponent must be nonnegative and finite")
 
     def at(self, indices) -> np.ndarray:
         return (1.0 + np.asarray(indices, dtype=float) ** 2) ** (-self.s)
@@ -179,8 +180,8 @@ class AlgebraicSequence:
     s: float
 
     def __post_init__(self):
-        if not self.s >= 0:
-            raise ValueError("decay exponent must be nonnegative")
+        if not 0 <= self.s < math.inf:
+            raise ValueError("decay exponent must be nonnegative and finite")
 
     def at(self, indices) -> np.ndarray:
         return np.arange(1, len(indices) + 1, dtype=float) ** (-self.s)
@@ -197,8 +198,8 @@ class ExplicitSchedule:
         object.__setattr__(self, "values", vals)
         if len(vals) == 0:
             raise ValueError("schedule must not be empty")
-        if not all(v > 0 for v in vals):
-            raise ValueError("weights must be positive")
+        if not all(0 < v < math.inf for v in vals):
+            raise ValueError("weights must be positive and finite")
         if any(b > a + 1e-15 for a, b in zip(vals[:-1], vals[1:])):
             raise ValueError("weights must be nonincreasing")
 
@@ -206,11 +207,6 @@ class ExplicitSchedule:
         if len(self.values) < len(indices):
             raise ValueError("explicit schedule shorter than the window")
         return np.asarray(self.values[: len(indices)], dtype=float)
-
-
-def coefficient_weights(basis, schedule, N: int) -> np.ndarray:
-    """Decay weights for window N, in enumeration order."""
-    return schedule.at(basis.window_indices(N))
 
 
 @dataclass(frozen=True)
@@ -295,17 +291,7 @@ class SeriesPrior:
 
     def weights(self, N: int) -> np.ndarray:
         """The slot scales dilation * gamma_k of window N, in enumeration order."""
-        return self.dilation * coefficient_weights(self.basis, self.schedule, N)
-
-    def coefficient_laws(self, N: int):
-        """Per-slot marginal laws of the coefficients, or None.
-
-        Available for IID laws because every supported family is closed
-        under positive scaling; scale mixtures have no closed form.
-        """
-        if not isinstance(self.law, IID):
-            return None
-        return [self.law.dist.scaled(float(c)) for c in self.weights(N)]
+        return self.dilation * self.schedule.at(self.basis.window_indices(N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -560,7 +546,7 @@ def admissibility_check(prior: SeriesPrior, p: float, q: float, K: int) -> Admis
     if K < 2:
         raise ValueError("K must be at least 2")
     N = K if not isinstance(prior.basis, FourierCircle) else (K + 1) // 2  # the first K slots
-    weights = coefficient_weights(prior.basis, prior.schedule, N)[:K]
+    weights = prior.schedule.at(prior.basis.window_indices(N))[:K]
     var = _coefficient_abs_variance(prior.law)
     return _admissibility_partial_sums(weights**2, np.full(K, var), p, q)
 

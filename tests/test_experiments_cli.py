@@ -234,6 +234,22 @@ def test_unrunnable_config_rejected_naming_the_key(monkeypatch, name, config, ke
     assert work == [] or config == UNRESOLVED_DELTAS
 
 
+def test_run_stability_refuses_a_nan_prior_parameter_before_drawing(monkeypatch):
+    # called directly, without run_experiment's finite-JSON check, the law's
+    # constructor refuses the NaN location: no row is drawn, the synthetic
+    # truth's included, before the refusal names the key
+    calls = []
+    for mod in (experiments, series_prior):
+        real = mod.coefficient_chunks
+        monkeypatch.setattr(mod, "coefficient_chunks", lambda *a, real=real: calls.append(a) or real(*a))
+    cfg = default_config("stability")
+    cfg["prior"] = dict(cfg["prior"], law={"kind": "iid", "dist": {"kind": "laplace", "params": {
+        "m": math.nan, "sigma": 1.0}}})
+    with pytest.raises(ValueError, match="config key 'prior'"):
+        experiments.run_stability(cfg)
+    assert calls == []
+
+
 def test_consistency_accepts_the_smallest_lattice_sigma2(monkeypatch):
     # 0.0956 is inside the mode lattice's node cap, where the default
     # hierarchical prior's heavier tails need half the step and are refused

@@ -357,6 +357,14 @@ def test_audit_refuses_a_nan_radius():
         assumption_audit(phi, math.nan, 100, 0)
 
 
+def test_audit_refuses_an_infinite_radius():
+    # at r = inf the ball's points are infinite: empirical_M = inf and
+    # empirical_L_r = NaN read as a bounded_above violation of the potential
+    phi = GaussianAdditive(LinearModel(np.eye(2)), 1.0, [0.5, -0.3])
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        assumption_audit(phi, math.inf, 100, 0)
+
+
 def test_audit_deterministic():
     phi = MultiplicativeUniform(1.0, dim=3)
     a = assumption_audit(phi, r=1.0, num_samples=200, seed=7)

@@ -25,13 +25,20 @@ from cbayes import (
     check_log_concavity,
     interval_probability,
 )
+from cbayes.forward_models import DeconvolutionModel
 from cbayes.measures1d import (
     abs_mean,
     quantile_interval,
     second_moment,
 )
+from cbayes.series_prior import AlgebraicFourier, ExplicitSchedule
 
 KS_CRIT_1PCT = 1.6276
+
+
+def draws(d, gen, n):
+    """n draws of the law d from the one generator gen, as a group of one."""
+    return d.sample((gen,), np.empty((n, 1), order="F"))[:, 0]
 
 ALL_DISTS = [
     Gaussian(0.0, 1.0),
@@ -136,7 +143,7 @@ def test_nan_input_gives_nan_and_leaves_other_values_alone(d):
 def test_sampling_ks_against_own_cdf(d):
     n = 4000
     gen = np.random.default_rng(2024)
-    x = d.sample(gen, n)
+    x = draws(d, gen, n)
     assert x.shape == (n,)
     stat = st.kstest(x, lambda t: np.asarray(d.cdf(t), dtype=float)).statistic
     assert stat < KS_CRIT_1PCT / math.sqrt(n)
@@ -145,18 +152,19 @@ def test_sampling_ks_against_own_cdf(d):
 @pytest.mark.parametrize("d", ALL_DISTS, ids=str)
 def test_sampling_stays_in_support(d):
     gen = np.random.default_rng(7)
-    x = d.sample(gen, 1000)
+    x = draws(d, gen, 1000)
     lo, hi = d.support()
     assert np.all(x >= lo) and np.all(x <= hi)
 
 
 def test_sample_scalar_and_determinism():
+    # a single draw is a (1, 1) group, the first of a longer call's draws
     d = Laplace(0.0, 1.0)
-    one = d.sample(np.random.default_rng(5))
-    assert np.ndim(one) == 0
-    a = d.sample(np.random.default_rng(9), 16)
-    b = d.sample(np.random.default_rng(9), 16)
-    assert np.array_equal(a, b)
+    one = d.sample((np.random.default_rng(9),), np.empty((1, 1), order="F"))
+    assert one.shape == (1, 1)
+    a = draws(d, np.random.default_rng(9), 16)
+    b = draws(d, np.random.default_rng(9), 16)
+    assert np.array_equal(a, b) and one[0, 0] == a[0]
 
 
 # ------------------------------------------------------------ bit references
@@ -190,9 +198,9 @@ def test_integer_gamma_sample_bit_reference(k, lam):
     d = Gamma(float(k), lam)
     for n in SIZES:
         u = np.random.default_rng(k).random((n, k))
-        assert same_bits(d.sample(np.random.default_rng(k), n), lam * np.sum(-np.log1p(-u), axis=1))
+        assert same_bits(draws(d, np.random.default_rng(k), n), lam * np.sum(-np.log1p(-u), axis=1))
     u = EdgeUniforms().random((len(EdgeUniforms.VALUES), k))
-    assert same_bits(d.sample(EdgeUniforms(), len(u)), lam * np.sum(-np.log1p(-u), axis=1))
+    assert same_bits(draws(d, EdgeUniforms(), len(u)), lam * np.sum(-np.log1p(-u), axis=1))
 
 
 @pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (-1.5, 0.3)])
@@ -200,8 +208,7 @@ def test_gaussian_sample_bit_reference(m, sigma):
     d = Gaussian(m, sigma)
     for gen_of in (lambda: np.random.default_rng(3), lambda: streams.substream(3, streams.COEFFS, 5, 0)):
         for n in SIZES:
-            assert same_bits(d.sample(gen_of(), n), m + sigma * gen_of().standard_normal(n))
-        assert d.sample(gen_of()) == m + sigma * gen_of().standard_normal(1)[0]
+            assert same_bits(draws(d, gen_of(), n), m + sigma * gen_of().standard_normal(n))
 
 
 @pytest.mark.parametrize("k, lam", [(1.5, 2.0), (2.5, 1.0), (7.5, 0.37)])
@@ -209,7 +216,7 @@ def test_noninteger_gamma_sample_bit_reference(k, lam):
     d = Gamma(k, lam)
     for gen_of in (lambda: np.random.default_rng(5), lambda: streams.substream(5, streams.COEFFS, 2, 1)):
         for n in SIZES:
-            assert same_bits(d.sample(gen_of(), n), lam * gen_of().standard_gamma(k, n))
+            assert same_bits(draws(d, gen_of(), n), lam * gen_of().standard_gamma(k, n))
 
 
 @pytest.mark.parametrize("m, sigma", [(0.0, 1.0), (2.0, 0.7)])
@@ -219,7 +226,7 @@ def test_laplace_sample_bit_reference(m, sigma):
         for n in SIZES:
             q = gen_of().random(n) - 0.5
             ref = m - sigma * np.sign(q) * np.log(np.maximum(1.0 - 2.0 * np.abs(q), np.finfo(float).tiny))
-            assert same_bits(d.sample(gen_of(), n), ref)
+            assert same_bits(draws(d, gen_of(), n), ref)
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.25])
@@ -227,7 +234,7 @@ def test_exponential_sample_bit_reference(lam):
     d = Exponential(lam)
     for gen_of in (lambda: np.random.default_rng(6), EdgeUniforms):
         for n in SIZES:
-            assert same_bits(d.sample(gen_of(), n), -np.log1p(-gen_of().random(n)) / lam)
+            assert same_bits(draws(d, gen_of(), n), -np.log1p(-gen_of().random(n)) / lam)
 
 
 @pytest.mark.parametrize("m, s", [(0.0, 1.0), (-1.0, 2.0)])
@@ -236,7 +243,7 @@ def test_logistic_sample_bit_reference(m, s):
     for gen_of in (lambda: np.random.default_rng(8), EdgeUniforms):
         for n in SIZES:
             u = np.maximum(gen_of().random(n), np.finfo(float).tiny)
-            assert same_bits(d.sample(gen_of(), n), m + s * np.log(u / (1.0 - u)))
+            assert same_bits(draws(d, gen_of(), n), m + s * np.log(u / (1.0 - u)))
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-2.0, 3.0)])
@@ -244,7 +251,7 @@ def test_uniform_sample_bit_reference(a, b):
     d = Uniform(a, b)
     for gen_of in (lambda: np.random.default_rng(10), EdgeUniforms):
         for n in SIZES:
-            assert same_bits(d.sample(gen_of(), n), a + (b - a) * gen_of().random(n))
+            assert same_bits(draws(d, gen_of(), n), a + (b - a) * gen_of().random(n))
 
 
 OUT_DISTS = [
@@ -263,23 +270,22 @@ OUT_DISTS = [
 def test_sample_into_block_column_returns_out_with_same_bits(d):
     for n in SIZES:
         block = np.full((n, 3), 7.0, order="F")
-        col = block[:, 1]
-        got = d.sample(streams.substream(4, streams.COEFFS, 1, 0), n, out=col)
+        col = block[:, 1:2]  # a column slice of an F-order block is F-contiguous
+        got = d.sample((streams.substream(4, streams.COEFFS, 1, 0),), col)
         assert got is col
-        assert same_bits(block[:, 1], d.sample(streams.substream(4, streams.COEFFS, 1, 0), n))
+        assert same_bits(block[:, 1], draws(d, streams.substream(4, streams.COEFFS, 1, 0), n))
         assert np.all(block[:, [0, 2]] == 7.0)
-        # size may be left out; the length of out sets the draw count
-        again = np.empty(n)
-        assert d.sample(streams.substream(4, streams.COEFFS, 1, 0), out=again) is again
-        assert same_bits(again, block[:, 1])
     # a stream continued into buffers gives the draws of one call
     gen = streams.substream(4, streams.COEFFS, 2, 0)
-    parts = np.empty(12)
-    d.sample(gen, 5, out=parts[:5])
-    d.sample(gen, out=parts[5:])
-    assert same_bits(parts, d.sample(streams.substream(4, streams.COEFFS, 2, 0), 12))
+    parts = np.empty((12, 1), order="F")
+    d.sample((gen,), parts[:5])
+    d.sample((gen,), parts[5:])
+    assert same_bits(parts[:, 0], draws(d, streams.substream(4, streams.COEFFS, 2, 0), 12))
+    # one form only: a 1-D out and a bare generator are refused
     with pytest.raises(ValueError):
-        d.sample(np.random.default_rng(0), 3, out=np.empty(4))
+        d.sample((np.random.default_rng(0),), np.empty(4))
+    with pytest.raises(ValueError):
+        d.sample(np.random.default_rng(0), np.empty((4, 1), order="F"))
 
 
 @pytest.mark.parametrize("d", OUT_DISTS, ids=str)
@@ -291,32 +297,44 @@ def test_group_draws_equal_per_generator_draws(d):
             gens = tuple(streams.substream(4, streams.COEFFS, j, 0) for j in range(width))
             block = np.full((n, width + 2), 7.0, order="F")
             slab = block[:, 1 : width + 1]
-            assert d.sample(gens, n, out=slab) is slab
+            assert d.sample(gens, slab) is slab
             for j in range(width):
-                assert same_bits(slab[:, j], d.sample(streams.substream(4, streams.COEFFS, j, 0), n))
+                assert same_bits(slab[:, j], draws(d, streams.substream(4, streams.COEFFS, j, 0), n))
             assert np.all(block[:, [0, width + 1]] == 7.0)
     # each generator continues its stream across group calls
     gens = tuple(streams.substream(4, streams.COEFFS, j, 0) for j in range(3))
     head, tail = np.empty((5, 3), order="F"), np.empty((7, 3), order="F")
-    d.sample(gens, out=head)
-    d.sample(gens, out=tail)
+    d.sample(gens, head)
+    d.sample(gens, tail)
     parts = np.concatenate([head, tail])
     for j in range(3):
-        assert same_bits(parts[:, j], d.sample(streams.substream(4, streams.COEFFS, j, 0), 12))
-
-
-@pytest.mark.parametrize("d", ALL_DISTS, ids=str)
-def test_scaled_law_density_identity(d):
-    # c*X has density f(x/c)/c
-    c = 2.5
-    dc = d.scaled(c)
-    x = interior_grid(dc)
-    assert np.allclose(dc.density(x), d.density(x / c) / c, rtol=1e-10, atol=1e-13)
+        assert same_bits(parts[:, j], draws(d, streams.substream(4, streams.COEFFS, j, 0), 12))
 
 
 def test_gamma_shape_below_one_rejected():
     with pytest.raises(ValueError):
         Gamma(0.5, 1.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Gaussian(math.nan, 1.0),
+    lambda: Gaussian(0.0, math.inf),
+    lambda: Laplace(math.nan, 1.0),
+    lambda: Exponential(math.inf),
+    lambda: Logistic(math.nan, 1.0),
+    lambda: Gamma(math.inf, 1.0),
+    lambda: Gamma(2.0, math.inf),
+    lambda: Uniform(-math.inf, 0.0),
+    lambda: ExplicitSchedule((math.inf, 1.0)),
+    lambda: AlgebraicFourier(math.inf),
+    lambda: DeconvolutionModel(AlgebraicFourier(1.0), [0.0, math.nan], 2),
+    lambda: DeconvolutionModel(AlgebraicFourier(1.0), [0.0, math.inf], 2),
+], ids=["gaussian-m-nan", "gaussian-sigma-inf", "laplace-m-nan", "exponential-lam-inf", "logistic-m-nan",
+        "gamma-k-inf", "gamma-lam-inf", "uniform-a-inf", "explicit-inf", "algebraic-inf", "point-nan",
+        "point-inf"])
+def test_non_finite_parameters_are_refused_at_construction(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 def test_invalid_parameters_rejected():

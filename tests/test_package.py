@@ -4,6 +4,8 @@ minimal example runs, and the benchmark's tracer still finds every method
 it wraps."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -85,3 +87,40 @@ def test_benchmark_tracer_records_law_sample_calls(law):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) >= 1
+
+
+# the public functions whose spans perfbench/run.py reads; a traced run
+# fails its span-coverage check when one of them records nothing
+TRACED_FUNCTIONS = (
+    "series_prior.sample_coefficients",
+    "streams.substream",
+    "likelihood.assumption_audit",
+    "posterior.hellinger_from_potentials",
+    "posterior.total_variation_from_potentials",
+    "posterior.hellinger",
+    "posterior.total_variation",
+    "posterior.normalization",
+    "posterior.map_estimate_l1",
+    *(f"experiments.run_{name}" for name in cbayes.EXPERIMENT_NAMES),
+)
+
+
+def test_benchmark_tracing_targets_are_where_the_tracer_looks():
+    # in process and without install(): the tracer takes each method of its
+    # table from the class's own vars, Distribution1D.sample included, and
+    # wraps only module-level public functions defined in their own module
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, classes in tracing.METHODS.items():
+        mod = importlib.import_module(f"cbayes.{layer}")
+        for cname, meths in classes.items():
+            assert all(m in vars(getattr(mod, cname)) for m in meths), (layer, cname)
+    assert "sample" in vars(cbayes.measures1d.Distribution1D)
+    for target in TRACED_FUNCTIONS:
+        layer, name = target.split(".")
+        assert layer in tracing.LAYERS
+        mod = importlib.import_module(f"cbayes.{layer}")
+        fn = vars(mod).get(name)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, target

@@ -39,7 +39,7 @@ from cbayes import (
     weighted_probability,
 )
 from cbayes import posterior, series_prior, streams
-from cbayes.measures1d import Gamma, Gaussian, Laplace, Logistic
+from cbayes.measures1d import Exponential, Gamma, Gaussian, Laplace, Logistic, Uniform
 from cbayes.posterior import (
     MetricReport,
     _gap_check_core,
@@ -106,7 +106,7 @@ def test_product_prior_validation_and_sampling():
     assert a.flags.f_contiguous
     assert np.array_equal(a, p.sample(100, seed=1))
     for j, d in enumerate(p.dists):
-        ref = d.sample(streams.substream(1, streams.COEFFS, j, 0), 100)
+        ref = d.sample((streams.substream(1, streams.COEFFS, j, 0),), np.empty((100, 1), order="F"))
         assert a[:, j].tobytes() == ref.tobytes()
 
 
@@ -250,6 +250,39 @@ def test_quadrature_needs_explicit_low_dimensional_laws():
                                          batch_fn=lambda c: np.zeros(len(c))))
     with pytest.raises(ValueError):
         total_variation(wide, wide, method="quadrature")
+
+
+# each law, and its law times w written out as a law of the same family
+SCALED_LAWS = [
+    (Gaussian(0.3, 1.0), lambda w: Gaussian(0.3 * w, w)),
+    (Exponential(1.5), lambda w: Exponential(1.5 / w)),
+    (Laplace(0.0, 1.0), lambda w: Laplace(0.0, w)),
+    (Logistic(-0.2, 0.5), lambda w: Logistic(-0.2 * w, 0.5 * w)),
+    (Gamma(2.0, 1.0), lambda w: Gamma(2.0, w)),
+    (Uniform(-1.0, 2.0), lambda w: Uniform(-w, 2.0 * w)),
+]
+
+
+@pytest.mark.parametrize("law, scaled", SCALED_LAWS, ids=[str(law) for law, _ in SCALED_LAWS])
+def test_series_prior_quadrature_scales_the_unit_law_nodes(law, scaled):
+    # an IID series prior's grid is the unit law's nodes times
+    # SeriesPrior.weights, with the unit law's node weights: the law of w X
+    # stated outright moves its nodes and weights only by rounding
+    model = LinearModel(np.array([[1.0, 0.4], [-0.3, 1.0]]))
+    phi1, phi2 = GaussianAdditive(model, 0.5, [0.8, -0.2]), GaussianAdditive(model, 0.5, [0.1, 0.6])
+    for s in (1.25, 0.0):
+        prior = SeriesPrior(FourierCircle(), AlgebraicFourier(s), IID(law))
+        product = ProductPrior(tuple(scaled(float(w)) for w in prior.weights(1)))
+        if s == 0.0:  # every weight is 1, and the grid is the product prior's own, bit for bit
+            product = ProductPrior((law, law))
+        for metric in (hellinger, total_variation):
+            got = metric(PosteriorSpec(prior, phi1, N=1), PosteriorSpec(prior, phi2, N=1), method="quadrature")
+            want = metric(PosteriorSpec(product, phi1), PosteriorSpec(product, phi2), method="quadrature")
+            assert got.value > 0
+            if s == 0.0:
+                assert got.value == want.value
+            else:
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
 
 
 def test_underflow_raises_instead_of_dividing_by_zero():
@@ -616,7 +649,7 @@ def gaussian_closed_form(prior, phi, levels):
     # forming d from P0 - P1, the tail columns' Gram over sigma2, keeps the
     # log-determinants from cancelling to 1e-9 of d_H^2 ~ 1e-6
     G, y, sigma2, n_ref = phi.model.design_matrix(), phi.y, phi.noise, phi.model.truncation
-    gamma = prior.dilation * series_prior.coefficient_weights(prior.basis, prior.schedule, n_ref) * prior.law.dist.sigma
+    gamma = prior.weights(n_ref) * prior.law.dist.sigma
 
     def gaussian_posterior(p):
         Gp = G.copy()
@@ -859,6 +892,16 @@ def test_weighted_probability_validation():
         weighted_probability(tilt_spec(), [[2.0], [1.0]], [[3.0], [0.0]], num_samples=2000)
 
 
+def test_weighted_probability_refuses_a_nan_bound():
+    # a NaN bound holds no draw, which read as probability 0 with stderr 0
+    for lower, upper in (([math.nan], [1.0]), ([0.0], [math.nan]), ([[0.0], [math.nan]], [[1.0], [2.0]])):
+        with pytest.raises(ValueError, match="NaN"):
+            weighted_probability(tilt_spec(), lower, upper, num_samples=2000)
+    # infinite bounds stay legal: the whole line holds every draw
+    rep = weighted_probability(tilt_spec(), [-math.inf], [math.inf], num_samples=2000)
+    assert (rep.value, rep.stderr) == (1.0, 0.0)
+
+
 def test_weighted_probability_stacked_boxes_share_one_draw():
     calls = []
 
@@ -933,8 +976,20 @@ def test_map_validation_and_nonconvergence():
         with pytest.raises(ValueError, match="finite"):
             map_estimate_l1(np.eye(2), [1.0, bad], sigma=1.0, lam=1.0)
     A = np.random.default_rng(1).normal(size=(5, 8))
-    with pytest.raises(RuntimeError):
-        map_estimate_l1(A, np.ones(5), sigma=1.0, lam=1.0, tol=0.0, max_iter=3)
+    with pytest.raises(RuntimeError):  # met only when an iterate repeats exactly, which 3 steps do not reach
+        map_estimate_l1(A, np.ones(5), sigma=1.0, lam=1.0, tol=5e-324, max_iter=3)
+
+
+def test_map_refuses_a_tol_that_is_not_positive():
+    # a NaN tol is never met: the solver ran max_iter iterations and then
+    # raised "did not converge"; now no iterate is taken
+    steps = []
+    real = posterior._soft
+    with mock.patch.object(posterior, "_soft", lambda *a: steps.append(a) or real(*a)):
+        for tol in (math.nan, 0.0, -1e-10):
+            with pytest.raises(ValueError, match="tol"):
+                map_estimate_l1(np.eye(2), [1.0, 2.0], sigma=1.0, lam=1.0, tol=tol, max_iter=50)
+    assert steps == []
 
 
 # Reference copies of the plain solver loops: the residual recomputed for

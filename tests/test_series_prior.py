@@ -42,7 +42,6 @@ from cbayes.series_prior import (
     IID,
     _convexity_judge,
     coefficient_chunks,
-    coefficient_weights,
     field_to_csv,
 )
 
@@ -55,6 +54,11 @@ def laplace_prior(s=1.25, dilation=1.0):
 
 def hierarchical_prior(s=1.0):
     return SeriesPrior(BASIS, AlgebraicFourier(s), Hierarchical(Gamma(2.0, 1.0), Gaussian(0.0, 1.0)))
+
+
+def draws(d, gen, n):
+    """n draws of the law d from the one generator gen, as a group of one."""
+    return d.sample((gen,), np.empty((n, 1), order="F"))[:, 0]
 
 
 # ---------------------------------------------------------------- enumeration
@@ -110,13 +114,13 @@ def test_basis_orthonormal_on_window():
 
 
 def test_algebraic_fourier_weights():
-    w = coefficient_weights(BASIS, AlgebraicFourier(1.5), 3)
+    w = AlgebraicFourier(1.5).at(BASIS.window_indices(3))
     idx = BASIS.window_indices(3).astype(float)
     assert np.allclose(w, (1.0 + idx**2) ** -1.5)
 
 
 def test_algebraic_sequence_weights_follow_enumeration():
-    w = coefficient_weights(BASIS, AlgebraicSequence(2.0), 3)
+    w = AlgebraicSequence(2.0).at(BASIS.window_indices(3))
     assert np.allclose(w, np.arange(1, 7, dtype=float) ** -2.0)
 
 
@@ -128,8 +132,8 @@ def test_explicit_schedule_validation():
     with pytest.raises(ValueError):
         ExplicitSchedule((0.5, 1.0))  # increasing
     with pytest.raises(ValueError):
-        coefficient_weights(BASIS, ExplicitSchedule((1.0,)), 2)
-    w = coefficient_weights(BASIS, ExplicitSchedule((4.0, 3.0, 2.0, 1.0)), 2)
+        ExplicitSchedule((1.0,)).at(BASIS.window_indices(2))
+    w = ExplicitSchedule((4.0, 3.0, 2.0, 1.0)).at(BASIS.window_indices(2))
     assert np.allclose(w, [4.0, 3.0, 2.0, 1.0])
 
 
@@ -205,17 +209,17 @@ def column_loop(prior, N, num_samples, seed):
     """One-shot oracle: each slot's whole column from freshly opened
     streams, one sample call per law."""
     idx = prior.basis.window_indices(N)
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    weights = prior.weights(N)
     out = np.empty((num_samples, len(idx)))
     for pos, k in enumerate(idx):
         uid = prior.basis.slot_uid(int(k))
         gen = streams.substream(seed, streams.COEFFS, uid, 0)
         if isinstance(prior.law, IID):
-            draws = prior.law.dist.sample(gen, num_samples)
+            xs = draws(prior.law.dist, gen, num_samples)
         else:
-            xi = prior.law.mode_law.sample(gen, num_samples)
-            draws = prior.law.scale_law.sample(streams.substream(seed, streams.COEFFS, uid, 1), num_samples) * xi
-        out[:, pos] = weights[pos] * draws
+            xi = draws(prior.law.mode_law, gen, num_samples)
+            xs = draws(prior.law.scale_law, streams.substream(seed, streams.COEFFS, uid, 1), num_samples) * xi
+        out[:, pos] = weights[pos] * xs
     return out
 
 
@@ -325,15 +329,15 @@ def serial_reference(prior, N, num_samples, seed):
     slot's _slot_streams generators drawn for every row into its column,
     times the scale draws, then weighted."""
     idx = prior.basis.window_indices(N)
-    weights = prior.dilation * coefficient_weights(prior.basis, prior.schedule, N)
+    weights = prior.weights(N)
     out = np.empty((num_samples, len(idx)), order="F")
     for pos, k in enumerate(idx):
-        gens, col = series_prior._slot_streams(prior, seed, k), out[:, pos]
+        gens, col = series_prior._slot_streams(prior, seed, k), out[:, pos : pos + 1]
         if isinstance(prior.law, IID):
-            prior.law.dist.sample(gens[0], out=col)
+            prior.law.dist.sample(gens[:1], col)
         else:
-            prior.law.mode_law.sample(gens[0], out=col)
-            col *= prior.law.scale_law.sample(gens[1], num_samples)
+            prior.law.mode_law.sample(gens[:1], col)
+            col *= draws(prior.law.scale_law, gens[1], num_samples)[:, None]
         col *= weights[pos]
     return out
 
@@ -418,11 +422,12 @@ def test_group_sample_refuses_a_mismatched_slab():
     for out in (None, np.empty((5, 2), order="F"), np.empty((5, 3)), np.empty(15)):
         with pytest.raises(ValueError):
             Laplace(0.0, 1.0).sample(gens, out=out)
-    with pytest.raises(ValueError):
-        Laplace(0.0, 1.0).sample(gens, 4, out=np.empty((5, 3), order="F"))
     # a single generator is a group of one: one column at most
     with pytest.raises(ValueError, match="one column per generator"):
-        Laplace(0.0, 1.0).sample(gens[0], out=np.empty((5, 3), order="F"))
+        Laplace(0.0, 1.0).sample(gens[:1], out=np.empty((5, 3), order="F"))
+    # and is passed as a tuple, even for a one-column out
+    with pytest.raises(ValueError, match="tuple"):
+        Laplace(0.0, 1.0).sample(gens[0], out=np.empty((5, 1), order="F"))
 
 
 class FillError(Exception):
@@ -438,15 +443,15 @@ def test_fill_error_in_either_half_is_raised_after_the_join(half, monkeypatch):
     mode = type(p.law.mode_law)  # patched on the class: a frozen law takes no attribute
     caller, real, armed = threading.current_thread(), mode.sample, []
 
-    def draws(self, gen, size=None, out=None):
+    def flaky_sample(self, gens, out):
         if armed:
             if (threading.current_thread() is caller) == (half == "caller"):
                 raise FillError(half)
             time.sleep(0.05)
-        return real(self, gen, size, out)
+        return real(self, gens, out)
 
     baseline = threading.active_count()
-    monkeypatch.setattr(mode, "sample", draws)
+    monkeypatch.setattr(mode, "sample", flaky_sample)
     monkeypatch.setattr(series_prior, "_CHUNK_VALUES", 10 * 4)
     chunks = coefficient_chunks(p, 4, 30, seed=5)
     assert next(chunks)[0] == 0
@@ -576,13 +581,13 @@ def test_field_to_csv_round_trips():
 
 
 def test_coefficient_marginals_match_declared_laws():
-    # KS of each sampled column against the scaled 1-D law
+    # KS of each sampled column, over its slot's weight, against the unit law
     p = laplace_prior(s=1.0)
     n = 4000
     mat = sample_coefficients(p, 2, n, seed=21)
-    laws = p.coefficient_laws(2)
-    for col, law in zip(mat.T, laws):
-        stat = st.kstest(col, lambda t: np.asarray(law.cdf(t), dtype=float)).statistic
+    law = p.law.dist
+    for col, w_k in zip(mat.T, p.weights(2)):
+        stat = st.kstest(col / w_k, lambda t: np.asarray(law.cdf(t), dtype=float)).statistic
         assert stat < 1.6276 / math.sqrt(n)
 
 
@@ -591,12 +596,11 @@ def test_hierarchical_coefficient_variance():
     p = hierarchical_prior(s=1.0)
     n = 200000
     mat = sample_coefficients(p, 1, n, seed=4)
-    w = coefficient_weights(BASIS, p.schedule, 1)
+    w = p.schedule.at(BASIS.window_indices(1))
     for col, gamma in zip(mat.T, w):
         var = np.var(col)
         se = np.std(col**2) / math.sqrt(n)
         assert abs(var - 6.0 * gamma**2) < 4 * se
-    assert p.coefficient_laws(1) is None
 
 
 CF_LAWS = [
