@@ -20,18 +20,14 @@ from .series_prior import (
     AlgebraicFourier,
     AlgebraicSequence,
     ExplicitSchedule,
-    FieldSample,
     FourierCircle,
     Hierarchical,
     IID,
     SeriesPrior,
     admissibility_check,
     estimate_exp_moment,
-    evaluate_field,
     marginal_convexity_test,
-    project,
     sample_coefficients,
-    sample_field,
 )
 from .forward_models import (
     DeconvolutionModel,
@@ -73,11 +69,7 @@ __all__ = [
     "IID",
     "Hierarchical",
     "SeriesPrior",
-    "FieldSample",
     "sample_coefficients",
-    "sample_field",
-    "evaluate_field",
-    "project",
     "admissibility_check",
     "estimate_exp_moment",
     "marginal_convexity_test",

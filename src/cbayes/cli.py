@@ -26,7 +26,7 @@ from .experiments import (
     run_experiment,
 )
 from .posterior import PosteriorSpec, hellinger, map_estimate_l1
-from .series_prior import field_to_csv, sample_field
+from .series_prior import SeriesPrior, sample_coefficients
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,14 +71,18 @@ def run_cmd(ctx, experiment, config_path, out_path, csv_path, seed):
 @main.command("sample-prior")
 @click.option("--prior", "prior_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Prior JSON; defaults to the Laplace series prior.")
-@click.option("--level", type=int, default=8, show_default=True, help="Truncation window level.")
+@click.option("--level", type=click.IntRange(min=1), default=8, show_default=True, help="Truncation window level.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Write the coefficient CSV here instead of stdout.")
 def sample_prior_cmd(prior_path, level, seed, out_path):
     """Draw one truncated series sample and emit index,coefficient rows."""
     prior = prior_from_json(_load_json(prior_path) if prior_path else _LAPLACE_SERIES)
-    csv = field_to_csv(sample_field(prior, level, seed))
+    if not isinstance(prior, SeriesPrior):
+        raise click.BadParameter("must be a series prior", param_hint="'--prior'")
+    coeffs = sample_coefficients(prior, level, 1, seed)[0]
+    csv = "index,coefficient\n" + "".join(
+        f"{int(k)},{float(c)!r}\n" for k, c in zip(prior.basis.window_indices(level), coeffs))
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(csv)

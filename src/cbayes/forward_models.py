@@ -39,6 +39,17 @@ def equispaced_points(m: int) -> np.ndarray:
     return np.arange(m, dtype=float) / m
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """values as a float array, refused unless non-empty and finite: the
+    one check of the models' and the Gaussian potential's inputs."""
+    a = np.asarray(values, dtype=float)
+    if a.size == 0:
+        raise ValueError(f"{what} must not be empty")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 _MODE_TOL = 1e-9  # relative tolerance of data_modes' parallel, orthogonal and zero tests
 
 
@@ -49,7 +60,7 @@ class LinearModel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        A = np.atleast_2d(_finite(self.matrix, "matrix"))
         object.__setattr__(self, "matrix", A)
 
     @property
@@ -95,21 +106,15 @@ class DeconvolutionModel:
     basis: object = field(default_factory=FourierCircle)
 
     def __post_init__(self):
-        pts = np.asarray(self.observation_points, dtype=float)
-        if pts.size == 0:
-            raise ValueError("need at least one observation point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("observation points must be finite")
+        pts = _finite(self.observation_points, "observation points")
         object.__setattr__(self, "observation_points", pts)
         idx = self.basis.window_indices(self.truncation)
         if isinstance(self.multipliers, AlgebraicFourier):
             mult = self.multipliers.at(idx)
         else:
-            mult = np.asarray(self.multipliers, dtype=float)
+            mult = _finite(self.multipliers, "explicit multipliers")
             if mult.shape != idx.shape:
                 raise ValueError("explicit multipliers must cover the window")
-            if not np.all(np.isfinite(mult)):
-                raise ValueError("explicit multipliers must be finite")
         E = np.stack([self.basis.evaluate(int(k), pts) for k in idx], axis=1)
         object.__setattr__(self, "_indices", idx)
         object.__setattr__(self, "_design", E * mult[None, :])

@@ -66,6 +66,7 @@ from typing import Callable
 import numpy as np
 
 from . import streams
+from .forward_models import _finite
 
 __all__ = [
     "GaussianAdditive",
@@ -77,7 +78,7 @@ __all__ = [
 
 
 def _data_vector(y, m: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _finite(y, "data").reshape(-1)
     if len(y) != m:
         raise ValueError("data length does not match the model")
     return y
@@ -188,7 +189,7 @@ class GaussianAdditive:
         """Phi(u; y) for one input and data vector, or the (n,) values for
         an (n, dim) batch of inputs with an (n, data_dim) batch of data."""
         if np.ndim(coeffs) == 2:
-            ys = np.asarray(y, dtype=float)
+            ys = _finite(y, "data")
             if ys.shape != (len(coeffs), self.data_dim):
                 raise ValueError(f"expected ({len(coeffs)}, {self.data_dim}) data for the batch")
             return self.misfit(self.model.apply_many(self._projected(coeffs)), ys)

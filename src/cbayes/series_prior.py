@@ -7,7 +7,8 @@ orthonormal basis functions x_k.  Truncating the series to a finite index
 window gives exchangeable finite-dimensional samples whose coefficients
 are reproducible per index: each index draws from its own counter-based
 stream, so enlarging the window never changes the coefficients already
-present, and projection commutes with sampling exactly.
+present.  Projection commutes with sampling exactly: level M's
+sample_coefficients matrix is the leading columns of level N's, N >= M.
 
 Chunked sampling
 ----------------
@@ -58,9 +59,8 @@ Enumeration contract
 Fourier indices are enumerated 0, -1, 1, -2, 2, ...  The truncation
 window for level N is the index set {-N, ..., N-1}, the first 2N entries
 [0, -1, 1, ..., N-1, -N]; sequence bases enumerate 1, 2, 3, ... and window
-N is {1, ..., N}.  So every window is a prefix of every larger one and
-projection keeps a leading slice; columns, multipliers and explicit
-weights are positional in this order.
+N is {1, ..., N}.  So every window is a prefix of every larger one;
+columns, multipliers and explicit weights are positional in this order.
 Algebraic Fourier weights apply to the signed index k as (1+k^2)^(-s);
 algebraic sequence weights apply to the 1-based enumeration position.
 Every slot scale is one SeriesPrior.weights(N) call, the dilation times
@@ -69,7 +69,6 @@ the schedule's weights, which multiplies the unit law's draws or nodes.
 
 from __future__ import annotations
 
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -89,13 +88,8 @@ __all__ = [
     "IID",
     "Hierarchical",
     "SeriesPrior",
-    "FieldSample",
-    "sample_field",
     "sample_coefficients",
     "coefficient_chunks",
-    "project",
-    "evaluate_field",
-    "field_to_csv",
     "AdmissibilityReport",
     "admissibility_check",
     "ExpMomentReport",
@@ -294,25 +288,6 @@ class SeriesPrior:
         return self.dilation * self.schedule.at(self.basis.window_indices(N))
 
 
-@dataclass(frozen=True, eq=False)
-class FieldSample:
-    """Truncated series sample: coefficients over the window, in
-    enumeration order, together with the signed indices and the basis."""
-
-    basis: object
-    truncation: int
-    indices: np.ndarray
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        idx = np.asarray(self.indices, dtype=int)
-        if coeffs.shape != idx.shape:
-            raise ValueError("indices and coefficients must align")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "indices", idx)
-
-
 _CHUNK_VALUES = 1 << 20  # values per block of coefficient_chunks (8 MB)
 _GROUP_VALUES = 1 << 15  # values per column group that one sample call draws (256 KB)
 _FILL_THREADS = 2  # threads filling each block (_share_work): the caller's and one other
@@ -440,9 +415,9 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
     """Matrix of coefficient draws, shape (num_samples, window size).
 
     Row i is the i-th field; column order is the enumeration order of the
-    window.  Each index has its own stream, so the first row is the single
-    sample for the same seed, and level M's matrix is the first columns of
-    level N's for any N >= M.  The matrix is column-major, like the blocks
+    window.  Each index has its own stream, read draw by draw, so row i is
+    the same at any row count, and level M's matrix is the leading columns
+    of level N's for any N >= M.  The matrix is column-major, like the blocks
     of coefficient_chunks, and is the one block itself when a block holds
     every row.
     """
@@ -454,42 +429,6 @@ def sample_coefficients(prior: SeriesPrior, N: int, num_samples: int, seed: int)
             out = np.empty((num_samples, block.shape[1]), order="F")
         out[start : start + len(block)] = block
     return out
-
-
-def sample_field(prior: SeriesPrior, N: int, seed: int) -> FieldSample:
-    """One truncated draw from the prior; deterministic in (prior, N, seed)."""
-    coeffs = sample_coefficients(prior, N, 1, seed)[0]
-    return FieldSample(prior.basis, N, prior.basis.window_indices(N), coeffs)
-
-
-def project(u: FieldSample, M: int) -> FieldSample:
-    """Restrict a sample to the window at level M <= truncation.
-
-    Coefficients outside the target window are dropped (their
-    contribution is zero); the result is idempotent under further
-    projection and never changes surviving coefficients.
-    """
-    if M > u.truncation:
-        raise ValueError("cannot refine by projection: target window exceeds the sample's")
-    wanted = u.basis.window_indices(M)
-    return FieldSample(u.basis, M, wanted, u.coefficients[: len(wanted)].copy())
-
-
-def evaluate_field(u: FieldSample, x) -> np.ndarray:
-    """Pointwise values sum_k c_k x_k(x)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for k, c in zip(u.indices, u.coefficients):
-        out = out + c * u.basis.evaluate(int(k), x)
-    return out
-
-
-def field_to_csv(u: FieldSample) -> str:
-    buf = io.StringIO()
-    buf.write("index,coefficient\n")
-    for k, c in zip(u.indices, u.coefficients):
-        buf.write(f"{int(k)},{float(c)!r}\n")
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

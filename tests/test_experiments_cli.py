@@ -7,6 +7,7 @@ test runner; one subprocess test covers the installed console script.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -589,6 +590,57 @@ def test_cli_sample_prior_accepts_prior_file(tmp_path):
                   "--seed", "0", "--out", str(out)])
     assert res.exit_code == 0
     assert out.read_text().startswith("index,coefficient\n")
+
+
+def test_cli_sample_prior_round_trips_the_first_coefficient_row():
+    # one row per window index, in enumeration order, each coefficient the
+    # repr of a float that parses back to the first sample_coefficients row
+    res = invoke(["sample-prior", "--level", "3", "--seed", "13"])
+    assert res.exit_code == 0
+    lines = res.output.strip().splitlines()
+    assert lines[0] == "index,coefficient"
+    prior = prior_from_json(LAPLACE_SERIES)  # the command's default prior
+    parsed = [ln.split(",") for ln in lines[1:]]
+    assert [int(k) for k, _ in parsed] == list(prior.basis.window_indices(3))
+    coeffs = np.array([float(c) for _, c in parsed])
+    assert np.array_equal(coeffs, series_prior.sample_coefficients(prior, 3, 1, 13)[0])
+    assert "np." not in res.output
+
+
+# the sha256 of the output for the default Laplace prior (level 8, seed 0)
+# and the consistency suite's hierarchical prior: a change to the draws or
+# to the CSV text moves them
+SAMPLE_PRIOR_DIGESTS = [
+    (None, [], "52fa66e6bafb9ff160245935e8dcc5a126496a4224cc0c9ca51407c1788f87ba"),
+    (HIERARCHICAL_SERIES, ["--level", "16", "--seed", "7"],
+     "da16bfb059346faa82607e2ba707faaf6b29d0f5a4a91cd8ff2fa32de33fa738"),
+]
+
+
+@pytest.mark.parametrize("prior,args,digest", SAMPLE_PRIOR_DIGESTS,
+                         ids=["laplace_level8_seed0", "hierarchical_level16_seed7"])
+def test_cli_sample_prior_output_is_pinned(tmp_path, prior, args, digest):
+    if prior is not None:
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(prior))
+        args = ["--prior", str(path), *args]
+    res = invoke(["sample-prior", *args])
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+
+def test_cli_sample_prior_refuses_a_product_prior(tmp_path):
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(PRODUCT_PRIOR))
+    res = CliRunner().invoke(main, ["sample-prior", "--prior", str(path)])
+    assert res.exit_code == 2
+    assert "--prior" in res.output and "must be a series prior" in res.output
+
+
+def test_cli_sample_prior_refuses_level_zero():
+    res = CliRunner().invoke(main, ["sample-prior", "--level", "0"])
+    assert res.exit_code == 2
+    assert "--level" in res.output
 
 
 def test_cli_hellinger_matches_library(tmp_path):

@@ -15,8 +15,7 @@ from cbayes import (
     DeconvolutionModel,
     LinearModel,
     equispaced_points,
-    evaluate_field,
-    sample_field,
+    sample_coefficients,
 )
 from cbayes.measures1d import Laplace
 from cbayes.series_prior import AlgebraicFourier, FourierCircle, IID, SeriesPrior
@@ -43,7 +42,7 @@ def test_deconvolution_matches_fft_convolution_oracle():
     s, m, trunc = 1.0, 8, 6
     model = make_deconv(s, m, trunc)
     prior = SeriesPrior(BASIS, AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
-    u = sample_field(prior, trunc, seed=42)
+    coeffs = sample_coefficients(prior, trunc, 1, seed=42)[0]
 
     G = 1024
     t = np.arange(G) / G
@@ -51,10 +50,11 @@ def test_deconvolution_matches_fft_convolution_oracle():
     for j in range(0, trunc + 4):
         mj = (1.0 + j * j) ** -s
         kernel += mj * (1.0 if j == 0 else 2.0) * np.cos(2.0 * math.pi * j * t)
-    conv = np.real(np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(evaluate_field(u, t)))) / G
+    field = sum(c * BASIS.evaluate(int(k), t) for k, c in zip(BASIS.window_indices(trunc), coeffs))
+    conv = np.real(np.fft.ifft(np.fft.fft(kernel) * np.fft.fft(field))) / G
     oracle = conv[np.arange(m) * (G // m)]
 
-    assert np.allclose(model.apply(u.coefficients), oracle, atol=1e-12)
+    assert np.allclose(model.apply(coeffs), oracle, atol=1e-12)
 
 
 def test_deconvolution_single_frequency_action():
@@ -156,3 +156,25 @@ def test_linear_model_truncation_and_validation():
     assert np.allclose(model.apply(np.array([1.0, -2.0, 0.0])), A[:, keep] @ [1.0, -2.0])
     with pytest.raises(ValueError):
         model.window_positions(4)
+
+
+@pytest.mark.parametrize("matrix, match", [
+    ([[1.0, math.nan], [0.0, 1.0]], "matrix must be finite"),
+    ([[1.0, 0.0], [math.inf, 1.0]], "matrix must be finite"),
+    (np.zeros((0, 3)), "matrix must not be empty"),  # its first misfit would raise IndexError
+], ids=["nan", "inf", "empty"])
+def test_linear_model_refuses_a_matrix_it_cannot_apply(matrix, match):
+    with pytest.raises(ValueError, match=match):
+        LinearModel(np.asarray(matrix))
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"observation_points": []}, "observation points must not be empty"),
+    ({"observation_points": [0.0, math.nan]}, "observation points must be finite"),
+    ({"multipliers": [1.0, math.inf]}, "explicit multipliers must be finite"),
+    ({"multipliers": [1.0, 1.0, 1.0]}, "explicit multipliers must cover the window"),
+], ids=["no_points", "nan_point", "inf_multiplier", "short_multipliers"])
+def test_deconvolution_model_refuses_points_and_multipliers(change, match):
+    args = {"multipliers": [1.0, 0.5], "observation_points": [0.0, 0.5], "truncation": 1, **change}
+    with pytest.raises(ValueError, match=match):
+        DeconvolutionModel(**args)

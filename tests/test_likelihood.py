@@ -266,6 +266,20 @@ def test_gaussian_potential_validation():
         GaussianAdditive(model, 1.0, [1.0, 2.0]).evaluate_with_data([0.0, 0.0], [1.0])
 
 
+@pytest.mark.parametrize("y", [[math.nan, 0.1], [math.inf, 0.1], [0.1, -math.inf]], ids=["nan", "inf", "-inf"])
+def test_gaussian_potential_refuses_non_finite_data(y):
+    # an infinite datum would make every value inf, a NaN one every value NaN
+    phi = GaussianAdditive(LinearModel(np.eye(2)), 1.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match="data must be finite"):
+        GaussianAdditive(LinearModel(np.eye(2)), 1.0, y)
+    with pytest.raises(ValueError, match="data must be finite"):
+        phi.evaluate_with_data([0.0, 0.0], y)
+    with pytest.raises(ValueError, match="data must be finite"):
+        phi.misfit_delta(np.zeros(2), y)
+    with pytest.raises(ValueError, match="data must be finite"):
+        phi.evaluate_with_data(np.zeros((2, 2)), [[0.0, 0.0], y])
+
+
 # ---------------------------------------------------------- multiplicative
 
 

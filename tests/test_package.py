@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, so a deletion cannot
-leave a dead export behind, the package states one version, the README's
+leave a dead export behind, and has a caller, so no public name outlives
+its last use; the package states one version, the README's
 minimal example runs, and the benchmark's tracer still finds every method
 it wraps."""
 
@@ -7,6 +8,7 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,22 @@ MODULES = [cbayes] + [importlib.import_module(f"cbayes.{m.name}") for m in pkgut
 def test_exported_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing
+
+
+def test_every_public_name_has_a_caller():
+    # each package export is used by the library, the benchmark, the tools
+    # or the acceptance tests: named somewhere besides its own def or class
+    # line and its __all__ entry (unit tests do not count as callers)
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in (root / "src" / "cbayes").glob("*.py") if p.name != "__init__.py"]
+    files += [*(root / "perfbench").glob("*.py"), *(root / "tools").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    text = "\n".join(p.read_text() for p in files)
+    unused = []
+    for name in cbayes.__all__:
+        own = re.compile(rf'^\s*(?:(?:def|class)\s+{re.escape(name)}\b.*|"{re.escape(name)}",)$', re.M)
+        if not re.search(rf"\b{re.escape(name)}\b", own.sub("", text)):
+            unused.append(name)
+    assert not unused
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")

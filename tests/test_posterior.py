@@ -49,7 +49,7 @@ from cbayes.posterior import (
     posterior_mean,
     total_variation_from_potentials,
 )
-from cbayes.series_prior import AlgebraicFourier, FourierCircle, Hierarchical, IID, sample_field
+from cbayes.series_prior import AlgebraicFourier, FourierCircle, Hierarchical, IID, sample_coefficients
 
 STD_PRIOR = ProductPrior((Gaussian(0.0, 1.0),))
 
@@ -320,7 +320,7 @@ def roadmap_pair(sigma2):
     # and that data scaled by 1.01
     prior = SeriesPrior(FourierCircle(), AlgebraicFourier(1.25), IID(Laplace(0.0, 1.0)))
     model = DeconvolutionModel(AlgebraicFourier(1.0), equispaced_points(8), 8)
-    y = 3.0 * model.apply(sample_field(prior, 8, seed=5).coefficients)
+    y = 3.0 * model.apply(sample_coefficients(prior, 8, 1, seed=5)[0])
     return (PosteriorSpec(prior, GaussianAdditive(model, sigma2, y), 8),
             PosteriorSpec(prior, GaussianAdditive(model, sigma2, 1.01 * y), 8))
 

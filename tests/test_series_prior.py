@@ -2,10 +2,10 @@
 
 The load-bearing contract is per-index determinism: coefficients are drawn
 from index-keyed substreams, so enlarging the window never changes the
-coefficients already present and projection commutes with sampling.
+coefficients already present and projection commutes with sampling: level
+M's coefficient matrix is the leading columns of level N's.
 """
 
-import io
 import math
 import sys
 import threading
@@ -20,15 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from cbayes import (
-    FieldSample,
     SeriesPrior,
     admissibility_check,
     estimate_exp_moment,
-    evaluate_field,
     marginal_convexity_test,
-    project,
     sample_coefficients,
-    sample_field,
 )
 from cbayes import series_prior, streams
 from cbayes.measures1d import Exponential, Gamma, Gaussian, Laplace, Logistic, Uniform
@@ -42,7 +38,6 @@ from cbayes.series_prior import (
     IID,
     _convexity_judge,
     coefficient_chunks,
-    field_to_csv,
 )
 
 BASIS = FourierCircle()
@@ -151,29 +146,35 @@ def test_prior_validation():
 # ------------------------------------------------------------------- sampling
 
 
+def draw_one(p, N, seed):
+    """One field's coefficients: the only row of a one-row draw."""
+    return sample_coefficients(p, N, 1, seed)[0]
+
+
 def test_sample_field_deterministic():
     p = laplace_prior()
-    a = sample_field(p, 8, seed=3)
-    b = sample_field(p, 8, seed=3)
-    assert np.array_equal(a.coefficients, b.coefficients)
-    assert not np.array_equal(a.coefficients, sample_field(p, 8, seed=4).coefficients)
+    a = draw_one(p, 8, seed=3)
+    assert np.array_equal(a, draw_one(p, 8, seed=3))
+    assert not np.array_equal(a, draw_one(p, 8, seed=4))
+
+
+def assert_projection_commutes(p, small, big, seed):
+    # level small's window is a prefix of level big's, and its one-row draw
+    # is the prefix of level big's row: enlarging the window moves no bit
+    wanted = BASIS.window_indices(small)
+    assert np.array_equal(BASIS.window_indices(big)[: len(wanted)], wanted)
+    direct, enlarged = draw_one(p, small, seed), draw_one(p, big, seed)
+    assert direct.shape == wanted.shape
+    assert np.array_equal(direct, enlarged[: len(wanted)])
 
 
 def test_projection_commutes_with_sampling():
-    # enlarging the window must preserve existing coefficients exactly
-    p = laplace_prior()
     for small, big in [(1, 2), (4, 8), (8, 16), (16, 17)]:
-        direct = sample_field(p, small, seed=11)
-        projected = project(sample_field(p, big, seed=11), small)
-        assert np.array_equal(direct.indices, projected.indices)
-        assert np.array_equal(direct.coefficients, projected.coefficients)
+        assert_projection_commutes(laplace_prior(), small, big, seed=11)
 
 
 def test_projection_commutes_for_hierarchical_law():
-    p = hierarchical_prior()
-    direct = sample_field(p, 4, seed=5)
-    projected = project(sample_field(p, 12, seed=5), 4)
-    assert np.array_equal(direct.coefficients, projected.coefficients)
+    assert_projection_commutes(hierarchical_prior(), 4, 12, seed=5)
 
 
 def test_sample_coefficients_first_row_matches_single_draw():
@@ -184,7 +185,7 @@ def test_sample_coefficients_first_row_matches_single_draw():
     for p in (laplace_prior(), hierarchical_prior(), gauss, gamma):
         mat = sample_coefficients(p, 6, 5, seed=2)
         assert mat.shape == (5, 12)
-        assert np.array_equal(mat[0], sample_field(p, 6, seed=2).coefficients)
+        assert np.array_equal(mat[0], draw_one(p, 6, seed=2))
     p = laplace_prior()
     with pytest.raises(ValueError):
         sample_coefficients(p, 6, 0, seed=2)
@@ -529,55 +530,16 @@ def test_concurrent_callers_with_fast_thread_switches_get_reference_bits():
 
 
 def test_dilation_scales_samples_linearly():
-    full = sample_field(laplace_prior(dilation=1.0), 4, seed=7)
-    half = sample_field(laplace_prior(dilation=0.5), 4, seed=7)
-    assert np.allclose(half.coefficients, 0.5 * full.coefficients)
+    full = draw_one(laplace_prior(dilation=1.0), 4, seed=7)
+    half = draw_one(laplace_prior(dilation=0.5), 4, seed=7)
+    assert np.allclose(half, 0.5 * full)
 
 
 def test_norm_monotone_under_projection():
-    u = sample_field(laplace_prior(), 32, seed=1)
-    norms = [np.linalg.norm(project(u, m).coefficients) for m in (1, 2, 4, 8, 16, 32)]
+    u = draw_one(laplace_prior(), 32, seed=1)
+    norms = [np.linalg.norm(u[: len(BASIS.window_indices(m))]) for m in (1, 2, 4, 8, 16, 32)]
     assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
-    assert norms[-1] == pytest.approx(np.linalg.norm(u.coefficients))
-
-
-def test_project_validation_and_idempotence():
-    u = sample_field(laplace_prior(), 8, seed=0)
-    v = project(u, 3)
-    assert v.truncation == 3
-    # a window is a prefix: projection keeps the leading slice
-    assert np.array_equal(v.indices, u.indices[:6])
-    assert np.array_equal(v.coefficients, u.coefficients[:6])
-    assert np.array_equal(project(v, 3).coefficients, v.coefficients)
-    with pytest.raises(ValueError):
-        project(v, 8)
-
-
-def test_field_sample_validates_alignment():
-    with pytest.raises(ValueError):
-        FieldSample(BASIS, 2, np.array([0, -1, 1, -2]), np.array([1.0, 2.0]))
-
-
-def test_evaluate_field_matches_manual_sum():
-    u = sample_field(laplace_prior(), 4, seed=9)
-    x = np.array([0.0, 0.3, 0.77])
-    manual = sum(
-        c * BASIS.evaluate(int(k), x) for k, c in zip(u.indices, u.coefficients)
-    )
-    assert np.allclose(evaluate_field(u, x), manual)
-
-
-def test_field_to_csv_round_trips():
-    u = sample_field(laplace_prior(), 3, seed=13)
-    text = field_to_csv(u)
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,coefficient"
-    assert len(lines) == 1 + len(u.indices)
-    parsed = [ln.split(",") for ln in lines[1:]]
-    assert [int(k) for k, _ in parsed] == [int(k) for k in u.indices]
-    assert np.array_equal(np.array([float(c) for _, c in parsed]), u.coefficients)
-    # plain decimal text, no numpy repr noise
-    assert "np." not in text
+    assert norms[-1] == pytest.approx(np.linalg.norm(u))
 
 
 def test_coefficient_marginals_match_declared_laws():
